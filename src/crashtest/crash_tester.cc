@@ -181,11 +181,15 @@ replayCommand(const CrashTestOptions &opts, const CrashPairResult &pair)
 
 namespace {
 
-/** Check one crash point of @p sys (non-destructive). */
+/**
+ * Check one crash point of @p sys (non-destructive). @p populated is
+ * the pair's post-setup state when the serialize check applies, else
+ * null.
+ */
 CrashPointResult
 checkCrashPoint(const CrashTestOptions &opts, FullSystem &sys,
-                const CommitOracle &oracle, WorkloadKind kind,
-                const WorkloadParams &params)
+                const CommitOracle &oracle,
+                const PopulatedState *populated)
 {
     const LogScheme scheme = sys.config().logging.scheme;
     CrashPointResult row;
@@ -223,18 +227,15 @@ checkCrashPoint(const CrashTestOptions &opts, FullSystem &sys,
     }
 
     // End-to-end: the recovered image must equal a functional replay
-    // of exactly the surviving transaction prefix (single thread — a
-    // multi-threaded prefix is not replayable without the schedule).
-    if (opts.threads == 1 && scheme != LogScheme::PMEMNoLog &&
-        opts.checkSerialization) {
-        PersistentHeap replay_heap;
-        auto replay = makeWorkload(kind, replay_heap, scheme, params,
-                                   WorkloadExtras{{}, opts.gen});
-        replay->setup();
-        replay->replayOps(row.replayed);
+    // of exactly the surviving transaction prefix, run on a copy of
+    // the post-setup state.
+    if (populated) {
+        const PopulatedState::Instance replay =
+            populated->instantiate(scheme);
+        replay.workload->replayOps(row.replayed);
         const std::string recovered = sys.workload().serialize(image);
         const std::string replayed =
-            replay->serialize(replay_heap.volatileImage());
+            replay.workload->serialize(replay.heap->volatileImage());
         row.serializeOk = recovered == replayed;
         if (!row.serializeOk)
             row.serializeError =
@@ -351,6 +352,25 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     params.initScale = opts.initScale;
     params.seed = opts.seed;
 
+    TraceBundleKey key;
+    key.kind = kind;
+    key.scheme = scheme;
+    key.params = params;
+    key.gen = opts.gen;
+
+    // The end-to-end serialize check replays each crash point's
+    // committed prefix on a copy of the post-setup state, populated
+    // once per pair (once per workload with the cache on). It needs a
+    // single thread — a multi-threaded prefix is not replayable
+    // without the schedule — and a failure-safe scheme.
+    std::shared_ptr<const PopulatedState> populated;
+    if (opts.threads == 1 && scheme != LogScheme::PMEMNoLog &&
+        opts.checkSerialization) {
+        populated = opts.useTraceCache
+                        ? TraceCache::global().populated(key)
+                        : PopulatedState::build(key);
+    }
+
     // With the cache on, one functional execution serves both the
     // reference run and the crash-injected run; the oracle is rebuilt
     // from the bundle's recorded write history, which is equivalent to
@@ -358,11 +378,6 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     std::shared_ptr<const TraceBundle> bundle;
     CommitOracle oracle;
     if (opts.useTraceCache) {
-        TraceBundleKey key;
-        key.kind = kind;
-        key.scheme = scheme;
-        key.params = params;
-        key.gen = opts.gen;
         bundle = TraceCache::global().get(key, /*want_history=*/true);
         bundle->history->replayTo(oracle);
     }
@@ -424,7 +439,7 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
         if (at > now)
             sys.runFor(at - now);
         CrashPointResult row =
-            checkCrashPoint(opts, sys, oracle, kind, params);
+            checkCrashPoint(opts, sys, oracle, populated.get());
         if (!row.ok) {
             ++pair.violations;
             if (pair.failureReports.size() < 5)

@@ -48,7 +48,8 @@ FullSystem::FullSystem(const SystemConfig &cfg,
     _cfg.cores = threads;           // one trace per core
 
     // Shared bundle: this machine needs its own mutable heap (timing
-    // applies durable writes to the NVM image), so copy the bundle's.
+    // applies durable writes to the NVM image), so copy the bundle's;
+    // the copy shares pages until this machine writes them.
     _heap = std::make_shared<PersistentHeap>(*bundle->heap);
     _bundle = std::move(bundle);
     wire();

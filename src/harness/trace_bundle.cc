@@ -64,26 +64,61 @@ TraceBundleKey::describe() const
     return os.str();
 }
 
+TraceBundleKey
+TraceBundleKey::populationKey() const
+{
+    TraceBundleKey k = *this;
+    k.scheme = LogScheme::Proteus;
+    return k;
+}
+
+std::shared_ptr<const PopulatedState>
+PopulatedState::build(const TraceBundleKey &key)
+{
+    auto state = std::make_shared<PopulatedState>();
+    state->key = key.populationKey();
+    state->_workload =
+        makeWorkload(state->key.kind, state->_heap, state->key.scheme,
+                     state->key.params, state->key.extras());
+    // Populate (InitOps), then fast-forward the NVM image.
+    state->_workload->setup();
+    state->_heap.syncNvmToVolatile();
+    return state;
+}
+
+PopulatedState::Instance
+PopulatedState::instantiate(LogScheme scheme) const
+{
+    Instance copy;
+    copy.heap = std::make_shared<PersistentHeap>(_heap);
+    copy.workload = _workload->clone(*copy.heap, scheme);
+    return copy;
+}
+
 std::shared_ptr<TraceBundle>
 TraceBundle::build(const TraceBundleKey &key,
                    TraceWriteObserver *extra_observer, bool want_history)
 {
-    auto bundle = std::make_shared<TraceBundle>();
-    bundle->key = key;
-    bundle->heap = std::make_shared<PersistentHeap>();
-    bundle->workload = makeWorkload(key.kind, *bundle->heap, key.scheme,
-                                    key.params, key.extras());
+    return record(*PopulatedState::build(key), key.scheme,
+                  extra_observer, want_history);
+}
 
-    // Functional phase, exactly as FullSystem's constructor used to run
-    // it: populate (InitOps), fast-forward the NVM image, record.
-    bundle->workload->setup();
-    bundle->heap->syncNvmToVolatile();
+std::shared_ptr<TraceBundle>
+TraceBundle::record(const PopulatedState &state, LogScheme scheme,
+                    TraceWriteObserver *extra_observer, bool want_history)
+{
+    auto bundle = std::make_shared<TraceBundle>();
+    bundle->key = state.key;
+    bundle->key.scheme = scheme;
+    PopulatedState::Instance copy = state.instantiate(scheme);
+    bundle->heap = std::move(copy.heap);
+    bundle->workload = std::move(copy.workload);
 
     auto history =
         want_history ? std::make_shared<WriteHistory>() : nullptr;
     TeeWriteObserver tee(history.get(), extra_observer);
     const bool observe = history || extra_observer;
-    const unsigned threads = key.params.threads;
+    const unsigned threads = bundle->key.params.threads;
     if (observe) {
         for (unsigned t = 0; t < threads; ++t)
             bundle->workload->builder(t).setWriteObserver(&tee);

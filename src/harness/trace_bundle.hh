@@ -4,18 +4,28 @@
  *
  * Building a FullSystem used to re-execute the functional workload —
  * InitOps population plus SimOps recording — on every construction,
- * even though the result (per-thread micro-op traces, the initial heap
- * image, log-area bounds, and the oracle's write history) depends only
- * on (workload kind, params, scheme, linked-list options) and never on
- * the timing configuration. A TraceBundle captures exactly that
- * scheme-and-workload-determined state once; any number of FullSystems
- * can then be wired from the same bundle, concurrently, each with its
- * own private copy of the mutable heap images.
+ * even though the result never depends on the timing configuration.
+ * That work splits in two:
+ *
+ *  - A PopulatedState is the post-setup() heap plus the workload's own
+ *    state. Population never reads the logging scheme, so one state
+ *    serves every scheme: it depends only on (workload kind, params,
+ *    linked-list options, generated-workload spec).
+ *  - A TraceBundle is one scheme's recording: a clone of the state,
+ *    rebound to the scheme, records the per-thread micro-op traces,
+ *    log-area bounds and (optionally) the oracle's write history.
+ *
+ * Any number of FullSystems can be wired from one bundle, concurrently,
+ * each with its own copy of the heap images. Every copy — state to
+ * bundle, bundle to machine — shares untouched pages copy-on-write
+ * (MemoryImage), so it costs a pointer per page, not the page.
  *
  * Bundles come from three places:
  *  - FullSystem's classic constructor builds a private one (the
- *    uncached path — behavior and results are bit-identical to before),
- *  - TraceCache::get() builds one per key and shares it process-wide,
+ *    uncached path, through a private PopulatedState — the same code
+ *    as the cached path, so results are bit-identical),
+ *  - TraceCache::get() records one per key from a PopulatedState it
+ *    also caches, and shares both process-wide,
  *  - loadTraceBundle() deserializes one from a .ptrace file recorded
  *    by tools/proteus-trace (such bundles carry no Workload object, so
  *    they can run and be measured but not invariant-checked).
@@ -49,11 +59,52 @@ struct TraceBundleKey
 
     WorkloadExtras extras() const { return {llOpts, gen}; }
 
+    /** This key with the scheme set to a fixed placeholder: the
+     *  identity of the scheme-independent PopulatedState. */
+    TraceBundleKey populationKey() const;
+
     bool operator==(const TraceBundleKey &o) const;
     std::size_t hash() const;
 
     /** e.g. "QE/Proteus t4 scale20 init1 seed1" (labels, stats). */
     std::string describe() const;
+};
+
+/**
+ * The post-setup() state of one workload: its heap, with the NVM image
+ * fast-forwarded to the volatile one, and the workload that populated
+ * it. Immutable once built; instantiate() hands out private copies.
+ */
+class PopulatedState
+{
+  public:
+    /** The populated key (populationKey(): the scheme is a placeholder). */
+    TraceBundleKey key;
+
+    /** Construct the workload and run its InitOps. */
+    static std::shared_ptr<const PopulatedState>
+    build(const TraceBundleKey &key);
+
+    /** A private mutable copy: the heap shares pages copy-on-write. */
+    struct Instance
+    {
+        std::shared_ptr<PersistentHeap> heap;
+        std::unique_ptr<Workload> workload;     ///< bound to heap
+    };
+
+    /** A copy rebound to @p scheme, ready to record or replay. */
+    Instance instantiate(LogScheme scheme) const;
+
+    const PersistentHeap &heap() const { return _heap; }
+    const Workload &workload() const { return *_workload; }
+
+    PopulatedState() = default;
+    PopulatedState(const PopulatedState &) = delete;
+    PopulatedState &operator=(const PopulatedState &) = delete;
+
+  private:
+    PersistentHeap _heap;
+    std::unique_ptr<Workload> _workload;    ///< bound to _heap
 };
 
 /** Immutable product of one functional workload execution. */
@@ -105,7 +156,7 @@ class TraceBundle
     std::map<Addr, std::uint64_t> lockMap;
 
     /**
-     * Execute the workload functionally and capture the bundle.
+     * Populate a private PopulatedState for @p key and record from it.
      * @p extra_observer, when set, watches the recording exactly as
      * FullSystem's trace_observer hook used to; @p want_history
      * additionally records the replayable WriteHistory.
@@ -114,6 +165,13 @@ class TraceBundle
     build(const TraceBundleKey &key,
           TraceWriteObserver *extra_observer = nullptr,
           bool want_history = false);
+
+    /** Record @p scheme's traces from a copy of @p state; @p state is
+     *  left untouched. Observer and history as for build(). */
+    static std::shared_ptr<TraceBundle>
+    record(const PopulatedState &state, LogScheme scheme,
+           TraceWriteObserver *extra_observer = nullptr,
+           bool want_history = false);
 
     /** Recompute lockMap from the traces (build and load both use it). */
     void computeLockMap();

@@ -1,38 +1,25 @@
 #include "memory_image.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 
 namespace proteus {
 
-MemoryImage::MemoryImage(const MemoryImage &other)
-{
-    *this = other;
-}
-
-MemoryImage &
-MemoryImage::operator=(const MemoryImage &other)
-{
-    if (this == &other)
-        return *this;
-    _pages.clear();
-    _pages.reserve(other._pages.size());
-    for (const auto &[index, page] : other._pages)
-        _pages.emplace(index, std::make_unique<Page>(*page));
-    _poison = other._poison;
-    return *this;
-}
-
 MemoryImage::Page &
 MemoryImage::touch(Addr page_index)
 {
-    auto it = _pages.find(page_index);
-    if (it == _pages.end()) {
-        auto page = std::make_unique<Page>();
-        page->fill(0);
-        it = _pages.emplace(page_index, std::move(page)).first;
+    std::shared_ptr<Page> &page = _pages[page_index];
+    if (!page) {
+        page = std::make_shared<Page>();    // value-initialized: zeros
+    } else if (page.use_count() > 1) {
+        page = std::make_shared<Page>(*page);
+    } else {
+        // Sole owner, possibly only since another thread's image let
+        // go of the page: order that image's reads before our write.
+        std::atomic_thread_fence(std::memory_order_acquire);
     }
-    return *it->second;
+    return *page;
 }
 
 const MemoryImage::Page *

@@ -5,6 +5,13 @@
  * program sees through the cache hierarchy) and the NVM image (what has
  * actually persisted). Pages materialize on first touch and read as
  * zero before that.
+ *
+ * Copies are cheap: pages are shared copy-on-write, so a copy costs one
+ * pointer per page and a write duplicates only the page it lands on,
+ * and only while another image still shares it. The images of a cached
+ * populated state, of every bundle recorded from it, and of every
+ * FullSystem wired from those bundles thus hold one copy of each page
+ * nobody has written since.
  */
 
 #ifndef PROTEUS_HEAP_MEMORY_IMAGE_HH
@@ -29,12 +36,6 @@ class MemoryImage
   public:
     static constexpr unsigned pageBits = 12;
     static constexpr std::size_t pageBytes = std::size_t{1} << pageBits;
-
-    MemoryImage() = default;
-    MemoryImage(const MemoryImage &other);
-    MemoryImage &operator=(const MemoryImage &other);
-    MemoryImage(MemoryImage &&) = default;
-    MemoryImage &operator=(MemoryImage &&) = default;
 
     /** Copy @p n bytes at @p addr into @p out (zero for untouched). */
     void read(Addr addr, void *out, std::size_t n) const;
@@ -126,10 +127,12 @@ class MemoryImage
         return static_cast<std::size_t>(a & (pageBytes - 1));
     }
 
+    /** The page for writing: materialized, and unshared. */
     Page &touch(Addr page_index);
     const Page *peek(Addr page_index) const;
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> _pages;
+    /** Shared with copies of this image until one of them writes. */
+    std::unordered_map<Addr, std::shared_ptr<Page>> _pages;
     /** Lines flagged detected-uncorrectable by the media fault model;
      *  empty (and cost-free) unless fault injection is active. */
     std::unordered_set<Addr> _poison;

@@ -7,12 +7,21 @@ namespace proteus {
 
 TraceBuilder::TraceBuilder(PersistentHeap &heap, LogScheme scheme,
                            CoreId thread)
-    : _heap(heap), _scheme(scheme), _thread(thread)
+    : _heap(&heap), _scheme(scheme), _thread(thread)
 {
     // The Figure 2 logFlag word lives in the persistent region so that
     // recovery can read it after a crash.
     _logFlagAddr = heap.alloc(blockSize, blockSize);
     heap.write<std::uint64_t>(_logFlagAddr, 0);
+}
+
+void
+TraceBuilder::rebind(PersistentHeap &heap, LogScheme scheme)
+{
+    if (_recording || _inTx || _collecting || _writeObserver)
+        panic("TraceBuilder::rebind while an operation is in flight");
+    _heap = &heap;
+    _scheme = scheme;
 }
 
 TxId
@@ -120,7 +129,7 @@ TraceBuilder::load(Addr addr, unsigned size, Value addr_dep)
     if (size == 0 || size > 8)
         panic("TraceBuilder: load size must be 1..8 bytes");
     std::uint64_t v = 0;
-    _heap.readBytes(addr, &v, size);
+    _heap->readBytes(addr, &v, size);
     if (_collecting) {
         _touchSet->readGranules.insert(logAlign(addr));
         return Value{v, noReg};
@@ -176,7 +185,7 @@ TraceBuilder::workChase(unsigned n)
     if (!_recording)
         return;
     if (_scratch == invalidAddr) {
-        _scratch = _heap.allocVolatile(scratchBytes, blockSize);
+        _scratch = _heap->allocVolatile(scratchBytes, blockSize);
     }
     Value prev{};
     for (unsigned i = 0; i < n; ++i) {
@@ -192,7 +201,7 @@ TraceBuilder::workChaseCold(unsigned n)
 {
     if (!_recording)
         return;
-    const Addr arena = _heap.chaseArena();
+    const Addr arena = _heap->chaseArena();
     const std::uint64_t blocks =
         PersistentHeap::chaseArenaBytes / blockSize;
     Value prev{};
@@ -272,7 +281,7 @@ TraceBuilder::notifyWrite(Addr addr, unsigned size, std::uint64_t value,
     if (!_writeObserver)
         return;
     std::uint64_t before = 0;
-    _heap.readBytes(addr, &before, size);
+    _heap->readBytes(addr, &before, size);
     _writeObserver->onStore(_thread, _inTx ? _currentTx : 0, addr, size,
                             before, value, kind);
 }
@@ -305,7 +314,7 @@ TraceBuilder::swEmitLogEntry(Addr granule)
     }
     // ...store it into the log entry together with its metadata...
     for (unsigned i = 0; i < 4; ++i) {
-        std::uint64_t chunk = _heap.read<std::uint64_t>(granule + i * 8);
+        std::uint64_t chunk = _heap->read<std::uint64_t>(granule + i * 8);
         MicroOp mop;
         mop.op = Op::Store;
         mop.addr = slot + i * 8;
@@ -325,12 +334,12 @@ TraceBuilder::swEmitLogEntry(Addr granule)
 
     // Mirror the entry into the functional heap (the program wrote it).
     std::uint8_t entry_bytes[logDataSize];
-    _heap.readBytes(granule, entry_bytes, logDataSize);
-    _heap.writeBytes(slot, entry_bytes, logDataSize);
-    _heap.write<std::uint64_t>(slot + 32, granule);
-    _heap.write<std::uint64_t>(slot + 40, _currentTx);
-    _heap.write<std::uint64_t>(slot + 48, _swSeqInTx - 1);
-    _heap.write<std::uint64_t>(slot + 56, tail);
+    _heap->readBytes(granule, entry_bytes, logDataSize);
+    _heap->writeBytes(slot, entry_bytes, logDataSize);
+    _heap->write<std::uint64_t>(slot + 32, granule);
+    _heap->write<std::uint64_t>(slot + 40, _currentTx);
+    _heap->write<std::uint64_t>(slot + 48, _swSeqInTx - 1);
+    _heap->write<std::uint64_t>(slot + 56, tail);
 
     // ...and schedule the entry's block for the step-1 persist.
     emitClwb(slot);
@@ -376,7 +385,7 @@ void
 TraceBuilder::recordUndo(Addr addr, unsigned size)
 {
     std::array<std::uint8_t, 8> old{};
-    _heap.readBytes(addr, old.data(), size);
+    _heap->readBytes(addr, old.data(), size);
     _undoLog.emplace_back(addr, old);
     _touchSet->writtenGranules.insert(logAlign(addr));
     if (size > 0 &&
@@ -401,7 +410,7 @@ TraceBuilder::collectTouched(const std::function<void()> &fn)
 
     // Roll the heap back to its pre-mutation state.
     for (auto it = _undoLog.rbegin(); it != _undoLog.rend(); ++it)
-        _heap.writeBytes(it->first, it->second.data(), 8);
+        _heap->writeBytes(it->first, it->second.data(), 8);
     _undoLog.clear();
     _touchSet = nullptr;
     _collecting = false;
@@ -418,7 +427,7 @@ TraceBuilder::store(Addr addr, unsigned size, std::uint64_t value,
               "use storeRaw for non-transactional stores");
     if (_collecting) {
         recordUndo(addr, 8);
-        _heap.writeBytes(addr, &value, size);
+        _heap->writeBytes(addr, &value, size);
         return;
     }
 
@@ -445,7 +454,7 @@ TraceBuilder::store(Addr addr, unsigned size, std::uint64_t value,
             // Figure 4: log-load LRn, X; log-flush LRn, (LTA)+; st X.
             const Addr granule = logAlign(addr);
             LogPayload payload;
-            _heap.readBytes(granule, payload.bytes, logDataSize);
+            _heap->readBytes(granule, payload.bytes, logDataSize);
             payload.fromAddr = granule;
             payload.txId = _currentTx;
             const std::uint32_t pid = _trace.addPayload(payload);
@@ -475,7 +484,7 @@ TraceBuilder::store(Addr addr, unsigned size, std::uint64_t value,
                         : ObservedWrite::Unlogged);
     }
 
-    _heap.writeBytes(addr, &value, size);
+    _heap->writeBytes(addr, &value, size);
 }
 
 void
@@ -493,7 +502,7 @@ TraceBuilder::storeInit(Addr addr, unsigned size, std::uint64_t value,
         emitStoreOp(addr, size, value, dep.reg);
         _dirtyBlocks.insert(blockAlign(addr));
         notifyWrite(addr, size, value, ObservedWrite::Unlogged);
-        _heap.writeBytes(addr, &value, size);
+        _heap->writeBytes(addr, &value, size);
         return;
     }
     store(addr, size, value, dep);
@@ -505,14 +514,14 @@ TraceBuilder::storeRaw(Addr addr, unsigned size, std::uint64_t value,
 {
     if (_collecting) {
         recordUndo(addr, size);
-        _heap.writeBytes(addr, &value, size);
+        _heap->writeBytes(addr, &value, size);
         return;
     }
     if (_recording) {
         emitStoreOp(addr, size, value, dep.reg);
         notifyWrite(addr, size, value, ObservedWrite::Raw);
     }
-    _heap.writeBytes(addr, &value, size);
+    _heap->writeBytes(addr, &value, size);
 }
 
 void

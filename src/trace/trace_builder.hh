@@ -219,7 +219,15 @@ class TraceBuilder
     const Trace &trace() const { return _trace; }
     Trace takeTrace() { return std::move(_trace); }
 
-    PersistentHeap &heap() { return _heap; }
+    PersistentHeap &heap() { return *_heap; }
+
+    /**
+     * Point this builder at @p heap under @p scheme — how a copy of a
+     * populated workload's builder is bound to its own heap copy and
+     * to the scheme it records for. Only legal between operations,
+     * with recording off and no observer attached.
+     */
+    void rebind(PersistentHeap &heap, LogScheme scheme);
 
     /** First txId this thread uses (txIds are monotonic per thread). */
     TxId baseTxId() const;
@@ -244,7 +252,7 @@ class TraceBuilder
     void notifyWrite(Addr addr, unsigned size, std::uint64_t value,
                      ObservedWrite kind);
 
-    PersistentHeap &_heap;
+    PersistentHeap *_heap;
     LogScheme _scheme;
     CoreId _thread;
     Trace _trace;

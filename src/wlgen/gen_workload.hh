@@ -28,7 +28,7 @@ namespace proteus {
 namespace wlgen {
 
 /** Synthetic KV transactions over a persistent open-addressing store. */
-class GenWorkload : public Workload
+class GenWorkload : public CloneableWorkload<GenWorkload>
 {
   public:
     GenWorkload(PersistentHeap &heap, LogScheme scheme,
@@ -88,7 +88,7 @@ class GenWorkload : public Workload
     void dispatch(unsigned thread, Op op, std::uint64_t key);
 
     GenSpec _spec;
-    std::unique_ptr<KeyGenerator> _dist;
+    std::shared_ptr<const KeyGenerator> _dist;  ///< stateless, shared
     std::uint64_t _groups = 0;      ///< bucket groups per table
     std::uint64_t _stripes = 0;     ///< lock stripes per table
     unsigned _slotBytes = 0;

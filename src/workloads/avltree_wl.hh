@@ -15,7 +15,7 @@
 namespace proteus {
 
 /** Sixteen persistent AVL trees with per-tree locks. */
-class AvlTreeWorkload : public Workload
+class AvlTreeWorkload : public CloneableWorkload<AvlTreeWorkload>
 {
   public:
     AvlTreeWorkload(PersistentHeap &heap, LogScheme scheme,

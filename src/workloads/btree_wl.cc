@@ -20,7 +20,7 @@ constexpr unsigned offChildren = 32;
 
 BTreeWorkload::BTreeWorkload(PersistentHeap &heap, LogScheme scheme,
                              const WorkloadParams &params)
-    : Workload(heap, scheme, params)
+    : CloneableWorkload(heap, scheme, params)
 {
 }
 
@@ -28,10 +28,10 @@ void
 BTreeWorkload::allocateStructures()
 {
     for (unsigned t = 0; t < numTrees; ++t) {
-        const Addr root = _heap.alloc(blockSize, blockSize);
-        _heap.write<std::uint64_t>(root, 0);
+        const Addr root = _heap->alloc(blockSize, blockSize);
+        _heap->write<std::uint64_t>(root, 0);
         _roots.push_back(root);
-        _locks.push_back(_heap.allocVolatile(blockSize, blockSize));
+        _locks.push_back(_heap->allocVolatile(blockSize, blockSize));
     }
 }
 
@@ -317,8 +317,8 @@ BTreeWorkload::treeOp(unsigned thread, bool insert_only)
     _poolNext = 0;
     if (is_insert) {
         unsigned depth = 2;
-        for (Addr n = _heap.read<std::uint64_t>(root_ptr); n != 0;
-             n = _heap.read<std::uint64_t>(n + offChildren)) {
+        for (Addr n = _heap->read<std::uint64_t>(root_ptr); n != 0;
+             n = _heap->read<std::uint64_t>(n + offChildren)) {
             ++depth;
         }
         for (unsigned k = 0; k < depth + 2; ++k)

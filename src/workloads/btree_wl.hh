@@ -15,7 +15,7 @@
 namespace proteus {
 
 /** Sixteen persistent 2-3-4 trees with per-tree locks. */
-class BTreeWorkload : public Workload
+class BTreeWorkload : public CloneableWorkload<BTreeWorkload>
 {
   public:
     BTreeWorkload(PersistentHeap &heap, LogScheme scheme,

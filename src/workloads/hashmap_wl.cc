@@ -23,7 +23,7 @@ mixKey(std::uint64_t key)
 
 HashMapWorkload::HashMapWorkload(PersistentHeap &heap, LogScheme scheme,
                                  const WorkloadParams &params)
-    : Workload(heap, scheme, params)
+    : CloneableWorkload(heap, scheme, params)
 {
 }
 
@@ -32,11 +32,11 @@ HashMapWorkload::allocateStructures()
 {
     for (unsigned m = 0; m < numMaps; ++m) {
         const Addr base =
-            _heap.alloc(numBuckets * 8, blockSize);
+            _heap->alloc(numBuckets * 8, blockSize);
         for (unsigned b = 0; b < numBuckets; ++b)
-            _heap.write<std::uint64_t>(base + b * 8, 0);
+            _heap->write<std::uint64_t>(base + b * 8, 0);
         _buckets.push_back(base);
-        _locks.push_back(_heap.allocVolatile(blockSize, blockSize));
+        _locks.push_back(_heap->allocVolatile(blockSize, blockSize));
     }
 }
 

@@ -11,7 +11,7 @@
 namespace proteus {
 
 /** Sixteen persistent chained hash maps with per-map locks. */
-class HashMapWorkload : public Workload
+class HashMapWorkload : public CloneableWorkload<HashMapWorkload>
 {
   public:
     HashMapWorkload(PersistentHeap &heap, LogScheme scheme,

@@ -12,7 +12,7 @@ LinkedListWorkload::LinkedListWorkload(PersistentHeap &heap,
                                        LogScheme scheme,
                                        const WorkloadParams &params,
                                        const LinkedListOptions &opts)
-    : Workload(heap, scheme, params), _elements(opts.elementsPerNode)
+    : CloneableWorkload(heap, scheme, params), _elements(opts.elementsPerNode)
 {
     if (_elements == 0)
         fatal("LinkedListWorkload: need at least one element per node");
@@ -24,16 +24,16 @@ LinkedListWorkload::allocateStructures()
     for (unsigned t = 0; t < _params.threads; ++t) {
         Addr head = 0;
         for (unsigned n = 0; n < nodesPerList; ++n) {
-            const Addr node = _heap.alloc(nodeBytes(), blockSize);
-            _heap.write<std::uint64_t>(node + 0, head);
-            _heap.write<std::uint64_t>(node + 8, 0);   // version
+            const Addr node = _heap->alloc(nodeBytes(), blockSize);
+            _heap->write<std::uint64_t>(node + 0, head);
+            _heap->write<std::uint64_t>(node + 8, 0);   // version
             for (unsigned e = 0; e < _elements; ++e)
-                _heap.write<std::uint64_t>(node + 16 + e * 8, e);
+                _heap->write<std::uint64_t>(node + 16 + e * 8, e);
             head = node;
         }
         _listHeads.push_back(head);
         _cursors.push_back(head);
-        _locks.push_back(_heap.allocVolatile(blockSize, blockSize));
+        _locks.push_back(_heap->allocVolatile(blockSize, blockSize));
     }
 }
 

@@ -14,7 +14,7 @@
 namespace proteus {
 
 /** Per-thread linked lists of nodes with large element arrays. */
-class LinkedListWorkload : public Workload
+class LinkedListWorkload : public CloneableWorkload<LinkedListWorkload>
 {
   public:
     LinkedListWorkload(PersistentHeap &heap, LogScheme scheme,

@@ -10,7 +10,7 @@ namespace proteus {
 
 QueueWorkload::QueueWorkload(PersistentHeap &heap, LogScheme scheme,
                              const WorkloadParams &params)
-    : Workload(heap, scheme, params)
+    : CloneableWorkload(heap, scheme, params)
 {
 }
 
@@ -18,12 +18,12 @@ void
 QueueWorkload::allocateStructures()
 {
     for (unsigned q = 0; q < numQueues; ++q) {
-        const Addr hdr = _heap.alloc(blockSize, blockSize);
-        _heap.write<std::uint64_t>(hdr + 0, 0);     // head
-        _heap.write<std::uint64_t>(hdr + 8, 0);     // tail
-        _heap.write<std::uint64_t>(hdr + 16, 0);    // count
+        const Addr hdr = _heap->alloc(blockSize, blockSize);
+        _heap->write<std::uint64_t>(hdr + 0, 0);     // head
+        _heap->write<std::uint64_t>(hdr + 8, 0);     // tail
+        _heap->write<std::uint64_t>(hdr + 16, 0);    // count
         _headers.push_back(hdr);
-        _locks.push_back(_heap.allocVolatile(blockSize, blockSize));
+        _locks.push_back(_heap->allocVolatile(blockSize, blockSize));
     }
 }
 

@@ -11,7 +11,7 @@
 namespace proteus {
 
 /** Eight persistent FIFO queues guarded by per-queue locks. */
-class QueueWorkload : public Workload
+class QueueWorkload : public CloneableWorkload<QueueWorkload>
 {
   public:
     QueueWorkload(PersistentHeap &heap, LogScheme scheme,

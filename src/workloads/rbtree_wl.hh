@@ -14,7 +14,7 @@
 namespace proteus {
 
 /** Sixteen persistent red-black trees with per-tree locks. */
-class RbTreeWorkload : public Workload
+class RbTreeWorkload : public CloneableWorkload<RbTreeWorkload>
 {
   public:
     RbTreeWorkload(PersistentHeap &heap, LogScheme scheme,

@@ -11,7 +11,7 @@
 namespace proteus {
 
 /** One shared array of 256B strings with segment locks. */
-class StringSwapWorkload : public Workload
+class StringSwapWorkload : public CloneableWorkload<StringSwapWorkload>
 {
   public:
     StringSwapWorkload(PersistentHeap &heap, LogScheme scheme,

@@ -52,11 +52,21 @@ class Workload
              const WorkloadParams &params);
     virtual ~Workload() = default;
 
-    Workload(const Workload &) = delete;
     Workload &operator=(const Workload &) = delete;
 
     /** Allocate structures and run InitOps functionally. */
     void setup();
+
+    /**
+     * A copy of this workload's complete functional state — roots,
+     * pools, free lists, RNGs, lock tickets, builder tx counters and
+     * log cursors — bound to @p heap (normally a copy of heap()) and
+     * to @p scheme. Population never reads the scheme, so a clone of a
+     * workload set up once records exactly what a workload built and
+     * set up under @p scheme would.
+     */
+    std::unique_ptr<Workload> clone(PersistentHeap &heap,
+                                    LogScheme scheme) const;
 
     /** Record SimOps per thread (round-robin across threads). */
     void generateTraces();
@@ -69,12 +79,12 @@ class Workload
     void replayOps(std::uint64_t ops_per_thread);
 
     unsigned threads() const { return _params.threads; }
-    TraceBuilder &builder(unsigned t) { return *_builders[t]; }
+    TraceBuilder &builder(unsigned t) { return _builders[t]; }
     const Trace &trace(unsigned t) const
     {
-        return _builders[t]->trace();
+        return _builders[t].trace();
     }
-    PersistentHeap &heap() { return _heap; }
+    PersistentHeap &heap() { return *_heap; }
     const WorkloadParams &params() const { return _params; }
 
     /** Table 2 abbreviation, e.g. "QE". */
@@ -100,6 +110,12 @@ class Workload
         const = 0;
 
   protected:
+    /** Copies share nothing mutable but the heap, which clone() rebinds. */
+    Workload(const Workload &) = default;
+
+    /** A plain copy of the concrete workload (CloneableWorkload). */
+    virtual std::unique_ptr<Workload> copy() const = 0;
+
     /** Allocate roots, locks, and initial contents (no recording). */
     virtual void allocateStructures() = 0;
 
@@ -172,17 +188,38 @@ class Workload
         return _siteBase + local;
     }
 
-    PersistentHeap &_heap;
+    PersistentHeap *_heap;
     LogScheme _scheme;
     WorkloadParams _params;
 
   private:
-    std::vector<std::unique_ptr<TraceBuilder>> _builders;
+    std::vector<TraceBuilder> _builders;
     std::vector<Random> _rngs;
     std::vector<std::map<std::size_t, std::vector<Addr>>> _freeLists;
     std::map<Addr, std::uint64_t> _lockTickets;
     std::uint32_t _siteBase;
     bool _setupDone = false;
+};
+
+/** CRTP base that gives a concrete workload its copy(). */
+template <class Derived>
+class CloneableWorkload : public Workload
+{
+  protected:
+    std::unique_ptr<Workload> copy() const override
+    {
+        return std::make_unique<Derived>(
+            static_cast<const Derived &>(*this));
+    }
+
+  private:
+    friend Derived;     // only Derived can derive from this base
+
+    CloneableWorkload(PersistentHeap &heap, LogScheme scheme,
+                      const WorkloadParams &params)
+        : Workload(heap, scheme, params)
+    {
+    }
 };
 
 /** Known workloads, keyed by Table 2 abbreviation. */

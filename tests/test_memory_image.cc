@@ -1,9 +1,11 @@
-/** @file Unit tests for the sparse memory image. */
+/** @file Unit tests for the sparse, copy-on-write memory image. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "heap/memory_image.hh"
 
@@ -139,4 +141,121 @@ TEST(MemoryImage, FormatDiffIsBoundedAndMentionsElision)
     EXPECT_NE(text.find("more differing words"), std::string::npos);
     // Exactly 4 value lines plus the elision line.
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
+}
+
+TEST(MemoryImageCow, CopySharesPagesUntilWritten)
+{
+    MemoryImage a;
+    a.write64(0x1000, 1);
+    a.write64(0x5000, 2);
+    MemoryImage b = a;
+    EXPECT_EQ(a.pageData(0x1), b.pageData(0x1));
+    EXPECT_EQ(a.pageData(0x5), b.pageData(0x5));
+
+    b.write64(0x1008, 3);
+    EXPECT_NE(a.pageData(0x1), b.pageData(0x1));   // copied on write
+    EXPECT_EQ(a.pageData(0x5), b.pageData(0x5));   // still shared
+    EXPECT_EQ(a.read64(0x1008), 0u);
+    EXPECT_EQ(b.read64(0x1008), 3u);
+    EXPECT_EQ(b.read64(0x1000), 1u);                // rest of the page came along
+
+    // A sole owner writes in place; so does the source once the copy
+    // has its own page.
+    const std::uint8_t *own = b.pageData(0x1);
+    b.write64(0x1010, 4);
+    EXPECT_EQ(b.pageData(0x1), own);
+    a.write64(0x1000, 9);
+    EXPECT_EQ(b.read64(0x1000), 1u);
+
+    // Writing the source leaves the copy alone too.
+    a.write64(0x5000, 7);
+    EXPECT_EQ(b.read64(0x5000), 2u);
+    EXPECT_NE(a.pageData(0x5), b.pageData(0x5));
+}
+
+TEST(MemoryImageCow, PoisonTravelsWithCopiesAndClearsOnRewrite)
+{
+    MemoryImage a;
+    a.write64(0x2000, 5);
+    a.markPoisoned(0x2010);
+    MemoryImage b = a;
+    EXPECT_TRUE(b.isPoisoned(0x2000));
+    EXPECT_EQ(b.poisonedCount(), 1u);
+
+    // A partial rewrite keeps the poison; a full-line rewrite clears
+    // it — in the written copy only.
+    b.write64(0x2008, 6);
+    EXPECT_TRUE(b.isPoisoned(0x2000));
+    std::vector<std::uint8_t> line(blockSize, 0xAB);
+    b.write(0x2000, line.data(), line.size());
+    EXPECT_FALSE(b.isPoisoned(0x2000));
+    EXPECT_TRUE(a.isPoisoned(0x2000));
+    EXPECT_EQ(a.read64(0x2000), 5u);
+
+    MemoryImage c;
+    c = a;
+    EXPECT_EQ(c.poisonedLines(), a.poisonedLines());
+}
+
+TEST(MemoryImageCow, DiffAndIdenticalOverSharedPages)
+{
+    MemoryImage a;
+    for (unsigned p = 0; p < 4; ++p)
+        a.write64(p * MemoryImage::pageBytes + 8, p + 1);
+    MemoryImage b = a;
+    EXPECT_TRUE(a.identical(b));
+    EXPECT_TRUE(a.diff(b).empty());
+
+    b.write64(2 * MemoryImage::pageBytes + 16, 42);
+    EXPECT_FALSE(a.identical(b));
+    const auto entries = a.diff(b);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].addr, 2 * MemoryImage::pageBytes + 16);
+    EXPECT_EQ(entries[0].lhs, 0u);
+    EXPECT_EQ(entries[0].rhs, 42u);
+
+    // Rewriting the old value makes the images equal again even though
+    // the page is no longer shared.
+    b.write64(2 * MemoryImage::pageBytes + 16, 0);
+    EXPECT_TRUE(a.identical(b));
+}
+
+TEST(MemoryImageCow, ConcurrentCopiesAndWritesStayIndependent)
+{
+    // One shared source; every thread copies it (and copies its copy)
+    // and writes each page, as FullSystems wired from one bundle do.
+    constexpr unsigned pages = 64;
+    constexpr unsigned workers = 4;
+    MemoryImage source;
+    for (unsigned p = 0; p < pages; ++p)
+        source.write64(p * MemoryImage::pageBytes, p);
+
+    std::vector<int> ok(workers, 0);
+    std::vector<std::thread> threads;
+    for (unsigned w = 0; w < workers; ++w) {
+        threads.emplace_back([&source, &ok, w]() {
+            for (unsigned round = 0; round < 8; ++round) {
+                MemoryImage mine = source;
+                for (unsigned p = 0; p < pages; ++p)
+                    mine.write64(p * MemoryImage::pageBytes + 8, w + 1);
+                MemoryImage copy = mine;
+                copy.write64(8, 100 + w);
+                bool good = mine.read64(8) == w + 1 &&
+                            copy.read64(8) == 100 + w;
+                for (unsigned p = 0; p < pages; ++p) {
+                    const Addr base = p * MemoryImage::pageBytes;
+                    good = good && mine.read64(base) == p &&
+                           mine.read64(base + 8) == w + 1 &&
+                           source.read64(base + 8) == 0;
+                }
+                ok[w] += good ? 1 : 0;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (unsigned w = 0; w < workers; ++w)
+        EXPECT_EQ(ok[w], 8) << "worker " << w;
+    for (unsigned p = 0; p < pages; ++p)
+        EXPECT_EQ(source.read64(p * MemoryImage::pageBytes + 8), 0u);
 }

@@ -9,17 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bundle_compare.hh"
 #include "harness/system.hh"
 #include "harness/trace_bundle.hh"
 #include "harness/trace_io.hh"
 #include "sim/logging.hh"
 
 using namespace proteus;
+using testbundle::expectTracesEqual;
 
 namespace {
 
@@ -45,36 +46,6 @@ std::string
 tempPath(const std::string &name)
 {
     return testing::TempDir() + name;
-}
-
-void
-expectTracesEqual(const Trace &a, const Trace &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    ASSERT_EQ(a.payloadCount(), b.payloadCount());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const MicroOp &x = a.op(i);
-        const MicroOp &y = b.op(i);
-        ASSERT_EQ(x.op, y.op) << "op " << i;
-        ASSERT_EQ(x.src0, y.src0) << "op " << i;
-        ASSERT_EQ(x.src1, y.src1) << "op " << i;
-        ASSERT_EQ(x.dst, y.dst) << "op " << i;
-        ASSERT_EQ(x.size, y.size) << "op " << i;
-        ASSERT_EQ(x.taken, y.taken) << "op " << i;
-        ASSERT_EQ(x.persistent, y.persistent) << "op " << i;
-        ASSERT_EQ(x.staticPc, y.staticPc) << "op " << i;
-        ASSERT_EQ(x.payload, y.payload) << "op " << i;
-        ASSERT_EQ(x.addr, y.addr) << "op " << i;
-        ASSERT_EQ(x.data, y.data) << "op " << i;
-    }
-    for (std::size_t i = 0; i < a.payloadCount(); ++i) {
-        const LogPayload &x = a.logPayload(static_cast<std::uint32_t>(i));
-        const LogPayload &y = b.logPayload(static_cast<std::uint32_t>(i));
-        ASSERT_EQ(0, std::memcmp(x.bytes, y.bytes, logDataSize))
-            << "payload " << i;
-        ASSERT_EQ(x.fromAddr, y.fromAddr) << "payload " << i;
-        ASSERT_EQ(x.txId, y.txId) << "payload " << i;
-    }
 }
 
 void
