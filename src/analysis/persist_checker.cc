@@ -176,8 +176,73 @@ PersistChecker::outcome() const
     return out;
 }
 
+void
+PersistChecker::onEvent(const SimEvent &e)
+{
+    switch (e.kind) {
+      case SimEventKind::TxBegin:
+        txBegin(e.core, e.tx, e.tick);
+        break;
+      case SimEventKind::TxCommit:
+        txCommit(e.core, e.tx, e.tick);
+        break;
+      case SimEventKind::LockGrant:
+        lockGranted(e.core, e.tx, e.addr, e.tick);
+        break;
+      case SimEventKind::LogCreate:
+        logCreated(e.core, e.tx, e.tick);
+        break;
+      case SimEventKind::LogAck:
+        logAcked(e.core, e.tx, e.aux, e.tick);
+        break;
+      case SimEventKind::StoreRetire:
+        storeRetired(e.core, e.tx, e.addr,
+                     static_cast<unsigned>(e.aux), e.has(evPersistent),
+                     e.seq, e.tick);
+        break;
+      case SimEventKind::StoreRelease:
+        storeReleased(e.core, e.tx, e.addr, static_cast<unsigned>(e.aux),
+                      e.seq, e.tick);
+        break;
+      case SimEventKind::FenceRetire:
+        fenceRetired(e.core, e.tick);
+        break;
+      case SimEventKind::DurablePoint:
+        durablePoint(e.core, e.tx, e.tick);
+        break;
+      case SimEventKind::LockRelease:
+        lockReleased(e.core, e.addr, e.tick);
+        break;
+      case SimEventKind::WriteAccept:
+        if (e.has(evDataWrite)) {
+            dataWriteAccepted(e.core, e.tx, e.addr, e.seq,
+                              e.has(evCombined), e.data, e.tick);
+        }
+        break;
+      case SimEventKind::LogWriteAccept:
+        logWriteAccepted(e.core, e.tx, e.addr, e.aux, e.seq,
+                         e.has(evLpq), e.tick);
+        break;
+      case SimEventKind::NvmIssue:
+        nvmWriteIssued(e.has(evLpq), e.addr, e.seq, e.tick);
+        break;
+      case SimEventKind::NvmPersist:
+        nvmWritePersisted(e.has(evLpq), e.addr, e.seq, e.tick);
+        break;
+      case SimEventKind::FlashClear:
+        lpqFlashCleared(e.core, e.tx, e.aux, e.tick);
+        break;
+      case SimEventKind::TxEndMarker:
+        txEndMarker(e.core, e.tx, static_cast<MarkerOp>(e.flags),
+                    e.tick);
+        break;
+      default:
+        break;
+    }
+}
+
 // ---------------------------------------------------------------------
-// obs::TxObserver stream
+// Transaction and lock events
 // ---------------------------------------------------------------------
 
 void
@@ -255,7 +320,7 @@ PersistChecker::logAcked(CoreId core, TxId id, Tick created_at, Tick now)
 }
 
 // ---------------------------------------------------------------------
-// analysis::PersistSink stream
+// Persist edges
 // ---------------------------------------------------------------------
 
 void

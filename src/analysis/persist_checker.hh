@@ -2,11 +2,11 @@
  * @file
  * The online happens-before checker for the logging protocols.
  *
- * PersistChecker consumes three event streams:
- *   - obs::TxObserver spans (tx begin/commit, lock grants, log-record
- *     lifecycle) from the cores and the MC,
- *   - the new analysis::PersistSink persist/fence/flash-clear edges
- *     emitted by src/cpu/core.cc and src/memctrl/mem_ctrl.cc, and
+ * PersistChecker consumes two inputs:
+ *   - the simulation event stream (sim/sim_event.hh): tx begin/commit,
+ *     lock grants/releases, the log-record lifecycle, and the
+ *     persist/fence/flash-clear edges emitted by src/cpu/core.cc and
+ *     src/memctrl/mem_ctrl.cc, and
  *   - optionally the TraceWriteObserver store kinds recorded at trace
  *     generation (WriteHistory), which distinguish undo-logged stores
  *     from fresh-allocation stores for the software schemes.
@@ -16,7 +16,7 @@
  * crashtest byte-diff: guilty transaction, store ordinal, the missing
  * edge, and a one-command repro line.
  *
- * All state updates happen on executed-tick hooks, so verdicts are
+ * All state updates happen on executed-tick events, so verdicts are
  * bit-identical with cycle skipping on or off and at any --jobs count.
  */
 
@@ -33,10 +33,9 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/persist_sink.hh"
 #include "analysis/rules.hh"
-#include "obs/tx_observer.hh"
 #include "sim/config.hh"
+#include "sim/sim_event.hh"
 
 namespace proteus {
 
@@ -80,7 +79,7 @@ struct CheckOutcome
 /** Detailed violations retained per run (all are counted). */
 constexpr std::size_t reportCap = 32;
 
-class PersistChecker : public obs::TxObserver, public PersistSink
+class PersistChecker : public SimEventSubscriber
 {
   public:
     /** @p repro is the one-command repro line carried into reports. */
@@ -98,40 +97,38 @@ class PersistChecker : public obs::TxObserver, public PersistSink
     CheckOutcome outcome() const;
     std::uint64_t totalViolations() const { return _totalViolations; }
 
-    /// @name obs::TxObserver stream
-    /// @{
-    void txBegin(CoreId core, TxId tx, Tick now) override;
-    void txCommit(CoreId core, TxId tx, Tick now) override;
-    void lockGranted(CoreId core, TxId tx, Addr addr, Tick now) override;
-    void logCreated(CoreId core, TxId tx, Tick now) override;
-    void logAcked(CoreId core, TxId tx, Tick created_at,
-                  Tick now) override;
-    /// @}
+    /** Route one stream event to the handler below; kinds the rules
+     *  do not use are ignored (and not counted in eventsSeen). */
+    void onEvent(const SimEvent &e) override;
 
-    /// @name analysis::PersistSink stream
+    /// @name Handlers (public so tests can feed synthetic streams)
     /// @{
+    void txBegin(CoreId core, TxId tx, Tick now);
+    void txCommit(CoreId core, TxId tx, Tick now);
+    void lockGranted(CoreId core, TxId tx, Addr addr, Tick now);
+    void logCreated(CoreId core, TxId tx, Tick now);
+    void logAcked(CoreId core, TxId tx, Tick created_at, Tick now);
+    /** @p ordinal is the store's dynamic sequence number (the "store
+     *  PC" of violation reports). */
     void storeRetired(CoreId core, TxId tx, Addr addr, unsigned size,
-                      bool persistent, std::uint64_t ordinal,
-                      Tick now) override;
+                      bool persistent, std::uint64_t ordinal, Tick now);
     void storeReleased(CoreId core, TxId tx, Addr addr, unsigned size,
-                       std::uint64_t ordinal, Tick now) override;
-    void fenceRetired(CoreId core, Tick now) override;
-    void durablePoint(CoreId core, TxId tx, Tick now) override;
-    void lockReleased(CoreId core, Addr addr, Tick now) override;
+                       std::uint64_t ordinal, Tick now);
+    void fenceRetired(CoreId core, Tick now);
+    void durablePoint(CoreId core, TxId tx, Tick now);
+    void lockReleased(CoreId core, Addr addr, Tick now);
+    /** A data (WriteKind::Data) write was accepted; @p data is its 64B
+     *  payload (may be null in synthetic streams). */
     void dataWriteAccepted(CoreId core, TxId tx, Addr addr,
                            std::uint64_t seq, bool combined,
-                           const std::uint8_t *data, Tick now) override;
+                           const std::uint8_t *data, Tick now);
     void logWriteAccepted(CoreId core, TxId tx, Addr slot, Addr granule,
-                          std::uint64_t rec_seq, bool lpq,
-                          Tick now) override;
-    void nvmWriteIssued(bool lpq, Addr addr, std::uint64_t seq,
-                        Tick now) override;
+                          std::uint64_t rec_seq, bool lpq, Tick now);
+    void nvmWriteIssued(bool lpq, Addr addr, std::uint64_t seq, Tick now);
     void nvmWritePersisted(bool lpq, Addr addr, std::uint64_t seq,
-                           Tick now) override;
-    void lpqFlashCleared(CoreId core, TxId tx, std::uint64_t n,
-                         Tick now) override;
-    void txEndMarker(CoreId core, TxId tx, MarkerOp op,
-                     Tick now) override;
+                           Tick now);
+    void lpqFlashCleared(CoreId core, TxId tx, std::uint64_t n, Tick now);
+    void txEndMarker(CoreId core, TxId tx, MarkerOp op, Tick now);
     /// @}
 
   private:

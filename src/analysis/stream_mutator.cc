@@ -4,8 +4,8 @@ namespace proteus {
 namespace analysis {
 
 StreamMutator::StreamMutator(Rule target, std::uint64_t seed,
-                             PersistChecker &sink)
-    : _target(target), _k(1 + seed % 7), _sink(sink)
+                             PersistChecker &checker)
+    : _target(target), _k(1 + seed % 7), _checker(checker)
 {
 }
 
@@ -36,9 +36,8 @@ void
 StreamMutator::releaseHeldDurablePoints(CoreId core)
 {
     for (auto it = _heldDurable.begin(); it != _heldDurable.end();) {
-        if (std::get<0>(*it) == core) {
-            _sink.durablePoint(std::get<0>(*it), std::get<1>(*it),
-                               std::get<2>(*it));
+        if (it->core == core) {
+            _checker.onEvent(*it);
             it = _heldDurable.erase(it);
         } else {
             ++it;
@@ -46,62 +45,15 @@ StreamMutator::releaseHeldDurablePoints(CoreId core)
     }
 }
 
-// ---------------------------------------------------------------------
-// obs::TxObserver stream
-// ---------------------------------------------------------------------
-
 void
-StreamMutator::txBegin(CoreId core, TxId tx, Tick now)
+StreamMutator::mutateStore(const SimEvent &e)
 {
-    _sink.txBegin(core, tx, now);
-}
-
-void
-StreamMutator::txCommit(CoreId core, TxId tx, Tick now)
-{
-    _sink.txCommit(core, tx, now);
-}
-
-void
-StreamMutator::lockGranted(CoreId core, TxId tx, Addr addr, Tick now)
-{
-    _sink.lockGranted(core, tx, addr, now);
-}
-
-void
-StreamMutator::logCreated(CoreId core, TxId tx, Tick now)
-{
-    _sink.logCreated(core, tx, now);
-}
-
-void
-StreamMutator::logAcked(CoreId core, TxId tx, Tick created_at, Tick now)
-{
-    if (targeting(Rule::EntriesBeforeTxEnd) && takeKth()) {
-        ++_mutations;   // the record's durability ack never happened
-        return;
-    }
-    _sink.logAcked(core, tx, created_at, now);
-}
-
-// ---------------------------------------------------------------------
-// PersistSink stream
-// ---------------------------------------------------------------------
-
-void
-StreamMutator::storeRetired(CoreId core, TxId tx, Addr addr,
-                            unsigned size, bool persistent,
-                            std::uint64_t ordinal, Tick now)
-{
-    _sink.storeRetired(core, tx, addr, size, persistent, ordinal, now);
-    if (!persistent || tx == 0 || inLogArea(addr))
-        return;
-
     if (targeting(Rule::LockDiscipline) && takeKth()) {
         // A phantom core overwrites the same bytes holding no locks.
         ++_mutations;
-        _sink.storeRetired(core + phantomCore, tx, addr, size, true,
-                           ordinal, now);
+        SimEvent phantom = e;
+        phantom.core += phantomCore;
+        _checker.onEvent(phantom);
         return;
     }
     if (targeting(Rule::DurableByCommit) && takeKth()) {
@@ -109,110 +61,77 @@ StreamMutator::storeRetired(CoreId core, TxId tx, Addr addr,
         // until its transaction reaches the durability point.
         ++_mutations;
         _dropping = true;
-        _dropBlock = blockAlign(addr);
-        _dropCore = core;
-        _dropTx = tx;
+        _dropBlock = blockAlign(e.addr);
+        _dropCore = e.core;
+        _dropTx = e.tx;
     }
 }
 
 void
-StreamMutator::storeReleased(CoreId core, TxId tx, Addr addr,
-                             unsigned size, std::uint64_t ordinal,
-                             Tick now)
+StreamMutator::onEvent(const SimEvent &e)
 {
-    _sink.storeReleased(core, tx, addr, size, ordinal, now);
-}
-
-void
-StreamMutator::fenceRetired(CoreId core, Tick now)
-{
-    _sink.fenceRetired(core, now);
-}
-
-void
-StreamMutator::durablePoint(CoreId core, TxId tx, Tick now)
-{
-    if (targeting(Rule::FlashClearAfterCommit) && takeKth()) {
-        // Hold the durable-commit announcement back past the MC's
-        // tx-end marker / flash-clear events for this core.
-        ++_mutations;
-        _heldDurable.emplace_back(core, tx, now);
+    switch (e.kind) {
+      case SimEventKind::LogAck:
+        if (targeting(Rule::EntriesBeforeTxEnd) && takeKth()) {
+            ++_mutations;   // the record's durability ack never happened
+            return;
+        }
+        break;
+      case SimEventKind::StoreRetire:
+        _checker.onEvent(e);
+        if (e.has(evPersistent) && e.tx != 0 && !inLogArea(e.addr))
+            mutateStore(e);
         return;
+      case SimEventKind::DurablePoint:
+        if (targeting(Rule::FlashClearAfterCommit) && takeKth()) {
+            // Hold the durable-commit announcement back past the MC's
+            // tx-end marker / flash-clear events for this core.
+            ++_mutations;
+            _heldDurable.push_back(e);
+            return;
+        }
+        if (_dropping && e.core == _dropCore && e.tx == _dropTx) {
+            _dropping = false;  // the rule fires on this event
+            _dropBlock = invalidAddr;
+        }
+        break;
+      case SimEventKind::WriteAccept:
+        if (!e.has(evDataWrite))
+            break;
+        if (_dropping && blockAlign(e.addr) == _dropBlock)
+            return;
+        if (targeting(Rule::LogBeforeData) && inLogArea(e.addr) &&
+            takeKth()) {
+            ++_mutations;   // the software undo-log entry never persists
+            return;
+        }
+        break;
+      case SimEventKind::LogWriteAccept:
+        if (targeting(Rule::LogBeforeData) && takeKth()) {
+            ++_mutations;   // the hardware log entry never persists
+            return;
+        }
+        break;
+      case SimEventKind::NvmIssue:
+        _checker.onEvent(e);
+        if (targeting(Rule::FifoPerAddress) && takeKth()) {
+            ++_mutations;   // the same acceptance issues twice (reorder)
+            _checker.onEvent(e);
+        }
+        return;
+      case SimEventKind::NvmPersist:
+        if (_dropping && blockAlign(e.addr) == _dropBlock)
+            return;
+        break;
+      case SimEventKind::FlashClear:
+      case SimEventKind::TxEndMarker:
+        _checker.onEvent(e);
+        releaseHeldDurablePoints(e.core);
+        return;
+      default:
+        break;
     }
-    if (_dropping && core == _dropCore && tx == _dropTx) {
-        _sink.durablePoint(core, tx, now);  // the rule fires here
-        _dropping = false;
-        _dropBlock = invalidAddr;
-        return;
-    }
-    _sink.durablePoint(core, tx, now);
-}
-
-void
-StreamMutator::lockReleased(CoreId core, Addr addr, Tick now)
-{
-    _sink.lockReleased(core, addr, now);
-}
-
-void
-StreamMutator::dataWriteAccepted(CoreId core, TxId tx, Addr addr,
-                                 std::uint64_t seq, bool combined,
-                                 const std::uint8_t *data, Tick now)
-{
-    if (_dropping && blockAlign(addr) == _dropBlock)
-        return;
-    if (targeting(Rule::LogBeforeData) && inLogArea(addr) && takeKth()) {
-        ++_mutations;   // the software undo-log entry never persists
-        return;
-    }
-    _sink.dataWriteAccepted(core, tx, addr, seq, combined, data, now);
-}
-
-void
-StreamMutator::logWriteAccepted(CoreId core, TxId tx, Addr slot,
-                                Addr granule, std::uint64_t rec_seq,
-                                bool lpq, Tick now)
-{
-    if (targeting(Rule::LogBeforeData) && takeKth()) {
-        ++_mutations;   // the hardware log entry never persists
-        return;
-    }
-    _sink.logWriteAccepted(core, tx, slot, granule, rec_seq, lpq, now);
-}
-
-void
-StreamMutator::nvmWriteIssued(bool lpq, Addr addr, std::uint64_t seq,
-                              Tick now)
-{
-    _sink.nvmWriteIssued(lpq, addr, seq, now);
-    if (targeting(Rule::FifoPerAddress) && takeKth()) {
-        ++_mutations;   // the same acceptance issues twice (reorder)
-        _sink.nvmWriteIssued(lpq, addr, seq, now);
-    }
-}
-
-void
-StreamMutator::nvmWritePersisted(bool lpq, Addr addr, std::uint64_t seq,
-                                 Tick now)
-{
-    if (_dropping && blockAlign(addr) == _dropBlock)
-        return;
-    _sink.nvmWritePersisted(lpq, addr, seq, now);
-}
-
-void
-StreamMutator::lpqFlashCleared(CoreId core, TxId tx, std::uint64_t n,
-                               Tick now)
-{
-    _sink.lpqFlashCleared(core, tx, n, now);
-    releaseHeldDurablePoints(core);
-}
-
-void
-StreamMutator::txEndMarker(CoreId core, TxId tx, MarkerOp op, Tick now)
-{
-    _sink.txEndMarker(core, tx, op, now);
-    releaseHeldDurablePoints(core);
+    _checker.onEvent(e);
 }
 
 } // namespace analysis

@@ -3,38 +3,38 @@
  * Seeded event-stream mutation for checker self-validation
  * (`--check-mutate N`).
  *
- * The mutator interposes between the instrumented machine and the
- * PersistChecker, forwarding both event streams unchanged except for
- * one seeded, rule-targeted perturbation: it drops or duplicates the
- * k-th qualifying persist edge (k derived from the seed) in exactly the
- * way the target rule forbids. A correct checker must flag the
- * mutated stream; the mutation campaign in check_runner asserts that
- * every armed rule catches its own injected violation, which is the CI
- * gate proving the rules are live (not vacuously passing).
+ * The mutator subscribes to the simulation event stream in place of
+ * the PersistChecker and forwards every event to it unchanged, except
+ * for one seeded, rule-targeted perturbation: it drops, duplicates or
+ * delays the k-th qualifying persist edge (k derived from the seed) in
+ * exactly the way the target rule forbids. A correct checker must flag
+ * the mutated stream; the mutation campaign in check_runner asserts
+ * that every armed rule catches its own injected violation, which is
+ * the CI gate proving the rules are live (not vacuously passing).
+ * Mutations reach the checker only: the other subscribers see the
+ * machine's real stream.
  */
 
 #ifndef PROTEUS_ANALYSIS_STREAM_MUTATOR_HH
 #define PROTEUS_ANALYSIS_STREAM_MUTATOR_HH
 
 #include <cstdint>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "analysis/persist_checker.hh"
-#include "analysis/persist_sink.hh"
 #include "analysis/rules.hh"
-#include "obs/tx_observer.hh"
+#include "sim/sim_event.hh"
 
 namespace proteus {
 namespace analysis {
 
-class StreamMutator : public obs::TxObserver, public PersistSink
+class StreamMutator : public SimEventSubscriber
 {
   public:
     /** Mutates the @p target rule's k-th qualifying edge, k seeded by
-     *  @p seed; everything else forwards verbatim to @p sink. */
-    StreamMutator(Rule target, std::uint64_t seed, PersistChecker &sink);
+     *  @p seed; everything else forwards verbatim to @p checker. */
+    StreamMutator(Rule target, std::uint64_t seed, PersistChecker &checker);
 
     /** Register one log area [start, end). Lets the mutator target
      *  software log-entry writes and skip protocol stores. */
@@ -44,41 +44,7 @@ class StreamMutator : public obs::TxObserver, public PersistSink
     bool mutated() const { return _mutations > 0; }
     std::uint64_t mutations() const { return _mutations; }
 
-    /// @name obs::TxObserver forwarding (with EntriesBeforeTxEnd drop)
-    /// @{
-    void txBegin(CoreId core, TxId tx, Tick now) override;
-    void txCommit(CoreId core, TxId tx, Tick now) override;
-    void lockGranted(CoreId core, TxId tx, Addr addr, Tick now) override;
-    void logCreated(CoreId core, TxId tx, Tick now) override;
-    void logAcked(CoreId core, TxId tx, Tick created_at,
-                  Tick now) override;
-    /// @}
-
-    /// @name PersistSink forwarding (with rule-targeted perturbations)
-    /// @{
-    void storeRetired(CoreId core, TxId tx, Addr addr, unsigned size,
-                      bool persistent, std::uint64_t ordinal,
-                      Tick now) override;
-    void storeReleased(CoreId core, TxId tx, Addr addr, unsigned size,
-                       std::uint64_t ordinal, Tick now) override;
-    void fenceRetired(CoreId core, Tick now) override;
-    void durablePoint(CoreId core, TxId tx, Tick now) override;
-    void lockReleased(CoreId core, Addr addr, Tick now) override;
-    void dataWriteAccepted(CoreId core, TxId tx, Addr addr,
-                           std::uint64_t seq, bool combined,
-                           const std::uint8_t *data, Tick now) override;
-    void logWriteAccepted(CoreId core, TxId tx, Addr slot, Addr granule,
-                          std::uint64_t rec_seq, bool lpq,
-                          Tick now) override;
-    void nvmWriteIssued(bool lpq, Addr addr, std::uint64_t seq,
-                        Tick now) override;
-    void nvmWritePersisted(bool lpq, Addr addr, std::uint64_t seq,
-                           Tick now) override;
-    void lpqFlashCleared(CoreId core, TxId tx, std::uint64_t n,
-                         Tick now) override;
-    void txEndMarker(CoreId core, TxId tx, MarkerOp op,
-                     Tick now) override;
-    /// @}
+    void onEvent(const SimEvent &e) override;
 
   private:
     /** Core-id offset for the synthetic racing writer. */
@@ -88,17 +54,19 @@ class StreamMutator : public obs::TxObserver, public PersistSink
     bool inLogArea(Addr addr) const;
     /** Counts qualifying edges; true exactly on the k-th. */
     bool takeKth();
+    /** A transactional persistent data store retired. */
+    void mutateStore(const SimEvent &e);
     void releaseHeldDurablePoints(CoreId core);
 
     Rule _target;
     std::uint64_t _k;           ///< 1-based index of the mutated edge
     std::uint64_t _seen = 0;    ///< qualifying edges so far
     std::uint64_t _mutations = 0;
-    PersistChecker &_sink;
+    PersistChecker &_checker;
     std::vector<std::pair<Addr, Addr>> _logAreas;
 
     /** FlashClearAfterCommit: durable points held back per core. */
-    std::vector<std::tuple<CoreId, TxId, Tick>> _heldDurable;
+    std::vector<SimEvent> _heldDurable;
     /** DurableByCommit: acceptance drop window. */
     bool _dropping = false;
     Addr _dropBlock = invalidAddr;

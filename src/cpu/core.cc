@@ -5,24 +5,8 @@
 
 #include "heap/persistent_heap.hh"
 #include "sim/logging.hh"
-#include "sim/trace_events.hh"
 
 namespace proteus {
-
-const char *
-toString(CommitBucket bucket)
-{
-    switch (bucket) {
-      case CommitBucket::Base:            return "base";
-      case CommitBucket::RobFull:         return "rob-full";
-      case CommitBucket::IqLsqFull:       return "iq-lsq-full";
-      case CommitBucket::BranchRedirect:  return "branch-redirect";
-      case CommitBucket::PersistStall:    return "persist-stall";
-      case CommitBucket::WpqBackpressure: return "wpq-backpressure";
-      case CommitBucket::LockWait:        return "lock-wait";
-    }
-    return "unknown";
-}
 
 namespace {
 
@@ -52,6 +36,7 @@ Core::Core(Simulator &sim, const SystemConfig &cfg, CoreId id,
             _name + ".logq"),
       _llt(cfg.logging.lltEntries, cfg.logging.lltWays,
            sim.statsRegistry(), _name + ".llt"),
+      _events(sim.eventStream()),
       _retired(sim.statsRegistry(), _name + ".retired",
                "micro-ops retired"),
       _cycles(sim.statsRegistry(), _name + ".cycles", "cycles ticked"),
@@ -122,16 +107,6 @@ Core::Core(Simulator &sim, const SystemConfig &cfg, CoreId id,
     for (unsigned i = phys; i-- > numArchRegs;)
         _freePhysRegs.push_back(static_cast<std::int16_t>(i));
     _iq.reserve(cfg.cpu.issueQueueEntries);
-
-    if (TraceEventSink *ts = sim.trace()) {
-        _traceSink = ts;
-        if (ts->wants(TraceCatCpu)) {
-            _trkPipeline = ts->defineTrack(_name + ".pipeline");
-            _trkTx = ts->defineTrack(_name + ".tx");
-        }
-        if (ts->wants(TraceCatLog))
-            _trkLogQ = ts->defineTrack(_name + ".logq");
-    }
 }
 
 void
@@ -204,10 +179,11 @@ Core::accountSkipped(Tick from, Tick to)
     // The per-tx commit-slot feed mirrors the scalar replay: a blocked
     // tick's bucket (and the transaction live at retirement) repeats
     // for every skipped cycle.
-    if (_txObs && to > from) {
-        _txObs->commitSlot(_id, _retireTxId,
-                           static_cast<obs::TxSlot>(_lastSlotBucket),
-                           to - from);
+    if (_events && to > from) {
+        _events->emit({.kind = SimEventKind::CommitSlot,
+                       .flags = static_cast<std::uint8_t>(_lastSlotBucket),
+                       .core = _id, .tx = _retireTxId, .aux = to - from,
+                       .tick = from});
     }
 }
 
@@ -229,40 +205,13 @@ Core::cpiStack() const
 }
 
 void
-Core::tracePhase(CommitBucket bucket, Tick now)
+Core::emitLogQDepth()
 {
-    // Coalesce consecutive same-bucket cycles into one span so the
-    // Perfetto track reads as phases rather than per-cycle confetti.
-    if (_phaseOpen && bucket == _phaseBucket)
-        return;
-    if (_phaseOpen && _trkPipeline) {
-        _traceSink->complete(TraceCatCpu, _trkPipeline,
-                             toString(_phaseBucket), _phaseStart, now);
-    }
-    _phaseBucket = bucket;
-    _phaseStart = now;
-    _phaseOpen = true;
-}
-
-void
-Core::finalizeTrace()
-{
-    if (!_traceSink)
-        return;
-    if (_phaseOpen && _trkPipeline) {
-        _traceSink->complete(TraceCatCpu, _trkPipeline,
-                             toString(_phaseBucket), _phaseStart,
-                             _sim.now());
-        _phaseOpen = false;
-    }
-}
-
-void
-Core::traceLogQOccupancy()
-{
-    if (_trkLogQ) {
-        _traceSink->counter(TraceCatLog, _trkLogQ, "logq",
-                            _sim.now(), _logQ.occupancy());
+    if (_events) {
+        _events->emit({.kind = SimEventKind::QueueDepth,
+                       .flags = static_cast<std::uint8_t>(SimQueue::LogQ),
+                       .core = _id, .aux = _logQ.occupancy(),
+                       .tick = _sim.now()});
     }
 }
 
@@ -314,19 +263,15 @@ Core::accountCommitSlot(bool retired, Tick now)
       case CommitBucket::LockWait:        ++_cpiLockWait; break;
     }
 
-    // obs::TxSlot mirrors CommitBucket value-for-value (obs cannot
-    // depend on cpu), so the cast is the mapping. Accounting runs after
-    // retireStage: a tx-begin tick counts toward the new transaction
-    // and a commit tick does not, making the per-tx slots sum exactly
-    // to commitTick - beginTick.
+    // Accounting runs after retireStage: a tx-begin tick counts toward
+    // the new transaction and a commit tick does not, making the per-tx
+    // slots sum exactly to commitTick - beginTick.
     _lastSlotBucket = bucket;
-    if (_txObs) {
-        _txObs->commitSlot(_id, _retireTxId,
-                           static_cast<obs::TxSlot>(bucket), 1);
+    if (_events) {
+        _events->emit({.kind = SimEventKind::CommitSlot,
+                       .flags = static_cast<std::uint8_t>(bucket), .core = _id,
+                       .tx = _retireTxId, .aux = 1, .tick = now});
     }
-
-    if (_traceSink)
-        tracePhase(bucket, now);
 }
 
 // ---------------------------------------------------------------------
@@ -447,9 +392,9 @@ Core::dispatchOne(const MicroOp &mop)
         _txCtx.endTx();
         if (_isProteus) {
             _llt.clear();
-            if (_trkLogQ) {
-                _traceSink->instant(TraceCatLog, _trkLogQ, "llt.clear",
-                                    _sim.now());
+            if (_events) {
+                _events->emit({.kind = SimEventKind::LltClear, .core = _id,
+                               .tick = _sim.now()});
             }
         }
         inst.completed = true;
@@ -481,10 +426,10 @@ Core::dispatchOne(const MicroOp &mop)
             inst.completed = true;
             inst.lltHit = true;
             _lastLogLoadWasHit = false;
-            if (_txObs) {
-                _txObs->logFiltered(
-                    _id, _trace.logPayload(mop.payload).txId,
-                    _sim.now());
+            if (_events) {
+                _events->emit({.kind = SimEventKind::LogFilter, .core = _id,
+                               .tx = _trace.logPayload(mop.payload).txId,
+                               .tick = _sim.now()});
             }
             break;
         }
@@ -501,9 +446,11 @@ Core::dispatchOne(const MicroOp &mop)
         inst.logQEntry =
             _logQ.allocate(inst.seq, payload.fromAddr, log_to, rec);
         inst.logCreatedAt = _sim.now();
-        if (_txObs)
-            _txObs->logCreated(_id, payload.txId, _sim.now());
-        traceLogQOccupancy();
+        if (_events) {
+            _events->emit({.kind = SimEventKind::LogCreate, .core = _id,
+                           .tx = payload.txId, .tick = _sim.now()});
+        }
+        emitLogQDepth();
         inst.inIq = true;
         _iq.push_back(&inst);
         break;
@@ -679,27 +626,30 @@ Core::executeInst(DynInst &inst, Tick now)
         _caches.sendLogWrite(req, [this, entry, log_tx, created_at]() {
             _poked = true;
             _logQ.deallocate(entry);
-            traceLogQOccupancy();
-            if (_txObs)
-                _txObs->logAcked(_id, log_tx, created_at, _sim.now());
+            emitLogQDepth();
+            if (_events) {
+                _events->emit({.kind = SimEventKind::LogAck, .core = _id,
+                               .tx = log_tx, .aux = created_at,
+                               .tick = _sim.now()});
+            }
         });
         _sim.schedule(1, [this, ip]() { completeInst(*ip); });
         break;
       }
       case Op::LockAcquire:
-        if (_txObs) {
-            _txObs->lockRequested(_id, inst.txId, inst.mop->addr,
-                                  _sim.now());
+        if (_events) {
+            _events->emit({.kind = SimEventKind::LockRequest, .core = _id,
+                           .tx = inst.txId, .addr = inst.mop->addr,
+                           .tick = _sim.now()});
         }
-        _locks.acquire(inst.mop->addr, _id, inst.mop->data,
-                       [this, ip]() {
-                           if (_txObs) {
-                               _txObs->lockGranted(_id, ip->txId,
-                                                   ip->mop->addr,
-                                                   _sim.now());
-                           }
-                           completeInst(*ip);
-                       });
+        _locks.acquire(inst.mop->addr, _id, inst.mop->data, [this, ip]() {
+            if (_events) {
+                _events->emit({.kind = SimEventKind::LockGrant, .core = _id,
+                               .tx = ip->txId, .addr = ip->mop->addr,
+                               .tick = _sim.now()});
+            }
+            completeInst(*ip);
+        });
         break;
       default:
         panic("executeInst: op ", toString(inst.mop->op),
@@ -774,8 +724,10 @@ Core::startAtomLog(DynInst &inst)
     // recorder: created when the MC trip starts, acked when the ack
     // returns (the paired granule writes are MC-internal detail).
     const Tick created_at = _sim.now();
-    if (_txObs)
-        _txObs->logCreated(_id, tx, created_at);
+    if (_events) {
+        _events->emit({.kind = SimEventKind::LogCreate, .core = _id, .tx = tx,
+                       .tick = created_at});
+    }
 
     auto snapshot = _caches.tracker().snapshot(block);
     auto submit = std::make_shared<std::function<void(unsigned)>>();
@@ -791,8 +743,10 @@ Core::startAtomLog(DynInst &inst)
                 _poked = true;
                 ip->atomLogState = 2;
                 --_atomPendingLogs;
-                if (_txObs) {
-                    _txObs->logAcked(_id, tx, created_at, _sim.now());
+                if (_events) {
+                    _events->emit({.kind = SimEventKind::LogAck, .core = _id,
+                                   .tx = tx, .aux = created_at,
+                                   .tick = _sim.now()});
                 }
             });
             return;
@@ -965,9 +919,12 @@ Core::doRetire(DynInst &inst, Tick now)
         entry.tx = _retireTxId;
         entry.persistent = mop.persistent;
         _storeBuffer.push_back(entry);
-        if (_pSink) {
-            _pSink->storeRetired(_id, _retireTxId, mop.addr, mop.size,
-                                 mop.persistent, inst.seq, now);
+        if (_events) {
+            _events->emit({.kind = SimEventKind::StoreRetire,
+                           .flags = mop.persistent ? evPersistent
+                                                   : std::uint8_t{0},
+                           .core = _id, .tx = _retireTxId, .addr = mop.addr,
+                           .seq = inst.seq, .aux = mop.size, .tick = now});
         }
         break;
       }
@@ -984,13 +941,9 @@ Core::doRetire(DynInst &inst, Tick now)
         _atomLoggedBlocks.clear();
         _atomLogStarted.clear();
         _atomSeq = 0;
-        _txStartTick = now;
-        if (_txObs)
-            _txObs->txBegin(_id, mop.data, now);
-        if (_traceSink && _trkTx) {
-            _traceSink->flowStart(TraceCatCpu, _trkTx,
-                                  "tx" + std::to_string(mop.data), now,
-                                  obs::txFlowId(_id, mop.data));
+        if (_events) {
+            _events->emit({.kind = SimEventKind::TxBegin, .core = _id,
+                           .tx = mop.data, .tick = now});
         }
         break;
       case Op::TxEnd: {
@@ -998,8 +951,10 @@ Core::doRetire(DynInst &inst, Tick now)
         _retireTxId = 0;
         // The durability point precedes MemCtrl::txEnd so flash-clear
         // events always follow the durable-commit announcement.
-        if (_pSink)
-            _pSink->durablePoint(_id, tx, now);
+        if (_events) {
+            _events->emit({.kind = SimEventKind::DurablePoint, .core = _id,
+                           .tx = tx, .tick = now});
+        }
         if (_scheme == LogScheme::Proteus ||
             _scheme == LogScheme::ProteusNoLWR) {
             _mc.txEnd(_id, tx);
@@ -1011,29 +966,26 @@ Core::doRetire(DynInst &inst, Tick now)
         ++_committedTxStat;
         // After _mc.txEnd so any flash-clear drops are recorded into
         // the still-open transaction before it closes.
-        if (_txObs)
-            _txObs->txCommit(_id, tx, now);
-        if (_traceSink && _trkTx) {
-            _traceSink->complete(TraceCatCpu, _trkTx,
-                                 "tx" + std::to_string(tx),
-                                 _txStartTick, now);
-            _traceSink->instant(TraceCatCpu, _trkTx, "commit", now);
-            _traceSink->flowFinish(TraceCatCpu, _trkTx,
-                                   "tx" + std::to_string(tx), now,
-                                   obs::txFlowId(_id, tx));
+        if (_events) {
+            _events->emit({.kind = SimEventKind::TxCommit, .core = _id,
+                           .tx = tx, .tick = now});
         }
         break;
       }
       case Op::LockRelease:
         _locks.release(mop.addr, _id);
-        if (_pSink)
-            _pSink->lockReleased(_id, mop.addr, now);
+        if (_events) {
+            _events->emit({.kind = SimEventKind::LockRelease, .core = _id,
+                           .addr = mop.addr, .tick = now});
+        }
         break;
       case Op::SFence:
       case Op::MFence:
       case Op::PCommit:
-        if (_pSink)
-            _pSink->fenceRetired(_id, now);
+        if (_events) {
+            _events->emit({.kind = SimEventKind::FenceRetire, .core = _id,
+                           .tick = now});
+        }
         break;
       default:
         break;
@@ -1179,9 +1131,10 @@ Core::releaseStoreBuffer(Tick now)
         ++_outstandingPerBlock[block];
         if (_isHwScheme && entry.tx != 0 && entry.persistent)
             markAutoFlush(block);
-        if (_pSink) {
-            _pSink->storeReleased(_id, entry.tx, entry.addr, entry.size,
-                                  entry.seq, now);
+        if (_events) {
+            _events->emit({.kind = SimEventKind::StoreRelease, .core = _id,
+                           .tx = entry.tx, .addr = entry.addr,
+                           .seq = entry.seq, .aux = entry.size, .tick = now});
         }
         _storeBuffer.pop_front();
     }

@@ -42,19 +42,15 @@
 #include "branch_predictor.hh"
 #include "cache/hierarchy.hh"
 #include "isa/trace.hh"
-#include "analysis/persist_sink.hh"
 #include "lock_manager.hh"
 #include "logging/llt.hh"
 #include "logging/log_queue.hh"
 #include "logging/tx_context.hh"
 #include "memctrl/mem_ctrl.hh"
-#include "obs/tx_observer.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
 
 namespace proteus {
-
-class TraceEventSink;
 
 /**
  * Commit-slot cycle attribution (a top-down / gem5-style CPI stack).
@@ -93,21 +89,6 @@ struct CpiStack
         return *this;
     }
 };
-
-/** The CPI-stack bucket a commit-slot cycle is attributed to. */
-enum class CommitBucket : unsigned char
-{
-    Base,
-    RobFull,
-    IqLsqFull,
-    BranchRedirect,
-    PersistStall,
-    WpqBackpressure,
-    LockWait,
-};
-
-/** @return a short printable bucket name, e.g. "persist-stall". */
-const char *toString(CommitBucket bucket);
 
 /** One hardware thread executing a pre-decoded trace. */
 class Core : public Ticked
@@ -151,22 +132,6 @@ class Core : public Ticked
     /** Enable the persist-ordering invariant checker (tests). */
     void setOrderingChecks(bool on) { _checkOrdering = on; }
 
-    /**
-     * Attach a transaction flight-recorder observer (nullptr detaches).
-     * Hooks fire at retirement boundaries, log-record lifecycle points,
-     * lock request/grant, and once per accounted commit-slot cycle;
-     * when no observer is attached every site is one null check.
-     */
-    void setTxObserver(obs::TxObserver *obs) { _txObs = obs; }
-
-    /**
-     * Attach a persist-edge sink for the persistency-order checker
-     * (nullptr detaches). Hooks fire at store/fence retirement, store
-     * buffer release, the tx-end durability gate, and lock release;
-     * when no sink is attached every site is one null check.
-     */
-    void setPersistSink(analysis::PersistSink *sink) { _pSink = sink; }
-
     std::uint64_t retiredOps() const
     {
         return static_cast<std::uint64_t>(_retired.value());
@@ -182,8 +147,6 @@ class Core : public Ticked
     {
         return static_cast<std::uint64_t>(_cycles.value());
     }
-    /** Emit the still-open pipeline-phase trace span (end of run). */
-    void finalizeTrace();
     const LogLookupTable &llt() const { return _llt; }
     const LogQueue &logQueue() const { return _logQ; }
 
@@ -254,8 +217,7 @@ class Core : public Ticked
     void releaseStoreBuffer(Tick now);
     void releaseAutoFlushes();
     void accountCommitSlot(bool retired, Tick now);
-    void tracePhase(CommitBucket bucket, Tick now);
-    void traceLogQOccupancy();
+    void emitLogQDepth();
 
     bool dispatchOne(const MicroOp &mop);
     void executeInst(DynInst &inst, Tick now);
@@ -341,21 +303,13 @@ class Core : public Ticked
     std::vector<TxId> _committedTxs;
     std::vector<Tick> _commitCycles;    ///< parallel to _committedTxs
 
-    /// @name Commit-slot attribution and trace emission
+    /// @name Commit-slot attribution and event emission
     /// @{
     RetireBlock _headBlock = RetireBlock::None;
     DispatchBlock _dispatchBlock = DispatchBlock::None;
     bool _sbBlockedOnLog = false;   ///< store buffer held by log order
-    TraceEventSink *_traceSink = nullptr;
-    std::uint32_t _trkPipeline = 0;
-    std::uint32_t _trkTx = 0;
-    std::uint32_t _trkLogQ = 0;
-    CommitBucket _phaseBucket = CommitBucket::Base;
-    bool _phaseOpen = false;
-    Tick _phaseStart = 0;
-    Tick _txStartTick = 0;
-    obs::TxObserver *_txObs = nullptr;
-    analysis::PersistSink *_pSink = nullptr;
+    /** The simulation event stream (null: nothing subscribes). */
+    SimEventStream *_events = nullptr;
     /** Bucket the last accounted tick landed in, replayed (with the
      *  live _retireTxId) for skipped quiescent spans so per-tx slot
      *  attribution is bit-identical with cycle skipping on or off. */

@@ -1,9 +1,6 @@
 #include "lock_manager.hh"
 
-#include <sstream>
-
 #include "sim/logging.hh"
-#include "sim/trace_events.hh"
 
 namespace proteus {
 
@@ -17,34 +14,16 @@ constexpr Tick acquireLatency = 12;
 } // namespace
 
 LockManager::LockManager(Simulator &sim)
-    : _sim(sim),
+    : _sim(sim), _events(sim.eventStream()),
       _acquires(sim.statsRegistry(), "locks.acquires",
                 "successful lock acquisitions"),
       _contendedAcquires(sim.statsRegistry(), "locks.contended",
                          "acquisitions that had to wait")
 {
-    if (TraceEventSink *ts = sim.trace()) {
-        if (ts->wants(TraceCatLock)) {
-            _traceSink = ts;
-            _trkLocks = ts->defineTrack("locks");
-        }
-    }
 }
 
 void
-LockManager::traceHeldSpan(Addr addr, const LockState &state)
-{
-    if (!_traceSink)
-        return;
-    std::ostringstream name;
-    name << "lock:0x" << std::hex << addr << std::dec << " core"
-         << state.holder;
-    _traceSink->complete(TraceCatLock, _trkLocks, name.str(),
-                         state.grantedAt, _sim.now());
-}
-
-void
-LockManager::grant(Addr addr, LockState &state)
+LockManager::grant(LockState &state)
 {
     auto it = state.waiters.find(state.nextServe);
     if (it == state.waiters.end())
@@ -52,10 +31,8 @@ LockManager::grant(Addr addr, LockState &state)
     auto cb = std::move(it->second);
     state.waiters.erase(it);
     state.held = true;
-    state.grantedAt = _sim.now() + handoffLatency;
     ++_acquires;
     _sim.schedule(handoffLatency, std::move(cb));
-    (void)addr;
 }
 
 void
@@ -66,14 +43,15 @@ LockManager::acquire(Addr addr, CoreId core, std::uint64_t ticket,
     if (!state.held && ticket == state.nextServe) {
         state.held = true;
         state.holder = core;
-        state.grantedAt = _sim.now() + acquireLatency;
         ++_acquires;
         _sim.schedule(acquireLatency, std::move(granted));
         return;
     }
     ++_contendedAcquires;
-    if (_traceSink)
-        _traceSink->instant(TraceCatLock, _trkLocks, "wait", _sim.now());
+    if (_events) {
+        _events->emit({.kind = SimEventKind::LockWait, .core = core,
+                       .addr = addr, .tick = _sim.now()});
+    }
     // The holder field is set when the grant fires; remember who asked.
     state.waiters.emplace(ticket, [this, addr, core,
                                    cb = std::move(granted)]() {
@@ -92,10 +70,9 @@ LockManager::release(Addr addr, CoreId core)
         panic("LockManager: core ", core,
               " released a lock it does not hold");
     }
-    traceHeldSpan(addr, it->second);
     it->second.held = false;
     ++it->second.nextServe;
-    grant(addr, it->second);
+    grant(it->second);
 }
 
 bool

@@ -23,8 +23,6 @@
 
 namespace proteus {
 
-class TraceEventSink;
-
 /** Address-keyed fair ticket locks shared by all timing cores. */
 class LockManager
 {
@@ -51,19 +49,17 @@ class LockManager
         bool held = false;
         CoreId holder = 0;
         std::uint64_t nextServe = 0;
-        Tick grantedAt = 0;     ///< tick the current holder was granted
         std::map<std::uint64_t, std::function<void()>> waiters;
     };
 
-    void grant(Addr addr, LockState &state);
-    void traceHeldSpan(Addr addr, const LockState &state);
+    void grant(LockState &state);
 
     Simulator &_sim;
+    /** The simulation event stream (null: nothing subscribes). */
+    SimEventStream *_events;
     std::map<Addr, LockState> _locks;
     stats::Scalar _acquires;
     stats::Scalar _contendedAcquires;
-    TraceEventSink *_traceSink = nullptr;
-    std::uint32_t _trkLocks = 0;
 };
 
 } // namespace proteus

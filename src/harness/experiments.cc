@@ -10,6 +10,7 @@
 #include "harness/check_runner.hh"
 #include "harness/trace_cache.hh"
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 
 namespace proteus {
 
@@ -25,17 +26,17 @@ BenchOptions::parse(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--scale") {
-            opts.scale = static_cast<unsigned>(std::stoul(next()));
+            opts.scale = parseUnsigned<unsigned>(arg, next());
         } else if (arg == "--init-scale") {
-            opts.initScale = static_cast<unsigned>(std::stoul(next()));
+            opts.initScale = parseUnsigned<unsigned>(arg, next());
         } else if (arg == "--threads") {
-            opts.threads = static_cast<unsigned>(std::stoul(next()));
+            opts.threads = parseUnsigned<unsigned>(arg, next());
         } else if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(std::stoul(next()));
+            opts.jobs = parseUnsigned<unsigned>(arg, next());
         } else if (arg == "--json") {
             opts.jsonPath = next();
         } else if (arg == "--seed") {
-            opts.seed = std::stoull(next());
+            opts.seed = parseUnsigned<std::uint64_t>(arg, next());
         } else if (arg == "--dram") {
             opts.dram = true;
         } else if (arg == "--no-trace-cache") {
@@ -45,7 +46,7 @@ BenchOptions::parse(int argc, char **argv)
         } else if (arg == "--set") {
             opts.overrides.push_back(next());
         } else if (arg == "--stats-interval") {
-            opts.statsInterval = std::stoull(next());
+            opts.statsInterval = parseUnsigned<std::uint64_t>(arg, next());
         } else if (arg == "--stats-out") {
             opts.statsOut = next();
         } else if (arg == "--trace-events") {
@@ -55,16 +56,16 @@ BenchOptions::parse(int argc, char **argv)
         } else if (arg == "--tx-stats") {
             opts.txStats = next();
         } else if (arg == "--tx-slowest") {
-            opts.txSlowest = std::stoull(next());
+            opts.txSlowest = parseUnsigned<std::uint64_t>(arg, next());
         } else if (arg == "--faults") {
             opts.faults = faults::parseFaultSpec(next(), opts.faults);
         } else if (arg == "--fault-seed") {
-            opts.faults.seed = std::stoull(next());
+            opts.faults.seed = parseUnsigned<std::uint64_t>(arg, next());
         } else if (arg == "--check") {
             opts.check = true;
         } else if (arg == "--check-mutate") {
             opts.check = true;
-            opts.checkMutate = std::stol(next());
+            opts.checkMutate = parseUnsigned<std::uint32_t>(arg, next());
         } else if (arg == "--wl-spec") {
             opts.wlSpec = next();
         } else if (arg == "--wl-spec-file") {
@@ -182,7 +183,7 @@ makeTxStatsRow(const BenchOptions &opts, LogScheme scheme,
     row.initScale = opts.initScale;
     row.seed = opts.seed;
     row.cycles = result.cycles;
-    // Bucket order mirrors obs::TxSlot (and CommitBucket).
+    // Bucket order follows CommitBucket.
     row.cpi = {result.cpi.base,          result.cpi.robFull,
                result.cpi.iqLsqFull,     result.cpi.branchRedirect,
                result.cpi.persistStall,  result.cpi.wpqBackpressure,

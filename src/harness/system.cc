@@ -61,14 +61,12 @@ FullSystem::wire()
     _sim = std::make_unique<Simulator>();
     _sim->setCycleSkip(_cfg.cycleSkip);
 
-    // Attach the trace sink before any timing component is built so
-    // component constructors can define their tracks.
-    if (!_cfg.obs.traceEvents.empty()) {
-        _traceSink = std::make_unique<TraceEventSink>(
-            _cfg.obs.traceEvents, _cfg.obs.traceCategories,
-            static_cast<std::size_t>(_cfg.obs.traceRingEntries));
-        _sim->setTraceSink(_traceSink.get());
-    }
+    // Components read the stream pointer at construction; with no
+    // subscriber it stays null and every emission site is one branch.
+    const bool tracing = !_cfg.obs.traceEvents.empty();
+    const bool tracking = !_cfg.obs.txStats.empty() || _cfg.obs.txTrack;
+    if (tracing || tracking || _cfg.analysis.check)
+        _sim->setEventStream(&_events);
 
     // Timing phase wiring. Registration order defines intra-cycle
     // evaluation: memory first, then cores.
@@ -102,23 +100,21 @@ FullSystem::wire()
         _sampler->start();
     }
 
-    // The transaction flight recorder observes every core and the MC.
-    // File output (when obs.txStats is set) is written by the caller
+    // The event stream's subscribers. The transaction flight recorder's
+    // file output (when obs.txStats is set) is written by the caller
     // (runExperiment / runBatch) so batches can combine rows into one
     // deterministic file.
-    if (!_cfg.obs.txStats.empty() || _cfg.obs.txTrack) {
+    if (tracking) {
         _txTracker = std::make_unique<obs::TxTracker>(
             _sim->statsRegistry(), _cfg.cores,
             static_cast<unsigned>(_cfg.obs.txSlowest));
-        _mc->setTxObserver(_txTracker.get());
-        for (auto &core : _cores)
-            core->setTxObserver(_txTracker.get());
+        _events.subscribe(_txTracker.get());
     }
 
-    // The persistency-order checker taps both the flight-recorder
-    // stream (shared with the tracker through a fanout) and the
-    // persist-edge stream. In mutation mode a StreamMutator interposes
-    // on both so the checker must catch the injected violation.
+    // The persistency-order checker. In mutation mode a StreamMutator
+    // subscribes in its place and forwards a perturbed stream to it,
+    // so the checker must catch the injected violation while the other
+    // subscribers still see the real stream.
     if (_cfg.analysis.check) {
         _checker = std::make_unique<analysis::PersistChecker>(
             _cfg.logging.scheme, _cfg.memCtrl.adr, _cfg.analysis.repro);
@@ -133,8 +129,7 @@ FullSystem::wire()
         if (_bundle->history)
             _checker->bindWriteHistory(*_bundle->history);
 
-        obs::TxObserver *tx_obs = _checker.get();
-        analysis::PersistSink *sink = _checker.get();
+        SimEventSubscriber *checker = _checker.get();
         if (_cfg.analysis.mutateRule >= 0 &&
             static_cast<unsigned>(_cfg.analysis.mutateRule) <
                 analysis::numRules) {
@@ -147,20 +142,18 @@ FullSystem::wire()
                 _mutator->addLogArea(_atomAreas[t].first,
                                      _atomAreas[t].second);
             }
-            tx_obs = _mutator.get();
-            sink = _mutator.get();
+            checker = _mutator.get();
         }
-        if (_txTracker) {
-            _obsFanout = std::make_unique<obs::TxObserverFanout>(
-                _txTracker.get(), tx_obs);
-            tx_obs = _obsFanout.get();
-        }
-        _mc->setTxObserver(tx_obs);
-        for (auto &core : _cores)
-            core->setTxObserver(tx_obs);
-        _mc->setPersistSink(sink);
-        for (auto &core : _cores)
-            core->setPersistSink(sink);
+        _events.subscribe(checker);
+    }
+
+    if (tracing) {
+        _traceSink = std::make_unique<TraceEventSink>(
+            _cfg.obs.traceEvents, _cfg.obs.traceCategories,
+            static_cast<std::size_t>(_cfg.obs.traceRingEntries));
+        _traceRecorder = std::make_unique<obs::TraceEventRecorder>(
+            *_traceSink, _cfg.cores, _cfg.faults.enabled());
+        _events.subscribe(_traceRecorder.get());
     }
 }
 
@@ -186,8 +179,7 @@ FullSystem::finishObservability()
     if (_txTracker)
         _txTracker->finish();
     if (_traceSink) {
-        for (auto &core : _cores)
-            core->finalizeTrace();
+        _traceRecorder->finish(_sim->now());
         _traceSink->flush();
     }
 }

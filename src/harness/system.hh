@@ -27,9 +27,11 @@
 #include "harness/trace_bundle.hh"
 #include "heap/persistent_heap.hh"
 #include "memctrl/mem_ctrl.hh"
+#include "obs/trace_event_recorder.hh"
 #include "obs/tx_tracker.hh"
 #include "sim/config.hh"
 #include "sim/interval_stats.hh"
+#include "sim/sim_event.hh"
 #include "sim/simulator.hh"
 #include "sim/trace_events.hh"
 #include "workloads/workload.hh"
@@ -164,12 +166,15 @@ class FullSystem
     std::shared_ptr<const TraceBundle> _bundle;
     std::shared_ptr<PersistentHeap> _heap;  ///< this machine's mutable heap
     std::unique_ptr<Simulator> _sim;
+    /** The event stream's fan-out; attached to the Simulator only when
+     *  some subscriber below exists. */
+    SimEventStream _events;
     std::unique_ptr<TraceEventSink> _traceSink;
+    std::unique_ptr<obs::TraceEventRecorder> _traceRecorder;
     std::unique_ptr<IntervalStatsSampler> _sampler;
     std::unique_ptr<obs::TxTracker> _txTracker;
     std::unique_ptr<analysis::PersistChecker> _checker;
     std::unique_ptr<analysis::StreamMutator> _mutator;
-    std::unique_ptr<obs::TxObserverFanout> _obsFanout;
     std::unique_ptr<MemCtrl> _mc;
     std::unique_ptr<CacheHierarchy> _caches;
     std::unique_ptr<LockManager> _locks;

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "sim/logging.hh"
-#include "sim/trace_events.hh"
 
 namespace proteus {
 
@@ -73,18 +72,7 @@ MemCtrl::MemCtrl(Simulator &sim, const SystemConfig &cfg, MemoryImage &nvm)
         _faults = std::make_unique<faults::FaultModel>(
             cfg.faults, sim.statsRegistry());
     }
-
-    if (TraceEventSink *ts = sim.trace()) {
-        if (ts->wants(TraceCatMemCtrl)) {
-            _traceSink = ts;
-            _trkWpq = ts->defineTrack("mc.wpq");
-            _trkLpq = ts->defineTrack("mc.lpq");
-        }
-        if (_faults && ts->wants(TraceCatFaults)) {
-            _faultSink = ts;
-            _trkFaults = ts->defineTrack("mc.faults");
-        }
-    }
+    _events = sim.eventStream();
 }
 
 void
@@ -154,12 +142,13 @@ MemCtrl::write(const WriteRequest &req)
         ++_logWritesAccepted;
         const LogRecord rec = LogRecord::fromBytes(req.data.data());
         recordLogDurable(req.core, req.txId, logAlign(rec.fromAddr));
-        if (_pSink) {
-            _pSink->logWriteAccepted(req.core, req.txId, req.addr,
-                                     logAlign(rec.fromAddr), rec.seq,
-                                     req.kind == WriteKind::Log &&
-                                         _useLpq,
-                                     _sim.now());
+        if (_events) {
+            const bool lpq = req.kind == WriteKind::Log && _useLpq;
+            _events->emit({.kind = SimEventKind::LogWriteAccept,
+                           .flags = lpq ? evLpq : std::uint8_t{0},
+                           .core = req.core, .tx = req.txId, .addr = req.addr,
+                           .seq = rec.seq, .aux = logAlign(rec.fromAddr),
+                           .tick = _sim.now()});
         }
         if (req.kind == WriteKind::Log) {
             noteLogArrival(req.core, req.txId);
@@ -172,8 +161,7 @@ MemCtrl::write(const WriteRequest &req)
     }
 
     if (req.kind == WriteKind::Log && _useLpq) {
-        if (_txObs)
-            _txObs->mcQueued(req.core, req.txId, true, _sim.now());
+        emitAccept(req, qw.seq, evLpq);
         _lpq.push_back(std::move(qw));
         return;
     }
@@ -198,26 +186,47 @@ MemCtrl::write(const WriteRequest &req)
             w.req.txId = req.txId;
             // The combined data is newly durable even though no new
             // queue entry was created.
-            if (_pSink && req.kind == WriteKind::Data) {
-                _pSink->dataWriteAccepted(req.core, req.txId, req.addr,
-                                          w.seq, /*combined=*/true,
-                                          req.data.data(), _sim.now());
-            }
+            emitAccept(req, w.seq, evCombined);
             return;
         }
     }
     if (req.kind == WriteKind::AtomLog)
         ++_atomLogsQueued;
-    // Combined writes above are absorbed into an existing entry, so
-    // only a genuinely new WPQ entry counts as queued.
-    if (_txObs)
-        _txObs->mcQueued(req.core, req.txId, false, _sim.now());
-    if (_pSink && req.kind == WriteKind::Data) {
-        _pSink->dataWriteAccepted(req.core, req.txId, req.addr, qw.seq,
-                                  /*combined=*/false, req.data.data(),
-                                  _sim.now());
-    }
+    emitAccept(req, qw.seq, 0);
     _wpq.push_back(std::move(qw));
+}
+
+void
+MemCtrl::emitAccept(const WriteRequest &req, std::uint64_t seq,
+                    std::uint8_t flags)
+{
+    if (!_events)
+        return;
+    if (req.kind == WriteKind::Data)
+        flags |= evDataWrite;
+    _events->emit({.kind = SimEventKind::WriteAccept, .flags = flags,
+                   .core = req.core, .tx = req.txId, .addr = req.addr,
+                   .seq = seq, .tick = _sim.now(), .data = req.data.data()});
+}
+
+void
+MemCtrl::emitMarker(CoreId core, TxId tx, MarkerOp op)
+{
+    if (_events) {
+        _events->emit({.kind = SimEventKind::TxEndMarker,
+                       .flags = static_cast<std::uint8_t>(op), .core = core,
+                       .tx = tx, .tick = _sim.now()});
+    }
+}
+
+void
+MemCtrl::emitFault(FaultEvent what, Addr addr)
+{
+    if (_events) {
+        _events->emit({.kind = SimEventKind::Fault,
+                       .flags = static_cast<std::uint8_t>(what), .addr = addr,
+                       .tick = _sim.now()});
+    }
 }
 
 void
@@ -234,11 +243,7 @@ MemCtrl::noteLogArrival(CoreId core, TxId tx)
     for (auto it = _lpq.begin(); it != _lpq.end(); ++it) {
         if (it->marker && it->req.core == core && it->req.txId != tx) {
             ++_markersDropped;
-            if (_pSink) {
-                _pSink->txEndMarker(core, it->req.txId,
-                                    analysis::MarkerOp::Dropped,
-                                    _sim.now());
-            }
+            emitMarker(core, it->req.txId, MarkerOp::Dropped);
             if (_logWriteRemoval)
                 _lpq.erase(it);
             else
@@ -293,10 +298,7 @@ MemCtrl::txEnd(CoreId core, TxId tx)
         std::copy(bytes.begin(), bytes.end(),
                   _lpq[latest].req.data.begin());
         _lpq[latest].marker = true;
-        if (_pSink) {
-            _pSink->txEndMarker(core, tx, analysis::MarkerOp::Held,
-                                _sim.now());
-        }
+        emitMarker(core, tx, MarkerOp::Held);
 
         if (_logWriteRemoval) {
             std::uint64_t dropped = 0;
@@ -312,10 +314,10 @@ MemCtrl::txEnd(CoreId core, TxId tx)
                 }
             }
             _lpq.swap(kept);
-            if (_txObs && dropped)
-                _txObs->mcDropped(core, tx, dropped, _sim.now());
-            if (_pSink && dropped)
-                _pSink->lpqFlashCleared(core, tx, dropped, _sim.now());
+            if (_events && dropped) {
+                _events->emit({.kind = SimEventKind::FlashClear, .core = core,
+                               .tx = tx, .aux = dropped, .tick = _sim.now()});
+            }
         }
         return;
     }
@@ -345,11 +347,7 @@ MemCtrl::txEnd(CoreId core, TxId tx)
             qw.marker = true;
             ++_markerWrites;
             _lpq.push_back(std::move(qw));
-            if (_pSink) {
-                _pSink->txEndMarker(core, tx,
-                                    analysis::MarkerOp::Rewritten,
-                                    _sim.now());
-            }
+            emitMarker(core, tx, MarkerOp::Rewritten);
         } else {
             // Extremely rare; apply directly and charge a write. If the
             // entry's own array write is still in flight, its completion
@@ -372,11 +370,7 @@ MemCtrl::txEnd(CoreId core, TxId tx)
                 else
                     _nvm.write(last.addr, out.data(), out.size());
             }
-            if (_pSink) {
-                _pSink->txEndMarker(core, tx,
-                                    analysis::MarkerOp::Rewritten,
-                                    _sim.now());
-            }
+            emitMarker(core, tx, MarkerOp::Rewritten);
         }
     }
 }
@@ -650,14 +644,13 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
     const CoreId req_core = w.req.core;
     const TxId req_tx = w.req.txId;
     const bool is_marker = w.marker;
-    // Markers are synthesized at tx-end with no meaningful acceptance
-    // time, so they stay invisible to the flight recorder.
-    if (_txObs && !is_marker) {
-        _txObs->mcIssued(req_core, req_tx, is_log_queue, w.acceptedAt,
-                         now);
+    const std::uint8_t ev_flags =
+        (is_log_queue ? evLpq : 0) | (is_marker ? evMarker : 0);
+    if (_events) {
+        _events->emit({.kind = SimEventKind::NvmIssue, .flags = ev_flags,
+                       .core = req_core, .tx = req_tx, .addr = addr,
+                       .seq = seq, .aux = w.acceptedAt, .tick = now});
     }
-    if (_pSink)
-        _pSink->nvmWriteIssued(is_log_queue, addr, seq, now);
     if (!is_log_queue && w.req.kind == WriteKind::AtomLog)
         --_atomLogsQueued;
     if (is_log_queue) {
@@ -674,23 +667,22 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
 
     const Tick done = _dram.issue(addr, true, now);
     _sim.events().schedule(done, [this, addr, seq, is_log_queue,
-                                  req_core, req_tx, is_marker]() {
+                                  req_core, req_tx, ev_flags]() {
         auto dit = _inflightData.find(seq);
         if (dit == _inflightData.end())
             panic("MemCtrl: completed write lost its in-flight data");
         if (_faults) {
             const auto out = _faults->applyWrite(
                 _nvm, addr, dit->second.second.data());
-            if (_faultSink && out != faults::WriteOutcome::Clean) {
-                const char *what =
-                    out == faults::WriteOutcome::Torn ? "torn-write"
-                    : out == faults::WriteOutcome::Corrected
-                        ? "worn-corrected"
-                    : out == faults::WriteOutcome::Uncorrectable
-                        ? "worn-uncorrectable"
-                        : "silent-corruption";
-                _faultSink->instant(TraceCatFaults, _trkFaults, what,
-                                    _sim.now());
+            if (out != faults::WriteOutcome::Clean) {
+                emitFault(out == faults::WriteOutcome::Torn
+                              ? FaultEvent::TornWrite
+                          : out == faults::WriteOutcome::Corrected
+                              ? FaultEvent::WornCorrected
+                          : out == faults::WriteOutcome::Uncorrectable
+                              ? FaultEvent::WornUncorrectable
+                              : FaultEvent::SilentCorruption,
+                          addr);
             }
         } else {
             _nvm.write(addr, dit->second.second.data(), blockSize);
@@ -704,12 +696,11 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
             --_inflightLogs;
         else
             --_inflightWrites;
-        if (_txObs && !is_marker) {
-            _txObs->nvmPersisted(req_core, req_tx, is_log_queue,
-                                 _sim.now());
+        if (_events) {
+            _events->emit({.kind = SimEventKind::NvmPersist, .flags = ev_flags,
+                           .core = req_core, .tx = req_tx, .addr = addr,
+                           .seq = seq, .tick = _sim.now()});
         }
-        if (_pSink)
-            _pSink->nvmWritePersisted(is_log_queue, addr, seq, _sim.now());
     });
 }
 
@@ -755,10 +746,7 @@ MemCtrl::tryIssueRead(Tick now)
                     // can never jump past it.
                     const Tick back = _faults->backoff(attempt);
                     _faults->noteRetry(back);
-                    if (_faultSink) {
-                        _faultSink->instant(TraceCatFaults, _trkFaults,
-                                            "read-retry", _sim.now());
-                    }
+                    emitFault(FaultEvent::ReadRetry, raddr);
                     ++_pendingRetries;
                     _sim.schedule(back, [this, raddr, attempt,
                                          cb = std::move(cb)]() mutable {
@@ -774,10 +762,7 @@ MemCtrl::tryIssueRead(Tick now)
                 // the poison mark (recovery classification) and the
                 // faults.retriesExhausted counter.
                 _faults->noteRetriesExhausted(_nvm, raddr);
-                if (_faultSink) {
-                    _faultSink->instant(TraceCatFaults, _trkFaults,
-                                        "retries-exhausted", _sim.now());
-                }
+                emitFault(FaultEvent::RetriesExhausted, raddr);
             }
         }
         if (cb)
@@ -907,19 +892,23 @@ MemCtrl::tick(Tick now)
     _wpqOccupancy.sample(_wpq.size());
     _inflightSample.sample(_inflightWrites);
     _lpqOccupancy.sample(_lpq.size() + _inflightLogs);
-    if (_traceSink) {
+    if (_events) {
         const auto wpq = static_cast<std::int64_t>(_wpq.size());
         const auto lpq =
             static_cast<std::int64_t>(_lpq.size() + _inflightLogs);
-        if (wpq != _lastWpqEmit) {
-            _traceSink->counter(TraceCatMemCtrl, _trkWpq, "wpq", now,
-                                static_cast<double>(wpq));
-            _lastWpqEmit = wpq;
+        if (wpq != _lastWpqDepth) {
+            _events->emit({.kind = SimEventKind::QueueDepth,
+                           .flags = static_cast<std::uint8_t>(SimQueue::Wpq),
+                           .aux = static_cast<std::uint64_t>(wpq),
+                           .tick = now});
+            _lastWpqDepth = wpq;
         }
-        if (lpq != _lastLpqEmit) {
-            _traceSink->counter(TraceCatMemCtrl, _trkLpq, "lpq", now,
-                                static_cast<double>(lpq));
-            _lastLpqEmit = lpq;
+        if (lpq != _lastLpqDepth) {
+            _events->emit({.kind = SimEventKind::QueueDepth,
+                           .flags = static_cast<std::uint8_t>(SimQueue::Lpq),
+                           .aux = static_cast<std::uint64_t>(lpq),
+                           .tick = now});
+            _lastLpqDepth = lpq;
         }
     }
 

@@ -26,20 +26,16 @@
 #include <unordered_set>
 #include <vector>
 
-#include "analysis/persist_sink.hh"
 #include "dram/nvm_timing.hh"
 #include "faults/fault_model.hh"
 #include "heap/memory_image.hh"
 #include "logging/log_record.hh"
-#include "obs/tx_observer.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace proteus {
-
-class TraceEventSink;
 
 /** Kinds of writes arriving at the controller. */
 enum class WriteKind : std::uint8_t
@@ -164,22 +160,6 @@ class MemCtrl : public Ticked
 
     bool empty() const;
 
-    /**
-     * Attach a transaction flight-recorder observer (nullptr detaches).
-     * Hooks fire on queue acceptance, NVM issue/persist, and tx-end
-     * flash-clears; synthesized tx-end markers are excluded (their
-     * acceptedAt is meaningless and they carry no payload write).
-     */
-    void setTxObserver(obs::TxObserver *obs) { _txObs = obs; }
-
-    /**
-     * Attach a persist-edge sink for the persistency-order checker
-     * (nullptr detaches). Hooks fire on write acceptance (the ADR
-     * durability boundary), NVM array issue/persist, and the tx-end
-     * flash-clear / marker operations of Section 4.3.
-     */
-    void setPersistSink(analysis::PersistSink *sink) { _pSink = sink; }
-
     NvmTiming &dram() { return _dram; }
 
     /** The media fault model, or nullptr when fault injection is off. */
@@ -255,6 +235,10 @@ class MemCtrl : public Ticked
     void checkDrainDone();
     std::uint64_t oldestPendingSeq() const;
     void noteLogArrival(CoreId core, TxId tx);
+    void emitAccept(const WriteRequest &req, std::uint64_t seq,
+                    std::uint8_t flags);
+    void emitMarker(CoreId core, TxId tx, MarkerOp op);
+    void emitFault(FaultEvent what, Addr addr);
     std::size_t pickWriteCandidate(const std::deque<QueuedWrite> &queue,
                                    Tick now, bool skip_markers) const;
 
@@ -361,22 +345,14 @@ class MemCtrl : public Ticked
     double _preWriteNoCandidate = 0;
     /// @}
 
-    obs::TxObserver *_txObs = nullptr;
-    analysis::PersistSink *_pSink = nullptr;
-
-    /// @name Trace-event output (memctrl category)
+    /// @name Event emission
     /// @{
-    TraceEventSink *_traceSink = nullptr;
-    std::uint32_t _trkWpq = 0;
-    std::uint32_t _trkLpq = 0;
-    /** Faults-category sink (instant events); null unless both fault
-     *  injection and the faults trace category are active. */
-    TraceEventSink *_faultSink = nullptr;
-    std::uint32_t _trkFaults = 0;
-    /** Last emitted counter values; counters are emitted on change only
-     *  to bound trace volume. -1 forces the first emission. */
-    std::int64_t _lastWpqEmit = -1;
-    std::int64_t _lastLpqEmit = -1;
+    /** The simulation event stream (null: nothing subscribes). */
+    SimEventStream *_events = nullptr;
+    /** Last emitted WPQ/LPQ depths; QueueDepth events fire on change
+     *  only, to bound their volume. -1 forces the first emission. */
+    std::int64_t _lastWpqDepth = -1;
+    std::int64_t _lastLpqDepth = -1;
     /// @}
 };
 

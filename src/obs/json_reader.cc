@@ -201,6 +201,8 @@ class Parser
             ++_pos;
             if (c == '"')
                 return v;
+            if (static_cast<unsigned char>(c) < 0x20)
+                fail("raw control character in string");
             if (c != '\\') {
                 v.str.push_back(c);
                 continue;

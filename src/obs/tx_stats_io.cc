@@ -46,7 +46,7 @@ writeSlots(std::ostream &os,
     for (unsigned s = 0; s < numTxSlots; ++s) {
         if (s)
             os << ", ";
-        os << "\"" << toString(static_cast<TxSlot>(s))
+        os << "\"" << slotKey(static_cast<CommitBucket>(s))
            << "\": " << slots[s];
     }
     os << "}";
@@ -99,7 +99,7 @@ writeTimeline(std::ostream &os, const TxTimeline &tl)
        << ", \"tx\": " << tl.tx << ", \"begin\": " << tl.begin
        << ", \"commit\": " << tl.commit
        << ", \"latency\": " << tl.latency << ", \"critPath\": \""
-       << toString(tl.critPath) << "\", \"slots\": ";
+       << slotKey(tl.critPath) << "\", \"slots\": ";
     writeSlots(os, tl.slots);
     os << ", \"events\": [";
     for (std::size_t i = 0; i < tl.events.size(); ++i) {

@@ -8,16 +8,16 @@ namespace proteus {
 namespace obs {
 
 const char *
-toString(TxSlot slot)
+slotKey(CommitBucket slot)
 {
     switch (slot) {
-      case TxSlot::Base:            return "base";
-      case TxSlot::RobFull:         return "robFull";
-      case TxSlot::IqLsqFull:       return "iqLsqFull";
-      case TxSlot::BranchRedirect:  return "branchRedirect";
-      case TxSlot::PersistStall:    return "persistStall";
-      case TxSlot::WpqBackpressure: return "wpqBackpressure";
-      case TxSlot::LockWait:        return "lockWait";
+      case CommitBucket::Base:            return "base";
+      case CommitBucket::RobFull:         return "robFull";
+      case CommitBucket::IqLsqFull:       return "iqLsqFull";
+      case CommitBucket::BranchRedirect:  return "branchRedirect";
+      case CommitBucket::PersistStall:    return "persistStall";
+      case CommitBucket::WpqBackpressure: return "wpqBackpressure";
+      case CommitBucket::LockWait:        return "lockWait";
     }
     return "unknown";
 }
@@ -112,6 +112,54 @@ TxTracker::TxTracker(stats::StatRegistry &registry, unsigned numCores,
 }
 
 TxTracker::~TxTracker() = default;
+
+void
+TxTracker::onEvent(const SimEvent &e)
+{
+    switch (e.kind) {
+      case SimEventKind::TxBegin:
+        txBegin(e.core, e.tx, e.tick);
+        break;
+      case SimEventKind::TxCommit:
+        txCommit(e.core, e.tx, e.tick);
+        break;
+      case SimEventKind::CommitSlot:
+        commitSlot(e.core, e.tx, static_cast<CommitBucket>(e.flags), e.aux);
+        break;
+      case SimEventKind::LockRequest:
+        lockRequested(e.core, e.tx, e.addr, e.tick);
+        break;
+      case SimEventKind::LockGrant:
+        lockGranted(e.core, e.tx, e.addr, e.tick);
+        break;
+      case SimEventKind::LogCreate:
+        logCreated(e.core, e.tx, e.tick);
+        break;
+      case SimEventKind::LogFilter:
+        logFiltered(e.core, e.tx, e.tick);
+        break;
+      case SimEventKind::LogAck:
+        logAcked(e.core, e.tx, e.aux, e.tick);
+        break;
+      case SimEventKind::WriteAccept:
+        if (!e.has(evCombined))
+            mcQueued(e.core, e.tx, e.has(evLpq), e.tick);
+        break;
+      case SimEventKind::NvmIssue:
+        if (!e.has(evMarker))
+            mcIssued(e.core, e.tx, e.aux, e.tick);
+        break;
+      case SimEventKind::NvmPersist:
+        if (!e.has(evMarker))
+            nvmPersisted(e.core, e.tx, e.has(evLpq), e.tick);
+        break;
+      case SimEventKind::FlashClear:
+        mcDropped(e.core, e.tx, e.aux, e.tick);
+        break;
+      default:
+        break;
+    }
+}
 
 stats::Distribution &
 TxTracker::dist(CoreId core, TxStage stage)
@@ -209,7 +257,7 @@ TxTracker::close(CoreId core, TxId tx, Tick at, bool committed)
             tl.begin = begin;
             tl.commit = at;
             tl.latency = latency;
-            tl.critPath = static_cast<TxSlot>(crit);
+            tl.critPath = static_cast<CommitBucket>(crit);
             tl.slots = otx.slots;
             tl.events = std::move(otx.events);
             retain(std::move(tl));
@@ -285,7 +333,8 @@ TxTracker::logAcked(CoreId core, TxId tx, Tick createdAt, Tick at)
 }
 
 void
-TxTracker::commitSlot(CoreId core, TxId tx, TxSlot slot, std::uint64_t n)
+TxTracker::commitSlot(CoreId core, TxId tx, CommitBucket slot,
+                      std::uint64_t n)
 {
     const auto s = static_cast<unsigned>(slot);
     _s.slotTotal[s] += n;
@@ -309,14 +358,12 @@ TxTracker::mcQueued(CoreId core, TxId tx, bool lpq, Tick at)
 }
 
 void
-TxTracker::mcIssued(CoreId core, TxId tx, bool lpq, Tick acceptedAt,
-                    Tick at)
+TxTracker::mcIssued(CoreId core, TxId tx, Tick acceptedAt, Tick at)
 {
     ++_s.mcIssued;
     dist(core, TxStage::McQueueWait)
         .sample(static_cast<double>(at - acceptedAt));
     record(find(core, tx), at, TxEvent::Kind::McIssued, at - acceptedAt);
-    (void)lpq;
 }
 
 void

@@ -1,8 +1,8 @@
 /**
  * @file
- * The transaction flight recorder: a TxObserver that follows every
- * transaction from begin to durable commit and aggregates the spans
- * into streaming histograms.
+ * The transaction flight recorder: a SimEvent subscriber that follows
+ * every transaction from begin to durable commit and aggregates the
+ * spans into streaming histograms.
  *
  * Memory stays bounded for arbitrarily long runs: per-transaction
  * state lives only while the transaction is in flight, every completed
@@ -16,7 +16,7 @@
  * registered with the simulation's main registry, so enabling the
  * recorder also surfaces the merged stages in StatRegistry::dumpJson.
  *
- * The per-cycle commitSlot feed gives each committed transaction an
+ * The per-cycle CommitSlot feed gives each committed transaction an
  * exact CPI-stack decomposition: the seven per-tx slot buckets sum to
  * commitTick - beginTick by construction, and the tracker's per-bucket
  * totals (slotTotal) equal the aggregate CpiStack counts — the
@@ -34,11 +34,18 @@
 #include <string>
 #include <vector>
 
-#include "obs/tx_observer.hh"
+#include "sim/sim_event.hh"
 #include "sim/stats.hh"
 
 namespace proteus {
 namespace obs {
+
+/** Commit-slot buckets (CommitBucket values). */
+constexpr unsigned numTxSlots = 7;
+
+/** @return the tx-stats JSON key of a commit-slot bucket, e.g.
+ *  "persistStall". */
+const char *slotKey(CommitBucket slot);
 
 /** Aggregated stages the recorder histograms (all in cycles except
  *  LogsPerTx, a per-transaction record count). */
@@ -109,7 +116,7 @@ struct TxTimeline
     Tick begin = 0;
     Tick commit = 0;
     std::uint64_t latency = 0;
-    TxSlot critPath = TxSlot::Base;
+    CommitBucket critPath = CommitBucket::Base;
     std::array<std::uint64_t, numTxSlots> slots{};
     std::vector<TxEvent> events;
 };
@@ -148,7 +155,7 @@ struct TxStatsSummary
 };
 
 /** The flight recorder proper. */
-class TxTracker : public TxObserver
+class TxTracker : public SimEventSubscriber
 {
   public:
     /**
@@ -161,21 +168,32 @@ class TxTracker : public TxObserver
               unsigned slowestK);
     ~TxTracker() override;
 
-    void txBegin(CoreId core, TxId tx, Tick at) override;
-    void txCommit(CoreId core, TxId tx, Tick at) override;
-    void txRollback(CoreId core, TxId tx, Tick at) override;
-    void lockRequested(CoreId core, TxId tx, Addr addr, Tick at) override;
-    void lockGranted(CoreId core, TxId tx, Addr addr, Tick at) override;
-    void logCreated(CoreId core, TxId tx, Tick at) override;
-    void logFiltered(CoreId core, TxId tx, Tick at) override;
-    void logAcked(CoreId core, TxId tx, Tick createdAt, Tick at) override;
-    void commitSlot(CoreId core, TxId tx, TxSlot slot,
-                    std::uint64_t n) override;
-    void mcQueued(CoreId core, TxId tx, bool lpq, Tick at) override;
-    void mcIssued(CoreId core, TxId tx, bool lpq, Tick acceptedAt,
-                  Tick at) override;
-    void mcDropped(CoreId core, TxId tx, std::uint64_t n, Tick at) override;
-    void nvmPersisted(CoreId core, TxId tx, bool lpq, Tick at) override;
+    /** Route one stream event to the handler below. Synthesized tx-end
+     *  markers are not followed (their acceptance time is meaningless
+     *  and they carry no payload write), nor are combined writes (no
+     *  new queue entry). */
+    void onEvent(const SimEvent &e) override;
+
+    /// @name Handlers (public so tests can feed synthetic spans)
+    /// @{
+    void txBegin(CoreId core, TxId tx, Tick at);
+    void txCommit(CoreId core, TxId tx, Tick at);
+    void txRollback(CoreId core, TxId tx, Tick at);
+    void lockRequested(CoreId core, TxId tx, Addr addr, Tick at);
+    void lockGranted(CoreId core, TxId tx, Addr addr, Tick at);
+    void logCreated(CoreId core, TxId tx, Tick at);
+    void logFiltered(CoreId core, TxId tx, Tick at);
+    void logAcked(CoreId core, TxId tx, Tick createdAt, Tick at);
+    /** @p n cycles landed in @p slot while @p tx was live. */
+    void commitSlot(CoreId core, TxId tx, CommitBucket slot,
+                    std::uint64_t n);
+    /** A write entered the WPQ (@p lpq false) or LPQ (@p lpq true). */
+    void mcQueued(CoreId core, TxId tx, bool lpq, Tick at);
+    void mcIssued(CoreId core, TxId tx, Tick acceptedAt, Tick at);
+    /** @p n LPQ entries were flash-cleared at tx end. */
+    void mcDropped(CoreId core, TxId tx, std::uint64_t n, Tick at);
+    void nvmPersisted(CoreId core, TxId tx, bool lpq, Tick at);
+    /// @}
 
     /**
      * Merge the per-core distributions into the main-registry "tx.*"

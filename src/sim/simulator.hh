@@ -17,12 +17,11 @@
 #include <vector>
 
 #include "event_queue.hh"
+#include "sim_event.hh"
 #include "stats.hh"
 #include "types.hh"
 
 namespace proteus {
-
-class TraceEventSink;
 
 /** Interface for components advanced once per simulated cycle. */
 class Ticked
@@ -81,13 +80,13 @@ class Simulator
     stats::StatRegistry &statsRegistry() { return _stats; }
 
     /**
-     * Trace-event sink, or nullptr when tracing is off (the default).
-     * Set by the system builder before components are constructed so
-     * they can define their tracks; components must null-check on every
+     * The simulation event stream, or nullptr when nothing subscribes
+     * (the default). Set by the system builder before components are
+     * constructed; components read it once and null-check on every
      * emission path.
      */
-    TraceEventSink *trace() const { return _trace; }
-    void setTraceSink(TraceEventSink *sink) { _trace = sink; }
+    SimEventStream *eventStream() const { return _eventStream; }
+    void setEventStream(SimEventStream *stream) { _eventStream = stream; }
 
     /** Schedule a callback @p delay cycles in the future. */
     void schedule(Tick delay, EventQueue::Callback cb);
@@ -154,7 +153,7 @@ class Simulator
     std::uint64_t _kernelSteps = 0;
     EventQueue _events;
     stats::StatRegistry _stats;
-    TraceEventSink *_trace = nullptr;
+    SimEventStream *_eventStream = nullptr;
     std::vector<Ticked *> _components;
 };
 

@@ -109,13 +109,6 @@ TraceEventSink::flowStart(unsigned cat, std::uint32_t track,
 }
 
 void
-TraceEventSink::flowStep(unsigned cat, std::uint32_t track,
-                         std::string name, Tick ts, std::uint64_t id)
-{
-    flow(cat, track, std::move(name), ts, id, 't');
-}
-
-void
 TraceEventSink::flowFinish(unsigned cat, std::uint32_t track,
                            std::string name, Tick ts, std::uint64_t id)
 {
@@ -227,7 +220,7 @@ TraceEventSink::write(std::ostream &os) const
             os << ", \"dur\": " << e->dur;
         else if (e->phase == 'i')
             os << ", \"s\": \"t\"";
-        else if (e->phase == 's' || e->phase == 't' || e->phase == 'f') {
+        else if (e->phase == 's' || e->phase == 'f') {
             os << ", \"id\": " << e->id;
             if (e->phase == 'f')
                 os << ", \"bp\": \"e\"";

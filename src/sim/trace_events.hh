@@ -3,8 +3,9 @@
  * Chrome Trace Event Format sink (loadable in Perfetto and
  * chrome://tracing).
  *
- * Components emit duration ("X"), instant ("i"), counter ("C"), and
- * flow ("s"/"t"/"f") events onto named tracks; the sink buffers them in
+ * The Perfetto recorder (obs/trace_event_recorder.hh) emits duration
+ * ("X"), instant ("i"), counter ("C"), and flow ("s"/"f") events onto
+ * named tracks; the sink buffers them in
  * a bounded ring and serializes everything as {"traceEvents": [...]}
  * JSON at flush time. Event timestamps are simulated CPU cycles written
  * into the format's microsecond field, so one trace "us" equals one
@@ -20,8 +21,8 @@
  * --trace-categories to retain more.
  *
  * Emission is gated twice so disabled tracing stays off the hot path:
- * callers hold a TraceEventSink pointer that is null when tracing is
- * off, and each event carries a category (cpu / memctrl / log / lock)
+ * the sink and its recorder exist only when tracing is on, and each
+ * event carries a category (cpu / memctrl / log / lock / faults)
  * checked against the --trace-categories mask before any formatting
  * work happens.
  */
@@ -80,15 +81,12 @@ class TraceEventSink
                  Tick ts, double value);
 
     /**
-     * Flow arrows: a flow @p id links a start ("s") through any number
-     * of steps ("t") to a finish ("f") across tracks; viewers draw
-     * arrows between the enclosing slices. Used to connect a
-     * transaction's begin, memory-controller activity, and commit.
+     * Flow arrows: a flow @p id links a start ("s") to a finish ("f");
+     * viewers draw an arrow between the enclosing slices. Used to join
+     * a transaction's begin to its commit.
      */
     void flowStart(unsigned cat, std::uint32_t track, std::string name,
                    Tick ts, std::uint64_t id);
-    void flowStep(unsigned cat, std::uint32_t track, std::string name,
-                  Tick ts, std::uint64_t id);
     void flowFinish(unsigned cat, std::uint32_t track, std::string name,
                     Tick ts, std::uint64_t id);
 
@@ -118,7 +116,7 @@ class TraceEventSink
         Tick ts = 0;
         Tick dur = 0;
         double value = 0;
-        std::uint64_t id = 0;       ///< flow id for 's'/'t'/'f' phases
+        std::uint64_t id = 0;       ///< flow id for 's'/'f' phases
         std::string name;
         std::uint32_t track = 0;
         unsigned cat = 0;

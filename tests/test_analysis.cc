@@ -149,7 +149,7 @@ TEST(AnalysisRules, FlashClearBeforeDurableCommitFires)
     c.lpqFlashCleared(0, 1, 3, 11);     // before the durable point
     c.durablePoint(0, 1, 12);
     c.lpqFlashCleared(0, 1, 3, 13);     // after: fine
-    c.txEndMarker(0, 1, analysis::MarkerOp::Held, 14);
+    c.txEndMarker(0, 1, MarkerOp::Held, 14);
     EXPECT_EQ(1u, ruleViolations(c, Rule::FlashClearAfterCommit));
 }
 

@@ -5,10 +5,13 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "harness/experiments.hh"
-#include "json_validator.hh"
+#include "obs/json_reader.hh"
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 #include "sim/stats.hh"
 #include "sim/trace_events.hh"
 
@@ -44,7 +47,7 @@ TEST(StatsJson, NonFiniteValuesEmitNull)
     std::ostringstream os;
     reg.dumpJson(os);
     const std::string json = os.str();
-    EXPECT_TRUE(testjson::isValidJson(json)) << json;
+    EXPECT_NO_THROW(obs::parseJson(json)) << json;
     EXPECT_NE(json.find("\"weird.nan\": null"), std::string::npos);
     EXPECT_NE(json.find("\"weird.inf\": null"), std::string::npos);
 }
@@ -57,7 +60,7 @@ TEST(StatsJson, EscapesStatNames)
     std::ostringstream os;
     reg.dumpJson(os);
     const std::string json = os.str();
-    EXPECT_TRUE(testjson::isValidJson(json)) << json;
+    EXPECT_NO_THROW(obs::parseJson(json)) << json;
     EXPECT_NE(json.find("odd\\\"name\\\\with\\tescapes"),
               std::string::npos);
 }
@@ -73,7 +76,7 @@ TEST(StatsJson, DistributionEmitsBucketsAndBounds)
     std::ostringstream os;
     reg.dumpJson(os);
     const std::string json = os.str();
-    EXPECT_TRUE(testjson::isValidJson(json)) << json;
+    EXPECT_NO_THROW(obs::parseJson(json)) << json;
     EXPECT_NE(json.find("\"underflow\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"overflow\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"min\": -5"), std::string::npos);
@@ -143,6 +146,44 @@ TEST(BenchOptionsParse, MissingValueIsFatal)
     const char *argv[] = {"prog", "--scale"};
     EXPECT_THROW(BenchOptions::parse(2, const_cast<char **>(argv)),
                  FatalError);
+}
+
+TEST(BenchOptionsParse, NonNumericValuesAreFatal)
+{
+    // std::stoul would throw std::invalid_argument through main (an
+    // abort) or wrap "-1" around; each must be a clean FatalError.
+    const std::vector<std::pair<const char *, const char *>> bad = {
+        {"--scale", "abc"}, {"--scale", "-1"}, {"--seed", "5x"},
+        {"--threads", "+2"}, {"--jobs", ""}, {"--init-scale", " 4"},
+        {"--check-mutate", "-1"},
+        {"--seed", "99999999999999999999"},   // overflows 64 bits
+        {"--scale", "4294967296"},            // overflows 32 bits
+    };
+    for (const auto &[flag, value] : bad) {
+        const char *argv[] = {"prog", flag, value};
+        EXPECT_THROW(BenchOptions::parse(3, const_cast<char **>(argv)),
+                     FatalError)
+            << flag << " " << value;
+    }
+}
+
+TEST(ParseUnsigned, CheckedConversion)
+{
+    EXPECT_EQ(parseUnsigned<unsigned>("--n", "0"), 0u);
+    EXPECT_EQ(parseUnsigned<unsigned>("--n", "4294967295"), 4294967295u);
+    EXPECT_EQ(parseUnsigned<std::uint64_t>("--n", "18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_THROW(parseUnsigned<unsigned>("--n", "4294967296"), FatalError);
+    EXPECT_THROW(parseUnsigned<unsigned>("--n", "5x"), FatalError);
+    EXPECT_THROW(parseUnsigned<unsigned>("--n", "-0"), FatalError);
+    try {
+        parseUnsigned<unsigned>("--scale", "abc");
+        FAIL() << "no FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("--scale: "),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Geomean, Basics)

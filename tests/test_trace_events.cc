@@ -16,7 +16,7 @@
 
 #include "harness/parallel_runner.hh"
 #include "harness/system.hh"
-#include "json_validator.hh"
+#include "obs/json_reader.hh"
 #include "sim/logging.hh"
 #include "sim/trace_events.hh"
 
@@ -115,7 +115,7 @@ TEST(TraceEventSink, RingBoundsEventCountAndCountsDrops)
     // counter event pinned at the earliest retained timestamp.
     std::ostringstream os;
     sink.write(os);
-    EXPECT_TRUE(testjson::isValidJson(os.str())) << os.str();
+    EXPECT_NO_THROW(obs::parseJson(os.str())) << os.str();
     EXPECT_NE(os.str().find("\"droppedEvents\": 6"),
               std::string::npos);
     const auto tracks = perTrackTimestamps(os.str());
@@ -136,7 +136,7 @@ TEST(TraceEventSink, WritesValidJsonWithAllPhases)
     std::ostringstream os;
     sink.write(os);
     const std::string json = os.str();
-    EXPECT_TRUE(testjson::isValidJson(json)) << json;
+    EXPECT_NO_THROW(obs::parseJson(json)) << json;
     EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(json.find("\"dur\": 10"), std::string::npos);
@@ -167,7 +167,7 @@ TEST(TraceEvents, FullSystemFileIsValidAndCycleOrderedPerTrack)
     }
 
     const std::string json = slurp(path);
-    ASSERT_TRUE(testjson::isValidJson(json)) << path;
+    ASSERT_NO_THROW(obs::parseJson(json)) << path;
 
     const auto tracks = perTrackTimestamps(json);
     EXPECT_GE(tracks.size(), 3u);   // pipeline, tx, mc.wpq at least
@@ -206,7 +206,7 @@ TEST(TraceEvents, ParallelBatchProducesIdenticalFiles)
     const auto parallel = run_and_read(8);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_TRUE(testjson::isValidJson(serial[i]));
+        EXPECT_NO_THROW(obs::parseJson(serial[i]));
         EXPECT_EQ(serial[i], parallel[i]) << jobs[i].label;
     }
 }

@@ -21,7 +21,6 @@
 
 #include "harness/experiments.hh"
 #include "harness/parallel_runner.hh"
-#include "json_validator.hh"
 #include "obs/json_reader.hh"
 #include "obs/tx_stats_io.hh"
 #include "obs/tx_tracker.hh"
@@ -79,19 +78,19 @@ TEST(TxTracker, SpanChainInvariants)
     const CoreId c = 0;
     const TxId tx = 7;
 
-    trk.commitSlot(c, 0, obs::TxSlot::Base, 10);    // outside any tx
+    trk.commitSlot(c, 0, CommitBucket::Base, 10);    // outside any tx
     trk.txBegin(c, tx, 100);
     trk.lockRequested(c, tx, 0x40, 100);
     trk.lockGranted(c, tx, 0x40, 115);
-    trk.commitSlot(c, tx, obs::TxSlot::LockWait, 15);
+    trk.commitSlot(c, tx, CommitBucket::LockWait, 15);
     trk.logCreated(c, tx, 120);
     trk.logFiltered(c, tx, 125);
     trk.mcQueued(c, tx, true, 130);
     trk.logAcked(c, tx, 120, 150);
-    trk.mcIssued(c, tx, true, 130, 160);
+    trk.mcIssued(c, tx, 130, 160);
     trk.nvmPersisted(c, tx, true, 180);
-    trk.commitSlot(c, tx, obs::TxSlot::Base, 80);
-    trk.commitSlot(c, tx, obs::TxSlot::PersistStall, 5);
+    trk.commitSlot(c, tx, CommitBucket::Base, 80);
+    trk.commitSlot(c, tx, CommitBucket::PersistStall, 5);
     trk.txCommit(c, tx, 200);
     trk.nvmPersisted(c, tx, false, 220);    // lazy post-commit drain
 
@@ -110,9 +109,9 @@ TEST(TxTracker, SpanChainInvariants)
 
     // Slot accounting: totals include the out-of-tx cycles, in-tx does
     // not, and the per-tx buckets sum to commit - begin.
-    const auto base = static_cast<unsigned>(obs::TxSlot::Base);
-    const auto lock = static_cast<unsigned>(obs::TxSlot::LockWait);
-    const auto stall = static_cast<unsigned>(obs::TxSlot::PersistStall);
+    const auto base = static_cast<unsigned>(CommitBucket::Base);
+    const auto lock = static_cast<unsigned>(CommitBucket::LockWait);
+    const auto stall = static_cast<unsigned>(CommitBucket::PersistStall);
     EXPECT_EQ(s.slotTotal[base], 90u);
     EXPECT_EQ(s.slotInTx[base], 80u);
     EXPECT_EQ(s.slotTotal[lock], 15u);
@@ -125,7 +124,7 @@ TEST(TxTracker, SpanChainInvariants)
     for (std::uint64_t v : tl.slots)
         slot_sum += v;
     EXPECT_EQ(slot_sum, tl.latency);
-    EXPECT_EQ(tl.critPath, obs::TxSlot::Base);
+    EXPECT_EQ(tl.critPath, CommitBucket::Base);
     ASSERT_GE(tl.events.size(), 2u);
     EXPECT_EQ(tl.events.front().kind, obs::TxEvent::Kind::Begin);
     // Events are recorded in chain order, commit last (the post-commit
@@ -153,7 +152,7 @@ TEST(TxTracker, RollbackCountsWithoutCommitSample)
     stats::StatRegistry reg;
     obs::TxTracker trk(reg, 1, 4);
     trk.txBegin(0, 5, 10);
-    trk.commitSlot(0, 5, obs::TxSlot::Base, 20);
+    trk.commitSlot(0, 5, CommitBucket::Base, 20);
     trk.txRollback(0, 5, 30);
 
     const obs::TxStatsSummary s = trk.summary();
@@ -165,7 +164,7 @@ TEST(TxTracker, RollbackCountsWithoutCommitSample)
     EXPECT_EQ(s.stages[cl].count, 0u);      // no latency sample
     EXPECT_TRUE(s.slowest.empty());         // no timeline retained
     // The cycles it burned still count in the slot totals.
-    EXPECT_EQ(s.slotTotal[static_cast<unsigned>(obs::TxSlot::Base)],
+    EXPECT_EQ(s.slotTotal[static_cast<unsigned>(CommitBucket::Base)],
               20u);
 }
 
@@ -175,7 +174,7 @@ TEST(TxTracker, SlowestRingBoundedAndSorted)
     obs::TxTracker trk(reg, 1, 2);
     for (TxId tx = 1; tx <= 5; ++tx) {
         trk.txBegin(0, tx, tx * 1000);
-        trk.commitSlot(0, tx, obs::TxSlot::Base, tx * 10);
+        trk.commitSlot(0, tx, CommitBucket::Base, tx * 10);
         trk.txCommit(0, tx, tx * 1000 + tx * 10);
     }
     const obs::TxStatsSummary s = trk.summary();
@@ -183,6 +182,26 @@ TEST(TxTracker, SlowestRingBoundedAndSorted)
     ASSERT_EQ(s.slowest.size(), 2u);        // ring capped at K
     EXPECT_EQ(s.slowest[0].latency, 50u);   // slowest first
     EXPECT_EQ(s.slowest[1].latency, 40u);
+}
+
+TEST(TxTracker, TimelineCritPathUsesJsonSlotKey)
+{
+    stats::StatRegistry reg;
+    obs::TxTracker trk(reg, 1, 1);
+    trk.txBegin(0, 1, 100);
+    trk.commitSlot(0, 1, CommitBucket::IqLsqFull, 40);
+    trk.commitSlot(0, 1, CommitBucket::Base, 10);
+    trk.txCommit(0, 1, 150);
+
+    obs::TxStatsRow row;
+    row.summary = trk.summary();
+    std::ostringstream os;
+    obs::writeTxStatsJson(os, {row});
+    // The timeline names its critical path with the same camelCase
+    // keys the slot objects use, not the CPI-stack display names.
+    EXPECT_NE(os.str().find("\"critPath\": \"iqLsqFull\""),
+              std::string::npos);
+    EXPECT_EQ(os.str().find("iq-lsq-full"), std::string::npos);
 }
 
 TEST(TxStats, PercentileMatchesSortedReference)
@@ -326,7 +345,7 @@ TEST(TxStats, FileBitIdenticalAcrossCycleSkip)
     // replay of quiescent spans reproduces the per-cycle commit-slot
     // feed exactly, so the files match byte for byte.
     EXPECT_EQ(a, b);
-    EXPECT_TRUE(testjson::isValidJson(a));
+    EXPECT_NO_THROW(obs::parseJson(a));
 
     // And the file round-trips through the report tool's reader.
     const obs::JsonValue doc = obs::parseJson(a);
@@ -389,7 +408,7 @@ TEST(ParallelRunner, TxStatsDeterminism)
     const std::string b = slurp(path_4);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);
-    EXPECT_TRUE(testjson::isValidJson(a));
+    EXPECT_NO_THROW(obs::parseJson(a));
     std::remove(path_1.c_str());
     std::remove(path_4.c_str());
 }

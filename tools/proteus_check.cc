@@ -24,6 +24,7 @@
 #include "harness/check_runner.hh"
 #include "harness/trace_io.hh"
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 #include "workloads/registry.hh"
 
 using namespace proteus;
@@ -88,7 +89,8 @@ extractExtras(std::vector<char *> &args)
                 extras.schemes.push_back(parseScheme(args[i + 1]));
             take_value(2);
         } else if (arg == "--check-mutate" && i + 1 < args.size()) {
-            extras.mutateSeed = std::stol(args[i + 1]);
+            extras.mutateSeed =
+                parseUnsigned<std::uint32_t>(arg, args[i + 1]);
             take_value(2);
         } else {
             ++i;

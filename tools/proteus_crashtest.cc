@@ -22,6 +22,7 @@
 
 #include "crashtest/crash_tester.hh"
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 
 using namespace proteus;
 
@@ -148,20 +149,18 @@ main(int argc, char **argv)
                 opts.mode = CrashMode::Stride;
                 opts.stride = 0;
             } else if (arg == "--sweep-points") {
-                opts.autoPoints =
-                    static_cast<unsigned>(std::stoul(value()));
+                opts.autoPoints = parseUnsigned<unsigned>(arg, value());
             } else if (arg == "--crash-stride") {
                 opts.mode = CrashMode::Stride;
-                opts.stride = std::stoull(value());
+                opts.stride = parseUnsigned<Tick>(arg, value());
             } else if (arg == "--crash-at") {
                 opts.mode = CrashMode::Points;
                 opts.points.clear();
                 for (const std::string &c : splitList(value()))
-                    opts.points.push_back(std::stoull(c));
+                    opts.points.push_back(parseUnsigned<Tick>(arg, c));
             } else if (arg == "--fuzz") {
                 opts.mode = CrashMode::Fuzz;
-                opts.fuzzCount =
-                    static_cast<unsigned>(std::stoul(value()));
+                opts.fuzzCount = parseUnsigned<unsigned>(arg, value());
             } else if (arg == "--schemes") {
                 opts.schemes = parseSchemes(value());
             } else if (arg == "--workloads") {
@@ -171,21 +170,20 @@ main(int argc, char **argv)
             } else if (arg == "--wl-spec-file") {
                 wlSpecFile = value();
             } else if (arg == "--seed") {
-                opts.seed = std::stoull(value());
+                opts.seed = parseUnsigned<std::uint64_t>(arg, value());
             } else if (arg == "--threads") {
-                opts.threads =
-                    static_cast<unsigned>(std::stoul(value()));
+                opts.threads = parseUnsigned<unsigned>(arg, value());
             } else if (arg == "--scale") {
-                opts.scale = static_cast<unsigned>(std::stoul(value()));
+                opts.scale = parseUnsigned<unsigned>(arg, value());
             } else if (arg == "--init-scale") {
-                opts.initScale =
-                    static_cast<unsigned>(std::stoul(value()));
+                opts.initScale = parseUnsigned<unsigned>(arg, value());
             } else if (arg == "--jobs") {
-                opts.jobs = static_cast<unsigned>(std::stoul(value()));
+                opts.jobs = parseUnsigned<unsigned>(arg, value());
             } else if (arg == "--json") {
                 opts.jsonPath = value();
             } else if (arg == "--max-violations") {
-                opts.maxViolations = std::stoul(value());
+                opts.maxViolations =
+                    parseUnsigned<std::size_t>(arg, value());
             } else if (arg == "--no-serialize") {
                 opts.checkSerialization = false;
             } else if (arg == "--check") {
@@ -198,7 +196,8 @@ main(int argc, char **argv)
                 opts.faults = faults::parseFaultSpec(value(),
                                                      opts.faults);
             } else if (arg == "--fault-seed") {
-                opts.faults.seed = std::stoull(value());
+                opts.faults.seed =
+                    parseUnsigned<std::uint64_t>(arg, value());
             } else if (arg == "--break-recovery") {
                 opts.breakRecovery = true;
             } else if (arg == "--help" || arg == "-h") {

@@ -25,6 +25,7 @@
 #include "harness/trace_io.hh"
 #include "recovery/recovery.hh"
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 #include "workloads/registry.hh"
 
 using namespace proteus;
@@ -122,8 +123,8 @@ extractExtras(std::vector<char *> &args)
             extras.scheme = parseScheme(args[i + 1]);
             take_value(2);
         } else if (arg == "--at" && i + 1 < args.size()) {
-            extras.crashPercent = static_cast<unsigned>(
-                std::stoul(args[i + 1]));
+            extras.crashPercent =
+                parseUnsigned<unsigned>(arg, args[i + 1]);
             take_value(2);
         } else if (arg == "--stats") {
             extras.stats = true;

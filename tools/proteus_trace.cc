@@ -21,6 +21,7 @@
 #include "harness/trace_bundle.hh"
 #include "harness/trace_io.hh"
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 #include "workloads/workload.hh"
 
 using namespace proteus;
@@ -90,21 +91,19 @@ cmdRecord(int argc, char **argv)
         } else if (arg == "--with-history") {
             with_history = true;
         } else if (arg == "--scale") {
-            key.params.scale =
-                static_cast<unsigned>(std::stoul(value()));
+            key.params.scale = parseUnsigned<unsigned>(arg, value());
         } else if (arg == "--init-scale") {
-            key.params.initScale =
-                static_cast<unsigned>(std::stoul(value()));
+            key.params.initScale = parseUnsigned<unsigned>(arg, value());
         } else if (arg == "--threads") {
-            key.params.threads =
-                static_cast<unsigned>(std::stoul(value()));
+            key.params.threads = parseUnsigned<unsigned>(arg, value());
         } else if (arg == "--seed") {
-            key.params.seed = std::stoull(value());
+            key.params.seed = parseUnsigned<std::uint64_t>(arg, value());
         } else if (arg == "--log-area-bytes") {
-            key.params.logAreaBytes = std::stoull(value());
+            key.params.logAreaBytes =
+                parseUnsigned<std::uint64_t>(arg, value());
         } else if (arg == "--elements-per-node") {
             key.llOpts.elementsPerNode =
-                static_cast<unsigned>(std::stoul(value()));
+                parseUnsigned<unsigned>(arg, value());
         } else if (arg == "--wl-spec") {
             wl_spec = value();
         } else if (arg == "--wl-spec-file") {

@@ -86,7 +86,7 @@ readSlots(const obs::JsonValue &v)
 {
     std::array<std::uint64_t, obs::numTxSlots> out{};
     for (unsigned s = 0; s < obs::numTxSlots; ++s)
-        out[s] = v.at(obs::toString(static_cast<obs::TxSlot>(s))).asU64();
+        out[s] = v.at(obs::slotKey(static_cast<CommitBucket>(s))).asU64();
     return out;
 }
 
@@ -242,7 +242,7 @@ cmdReport(const std::string &path, bool per_workload)
             if (crit[s] == 0)
                 continue;
             std::cout << (first ? " " : ", ")
-                      << obs::toString(static_cast<obs::TxSlot>(s))
+                      << obs::slotKey(static_cast<CommitBucket>(s))
                       << " " << crit[s];
             if (crit_total) {
                 std::cout << " ("
@@ -265,8 +265,8 @@ cmdReport(const std::string &path, bool per_workload)
                     ++bad;
                     std::cout << "  CPI MISMATCH " << row->workload
                               << " "
-                              << obs::toString(
-                                     static_cast<obs::TxSlot>(s))
+                              << obs::slotKey(
+                                     static_cast<CommitBucket>(s))
                               << ": slotTotal " << row->slotTotal[s]
                               << " != cpi " << row->cpi[s] << "\n";
                 }
