@@ -61,195 +61,180 @@ struct CrashCell
 int
 main(int argc, char **argv)
 {
-    // Strip sweep-only flags, leaving argv for BenchOptions::parse.
-    std::string outPath = "BENCH_faults.json";
-    std::vector<char *> passThrough{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--out" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else {
-            passThrough.push_back(argv[i]);
-        }
-    }
-    BenchOptions opts =
-        BenchOptions::parse(static_cast<int>(passThrough.size()),
-                            passThrough.data());
+    return cli::run([&] {
+        BenchOptions opts;
+        std::string outPath = "BENCH_faults.json";
+        opts.optionTable(argv[0])
+            .add(cli::text("--out", "FILE", "sweep results as JSON",
+                           outPath))
+            .parse(argc, argv);
 
-    const std::vector<LogScheme> schemes{
-        LogScheme::PMEM,      LogScheme::PMEMPCommit,
-        LogScheme::PMEMNoLog, LogScheme::ATOM,
-        LogScheme::Proteus,   LogScheme::ProteusNoLWR};
-    const std::vector<WorkloadKind> workloads{WorkloadKind::Queue,
-                                              WorkloadKind::HashMap};
+        const std::vector<LogScheme> schemes = allSchemes();
+        const std::vector<WorkloadKind> workloads{WorkloadKind::Queue,
+                                                  WorkloadKind::HashMap};
 
-    std::cout << "Fault-injection sweep: " << std::size(tiers)
-              << " tiers x " << schemes.size() << " schemes x "
-              << workloads.size() << " workloads\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
-              << " fault-seed=" << opts.faults.seed << "\n";
+        std::cout << "Fault-injection sweep: " << std::size(tiers)
+                  << " tiers x " << schemes.size() << " schemes x "
+                  << workloads.size() << " workloads\n"
+                  << "scale=" << opts.scale << " threads=" << opts.threads
+                  << " fault-seed=" << opts.faults.seed << "\n";
 
-    // Timing runs: one batch over the full matrix; each job carries its
-    // tier's fault config (the batch is bit-identical at any --jobs).
-    std::vector<SimJob> jobs;
-    for (const FaultTier &tier : tiers) {
-        for (LogScheme s : schemes) {
-            for (WorkloadKind w : workloads) {
-                SystemConfig cfg = opts.makeConfig();
-                if (*tier.spec) {
-                    cfg.faults = faults::parseFaultSpec(tier.spec,
-                                                        opts.faults);
+        // Timing runs: one batch over the full matrix; each job carries its
+        // tier's fault config (the batch is bit-identical at any --jobs).
+        std::vector<SimJob> jobs;
+        for (const FaultTier &tier : tiers) {
+            for (LogScheme s : schemes) {
+                for (WorkloadKind w : workloads) {
+                    SystemConfig cfg = opts.makeConfig();
+                    if (*tier.spec) {
+                        cfg.faults = faults::parseFaultSpec(tier.spec,
+                                                            opts.faults);
+                    }
+                    jobs.push_back(SimJob{cfg, s, w, {},
+                                          std::string(tier.name) + " / " +
+                                              bench::jobLabel(s, w)});
                 }
-                jobs.push_back(SimJob{cfg, s, w, {},
-                                      std::string(tier.name) + " / " +
-                                          bench::jobLabel(s, w)});
             }
         }
-    }
-    const auto outcomes = bench::runBatch(opts, jobs);
+        const auto outcomes = bench::runBatch(opts, jobs);
 
-    // Crash campaigns: every faulty tier, all schemes x workloads,
-    // byte-exact oracle checking (threads=1 by requirement).
-    std::map<std::string, std::map<std::pair<std::string, std::string>,
-                                   CrashCell>>
-        crashCells;
-    std::uint64_t undetected = 0;
-    for (const FaultTier &tier : tiers) {
-        if (!*tier.spec)
-            continue;
-        CrashTestOptions ct;
-        ct.schemes = schemes;
-        ct.workloads = workloads;
-        ct.threads = 1;
-        ct.scale = opts.scale;
-        ct.seed = opts.seed;
-        ct.mode = CrashMode::Stride;
-        ct.autoPoints = 5;
-        ct.jobs = opts.jobs;
-        ct.cycleSkip = opts.cycleSkip;
-        ct.useTraceCache = opts.traceCache;
-        ct.faults = faults::parseFaultSpec(tier.spec, opts.faults);
-        std::ostringstream progress;
-        const CrashTestSummary summary = runCrashTests(ct, progress);
-        for (const CrashPairResult &pair : summary.pairs) {
-            CrashCell cell;
-            cell.crashPoints = pair.points.size();
-            cell.silentCorruption = pair.violations;
-            cell.detectedUnrecoverable = pair.detectedUnrecoverable;
-            crashCells[tier.name][{toString(pair.scheme),
-                                   toString(pair.workload)}] = cell;
-        }
-        undetected += summary.violations;
-        std::cout << "crashtest tier " << tier.name << ": "
-                  << summary.crashPoints << " points, "
-                  << summary.violations << " silent, "
-                  << summary.detectedUnrecoverable
-                  << " detected-unrecoverable\n";
-        if (!summary.ok)
-            std::cout << progress.str();
-    }
-
-    // Sum silent (ECC-missed) faults from the timing runs too: the
-    // sweep's detect strength must make them impossible.
-    for (const auto &outcome : outcomes) {
-        if (outcome.result.faultStats.enabled)
-            undetected += outcome.result.faultStats.silentFaults;
-    }
-
-    // Baseline cycles per (scheme, workload) for the slowdown column.
-    std::map<std::pair<std::string, std::string>, double> baseCycles;
-    std::size_t job = 0;
-    for (const FaultTier &tier : tiers) {
-        if (*tier.spec) {
-            job += schemes.size() * workloads.size();
-            continue;
-        }
-        for (LogScheme s : schemes) {
-            for (WorkloadKind w : workloads) {
-                baseCycles[{toString(s), toString(w)}] =
-                    static_cast<double>(outcomes[job].result.cycles);
-                ++job;
-            }
-        }
-    }
-
-    std::ofstream os(outPath);
-    if (!os)
-        fatal("cannot open --out file: ", outPath);
-    os << "{\"benchmark\": \"fault_sweep\", \"scale\": " << opts.scale
-       << ", \"threads\": " << opts.threads
-       << ", \"seed\": " << opts.seed
-       << ", \"faultSeed\": " << opts.faults.seed
-       << ", \"undetectedCorruption\": " << undetected
-       << ", \"rows\": [\n";
-
-    TablePrinter table({"tier / scheme", "workload", "slowdown",
-                        "detected", "retries", "silent", "crash-ok"});
-    table.printHeader(std::cout);
-
-    job = 0;
-    bool firstRow = true;
-    for (const FaultTier &tier : tiers) {
-        for (LogScheme s : schemes) {
-            for (WorkloadKind w : workloads) {
-                const RunResult &r = outcomes[job].result;
-                const double base =
-                    baseCycles[{toString(s), toString(w)}];
-                const double slowdown =
-                    base > 0 ? static_cast<double>(r.cycles) / base
-                             : 0.0;
+        // Crash campaigns: every faulty tier, all schemes x workloads,
+        // byte-exact oracle checking (threads=1 by requirement).
+        std::map<std::string, std::map<std::pair<std::string, std::string>,
+                                       CrashCell>>
+            crashCells;
+        std::uint64_t undetected = 0;
+        for (const FaultTier &tier : tiers) {
+            if (!*tier.spec)
+                continue;
+            CrashTestOptions ct = crashTestOptionsFor(opts);
+            ct.schemes = schemes;
+            ct.workloads = workloads;
+            ct.autoPoints = 5;
+            ct.faults = faults::parseFaultSpec(tier.spec, opts.faults);
+            std::ostringstream progress;
+            const CrashTestSummary summary = runCrashTests(ct, progress);
+            for (const CrashPairResult &pair : summary.pairs) {
                 CrashCell cell;
-                if (*tier.spec) {
-                    cell = crashCells[tier.name][{toString(s),
-                                                  toString(w)}];
+                cell.crashPoints = pair.points.size();
+                cell.silentCorruption = pair.violations;
+                cell.detectedUnrecoverable = pair.detectedUnrecoverable;
+                crashCells[tier.name][{toString(pair.scheme),
+                                       toString(pair.workload)}] = cell;
+            }
+            undetected += summary.violations;
+            std::cout << "crashtest tier " << tier.name << ": "
+                      << summary.crashPoints << " points, "
+                      << summary.violations << " silent, "
+                      << summary.detectedUnrecoverable
+                      << " detected-unrecoverable\n";
+            if (!summary.ok)
+                std::cout << progress.str();
+        }
+
+        // Sum silent (ECC-missed) faults from the timing runs too: the
+        // sweep's detect strength must make them impossible.
+        for (const auto &outcome : outcomes) {
+            if (outcome.result.faultStats.enabled)
+                undetected += outcome.result.faultStats.silentFaults;
+        }
+
+        // Baseline cycles per (scheme, workload) for the slowdown column.
+        std::map<std::pair<std::string, std::string>, double> baseCycles;
+        std::size_t job = 0;
+        for (const FaultTier &tier : tiers) {
+            if (*tier.spec) {
+                job += schemes.size() * workloads.size();
+                continue;
+            }
+            for (LogScheme s : schemes) {
+                for (WorkloadKind w : workloads) {
+                    baseCycles[{toString(s), toString(w)}] =
+                        static_cast<double>(outcomes[job].result.cycles);
+                    ++job;
                 }
-
-                if (!firstRow)
-                    os << ",\n";
-                firstRow = false;
-                os << "  {\"tier\": " << json::quoted(tier.name)
-                   << ", \"scheme\": " << json::quoted(toString(s))
-                   << ", \"workload\": " << json::quoted(toString(w))
-                   << ", \"faults\": " << json::quoted(tier.spec)
-                   << ", \"cycles\": " << r.cycles
-                   << ", \"slowdown\": " << std::fixed
-                   << std::setprecision(4) << slowdown
-                   << std::defaultfloat
-                   << ", \"tornWrites\": " << r.faultStats.tornWrites
-                   << ", \"wornWrites\": " << r.faultStats.wornWrites
-                   << ", \"eccCorrected\": " << r.faultStats.eccCorrected
-                   << ", \"eccDetected\": " << r.faultStats.eccDetected
-                   << ", \"silentFaults\": " << r.faultStats.silentFaults
-                   << ", \"readRetries\": " << r.faultStats.readRetries
-                   << ", \"retriesExhausted\": "
-                   << r.faultStats.retriesExhausted
-                   << ", \"poisonedLines\": "
-                   << r.faultStats.poisonedLines
-                   << ", \"crashPoints\": " << cell.crashPoints
-                   << ", \"silentCorruption\": " << cell.silentCorruption
-                   << ", \"detectedUnrecoverable\": "
-                   << cell.detectedUnrecoverable << "}";
-
-                table.printRow(
-                    std::cout,
-                    {std::string(tier.name) + " / " + toString(s),
-                     toString(w), TablePrinter::fmt(slowdown, 3),
-                     std::to_string(r.faultStats.eccDetected),
-                     std::to_string(r.faultStats.readRetries),
-                     std::to_string(r.faultStats.silentFaults),
-                     *tier.spec
-                         ? std::to_string(cell.crashPoints -
-                                          cell.silentCorruption) +
-                               "/" + std::to_string(cell.crashPoints)
-                         : "-"});
-                ++job;
             }
         }
-    }
-    os << "\n]}\n";
-    if (!os.flush())
-        fatal("failed writing --out file: ", outPath);
 
-    std::cout << "\nundetected corruption: " << undetected
-              << " (must be 0) -> " << outPath << "\n";
-    return undetected == 0 ? 0 : 1;
+        std::ofstream os(outPath);
+        if (!os)
+            fatal("cannot open --out file: ", outPath);
+        os << "{\"benchmark\": \"fault_sweep\", \"scale\": " << opts.scale
+           << ", \"threads\": " << opts.threads
+           << ", \"seed\": " << opts.seed
+           << ", \"faultSeed\": " << opts.faults.seed
+           << ", \"undetectedCorruption\": " << undetected
+           << ", \"rows\": [\n";
+
+        TablePrinter table({"tier / scheme", "workload", "slowdown",
+                            "detected", "retries", "silent", "crash-ok"});
+        table.printHeader(std::cout);
+
+        job = 0;
+        bool firstRow = true;
+        for (const FaultTier &tier : tiers) {
+            for (LogScheme s : schemes) {
+                for (WorkloadKind w : workloads) {
+                    const RunResult &r = outcomes[job].result;
+                    const double base =
+                        baseCycles[{toString(s), toString(w)}];
+                    const double slowdown =
+                        base > 0 ? static_cast<double>(r.cycles) / base
+                                 : 0.0;
+                    CrashCell cell;
+                    if (*tier.spec) {
+                        cell = crashCells[tier.name][{toString(s),
+                                                      toString(w)}];
+                    }
+
+                    if (!firstRow)
+                        os << ",\n";
+                    firstRow = false;
+                    os << "  {\"tier\": " << json::quoted(tier.name)
+                       << ", \"scheme\": " << json::quoted(toString(s))
+                       << ", \"workload\": " << json::quoted(toString(w))
+                       << ", \"faults\": " << json::quoted(tier.spec)
+                       << ", \"cycles\": " << r.cycles
+                       << ", \"slowdown\": " << std::fixed
+                       << std::setprecision(4) << slowdown
+                       << std::defaultfloat
+                       << ", \"tornWrites\": " << r.faultStats.tornWrites
+                       << ", \"wornWrites\": " << r.faultStats.wornWrites
+                       << ", \"eccCorrected\": " << r.faultStats.eccCorrected
+                       << ", \"eccDetected\": " << r.faultStats.eccDetected
+                       << ", \"silentFaults\": " << r.faultStats.silentFaults
+                       << ", \"readRetries\": " << r.faultStats.readRetries
+                       << ", \"retriesExhausted\": "
+                       << r.faultStats.retriesExhausted
+                       << ", \"poisonedLines\": "
+                       << r.faultStats.poisonedLines
+                       << ", \"crashPoints\": " << cell.crashPoints
+                       << ", \"silentCorruption\": " << cell.silentCorruption
+                       << ", \"detectedUnrecoverable\": "
+                       << cell.detectedUnrecoverable << "}";
+
+                    table.printRow(
+                        std::cout,
+                        {std::string(tier.name) + " / " + toString(s),
+                         toString(w), TablePrinter::fmt(slowdown, 3),
+                         std::to_string(r.faultStats.eccDetected),
+                         std::to_string(r.faultStats.readRetries),
+                         std::to_string(r.faultStats.silentFaults),
+                         *tier.spec
+                             ? std::to_string(cell.crashPoints -
+                                              cell.silentCorruption) +
+                                   "/" + std::to_string(cell.crashPoints)
+                             : "-"});
+                    ++job;
+                }
+            }
+        }
+        os << "\n]}\n";
+        if (!os.flush())
+            fatal("failed writing --out file: ", outPath);
+
+        std::cout << "\nundetected corruption: " << undetected
+                  << " (must be 0) -> " << outPath << "\n";
+        return undetected == 0 ? 0 : 1;
+    });
 }

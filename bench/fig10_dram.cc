@@ -13,20 +13,22 @@ using namespace proteus;
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = BenchOptions::parse(argc, argv);
-    opts.dram = true;
-    std::cout << "Figure 10: speedup on DRAM (NVDIMM, Section 7.2)\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
-              << "\n";
+    return cli::run([&] {
+        BenchOptions opts = BenchOptions::parse(argc, argv);
+        opts.dram = true;
+        std::cout << "Figure 10: speedup on DRAM (NVDIMM, Section 7.2)\n"
+                  << "scale=" << opts.scale << " threads=" << opts.threads
+                  << "\n";
 
-    const auto matrix = bench::runMatrix(
-        opts,
-        {LogScheme::PMEM, LogScheme::PMEMPCommit, LogScheme::ATOM,
-         LogScheme::Proteus, LogScheme::PMEMNoLog},
-        allPaperWorkloads());
+        const auto matrix = bench::runMatrix(
+            opts,
+            {LogScheme::PMEM, LogScheme::PMEMPCommit, LogScheme::ATOM,
+             LogScheme::Proteus, LogScheme::PMEMNoLog},
+            allPaperWorkloads());
 
-    bench::printSpeedups(matrix, LogScheme::PMEM,
-                         "Speedup over PMEM on DRAM "
-                         "(paper Figure 10)");
-    return 0;
+        bench::printSpeedups(matrix, LogScheme::PMEM,
+                             "Speedup over PMEM on DRAM "
+                             "(paper Figure 10)");
+        return 0;
+    });
 }

@@ -15,8 +15,6 @@
  * bit-identical at any --jobs level.
  */
 
-#include <sstream>
-
 #include "bench_util.hh"
 #include "sim/logging.hh"
 #include "wlgen/spec.hh"
@@ -25,44 +23,20 @@ using namespace proteus;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &arg)
+/** A sweep axis: a non-empty comma list of values. */
+cli::Option
+axisOption(const std::string &flag, std::string help,
+           std::vector<std::string> &dst)
 {
-    std::vector<std::string> out;
-    std::stringstream ss(arg);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-/** Sweep axes; pulled out of argv before BenchOptions::parse. */
-struct SweepAxes
-{
-    std::vector<std::string> thetas{"0", "0.5", "0.9", "0.99"};
-    std::vector<std::string> txKeys{"1", "4", "16"};
-};
-
-SweepAxes
-extractAxes(std::vector<char *> &args)
-{
-    SweepAxes axes;
-    for (std::size_t i = 1; i < args.size();) {
-        const std::string arg = args[i];
-        if ((arg == "--thetas" || arg == "--tx-keys") &&
-            i + 1 < args.size()) {
-            auto &dst = arg == "--thetas" ? axes.thetas : axes.txKeys;
-            dst = splitList(args[i + 1]);
-            if (dst.empty())
-                fatal(arg, " needs a non-empty comma list");
-            args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                       args.begin() + static_cast<std::ptrdiff_t>(i + 2));
-        } else {
-            ++i;
-        }
-    }
-    return axes;
+    std::string dflt;
+    for (const std::string &v : dst)
+        dflt += (dflt.empty() ? "" : ",") + v;
+    return {flag, "LIST", std::move(help), dflt,
+            [&dst, flag](const std::string &v) {
+                dst = splitList(v);
+                if (dst.empty())
+                    fatal(flag, ": needs a non-empty comma list");
+            }};
 }
 
 } // namespace
@@ -70,109 +44,113 @@ extractAxes(std::vector<char *> &args)
 int
 main(int argc, char **argv)
 {
-    std::vector<char *> args(argv, argv + argc);
-    const SweepAxes axes = extractAxes(args);
-    BenchOptions opts = BenchOptions::parse(
-        static_cast<int>(args.size()), args.data());
-    if (opts.jsonPath.empty())
+    return cli::run([&] {
+        BenchOptions opts;
         opts.jsonPath = "BENCH_gen.json";
+        std::vector<std::string> thetas{"0", "0.5", "0.9", "0.99"};
+        std::vector<std::string> txKeys{"1", "4", "16"};
+        opts.optionTable(argv[0])
+            .add(cli::specOptions(opts.wlSpec, opts.wlSpecFile))
+            .add(axisOption("--thetas", "Zipfian thetas to sweep", thetas))
+            .add(axisOption("--tx-keys", "keys per transaction to sweep",
+                            txKeys))
+            .parse(argc, argv);
 
-    const wlgen::GenSpec base = opts.genSpec();
-    const std::vector<LogScheme> schemes{
-        LogScheme::PMEM, LogScheme::PMEMPCommit, LogScheme::PMEMNoLog,
-        LogScheme::ATOM, LogScheme::Proteus, LogScheme::ProteusNoLWR};
+        const wlgen::GenSpec base = opts.genSpec();
+        const std::vector<LogScheme> schemes = allSchemes();
 
-    // One combo per (theta, keys-per-tx); each parses on top of the
-    // base spec so --wl-spec still controls mix/value size/key space.
-    struct Combo
-    {
-        std::string name;       ///< e.g. "gen(t0.9,k4)"
-        wlgen::GenSpec spec;
-    };
-    std::vector<Combo> combos;
-    for (const std::string &theta : axes.thetas) {
-        for (const std::string &keys : axes.txKeys) {
-            const std::string delta =
-                "dist=zipf,theta=" + theta + ",keys=" + keys;
-            combos.push_back(
-                Combo{"gen(t" + theta + ",k" + keys + ")",
-                      wlgen::GenSpec::parse(delta, base)});
+        // One combo per (theta, keys-per-tx); each parses on top of the
+        // base spec so --wl-spec still controls mix/value size/key space.
+        struct Combo
+        {
+            std::string name;       ///< e.g. "gen(t0.9,k4)"
+            wlgen::GenSpec spec;
+        };
+        std::vector<Combo> combos;
+        for (const std::string &theta : thetas) {
+            for (const std::string &keys : txKeys) {
+                const std::string delta =
+                    "dist=zipf,theta=" + theta + ",keys=" + keys;
+                combos.push_back(
+                    Combo{"gen(t" + theta + ",k" + keys + ")",
+                          wlgen::GenSpec::parse(delta, base)});
+            }
         }
-    }
 
-    std::cout << "generated-workload sweep: " << axes.thetas.size()
-              << " thetas x " << axes.txKeys.size() << " tx sizes x "
-              << schemes.size() << " schemes\n"
-              << "base spec: " << base.canonical() << "\n"
-              << "scale=" << opts.scale << " threads=" << opts.threads
-              << "\n\n";
+        std::cout << "generated-workload sweep: " << thetas.size()
+                  << " thetas x " << txKeys.size() << " tx sizes x "
+                  << schemes.size() << " schemes\n"
+                  << "base spec: " << base.canonical() << "\n"
+                  << "scale=" << opts.scale << " threads=" << opts.threads
+                  << "\n\n";
 
-    std::vector<SimJob> jobs;
-    jobs.reserve(combos.size() * schemes.size());
-    for (const Combo &c : combos) {
-        WorkloadExtras extras;
-        extras.gen = c.spec;
+        std::vector<SimJob> jobs;
+        jobs.reserve(combos.size() * schemes.size());
+        for (const Combo &c : combos) {
+            WorkloadExtras extras;
+            extras.gen = c.spec;
+            for (LogScheme s : schemes)
+                jobs.push_back(SimJob{opts.makeConfig(), s,
+                                      WorkloadKind::Generated, extras,
+                                      c.name + " " + toString(s)});
+        }
+
+        // Run directly (not bench::runBatch): the JSON and tx-stats rows
+        // must carry the combo name, not the bare "GEN" workload label.
+        ParallelRunner runner(opts.jobs);
+        ProgressReporter progress(std::cerr);
+        const auto results = runner.run(jobs, opts, &progress);
+
+        std::vector<JsonResultRow> rows;
+        std::vector<obs::TxStatsRow> tx_rows;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const Combo &c = combos[i / schemes.size()];
+            rows.push_back(JsonResultRow{toString(jobs[i].scheme), c.name,
+                                         results[i].result,
+                                         results[i].wallMs});
+            if (!opts.txStats.empty()) {
+                obs::TxStatsRow row = makeTxStatsRow(
+                    opts, jobs[i].scheme, jobs[i].kind, results[i].result);
+                row.workload = c.name;
+                tx_rows.push_back(row);
+            }
+        }
+        writeJsonResults(opts.jsonPath, rows);
+        if (!opts.txStats.empty())
+            obs::writeTxStatsFile(opts.txStats, tx_rows);
+
+        std::vector<std::string> cols{"combo"};
         for (LogScheme s : schemes)
-            jobs.push_back(SimJob{opts.makeConfig(), s,
-                                  WorkloadKind::Generated, extras,
-                                  c.name + " " + toString(s)});
-    }
-
-    // Run directly (not bench::runBatch): the JSON and tx-stats rows
-    // must carry the combo name, not the bare "GEN" workload label.
-    ParallelRunner runner(opts.jobs);
-    ProgressReporter progress(std::cerr);
-    const auto results = runner.run(jobs, opts, &progress);
-
-    std::vector<JsonResultRow> rows;
-    std::vector<obs::TxStatsRow> tx_rows;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const Combo &c = combos[i / schemes.size()];
-        rows.push_back(JsonResultRow{toString(jobs[i].scheme), c.name,
-                                     results[i].result,
-                                     results[i].wallMs});
-        if (!opts.txStats.empty()) {
-            obs::TxStatsRow row = makeTxStatsRow(
-                opts, jobs[i].scheme, jobs[i].kind, results[i].result);
-            row.workload = c.name;
-            tx_rows.push_back(row);
+            cols.push_back(toString(s));
+        TablePrinter cycles(cols);
+        std::cout << "cycles per (combo, scheme)\n";
+        cycles.printHeader(std::cout);
+        bool all_finished = true;
+        for (std::size_t c = 0; c < combos.size(); ++c) {
+            std::vector<std::string> cells{combos[c].name};
+            for (std::size_t s = 0; s < schemes.size(); ++s) {
+                const SimJobResult &r = results[c * schemes.size() + s];
+                cells.push_back(std::to_string(r.result.cycles));
+                all_finished = all_finished && r.result.finished;
+            }
+            cycles.printRow(std::cout, cells);
         }
-    }
-    writeJsonResults(opts.jsonPath, rows);
-    if (!opts.txStats.empty())
-        obs::writeTxStatsFile(opts.txStats, tx_rows);
 
-    std::vector<std::string> cols{"combo"};
-    for (LogScheme s : schemes)
-        cols.push_back(toString(s));
-    TablePrinter cycles(cols);
-    std::cout << "cycles per (combo, scheme)\n";
-    cycles.printHeader(std::cout);
-    bool all_finished = true;
-    for (std::size_t c = 0; c < combos.size(); ++c) {
-        std::vector<std::string> cells{combos[c].name};
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
-            const SimJobResult &r = results[c * schemes.size() + s];
-            cells.push_back(std::to_string(r.result.cycles));
-            all_finished = all_finished && r.result.finished;
+        TablePrinter speedup(cols);
+        std::cout << "\nspeedup over PMEM\n";
+        speedup.printHeader(std::cout);
+        for (std::size_t c = 0; c < combos.size(); ++c) {
+            const double pmem = static_cast<double>(
+                results[c * schemes.size()].result.cycles);
+            std::vector<std::string> cells{combos[c].name};
+            for (std::size_t s = 0; s < schemes.size(); ++s) {
+                const SimJobResult &r = results[c * schemes.size() + s];
+                cells.push_back(TablePrinter::fmt(
+                    pmem / static_cast<double>(r.result.cycles)));
+            }
+            speedup.printRow(std::cout, cells);
         }
-        cycles.printRow(std::cout, cells);
-    }
-
-    TablePrinter speedup(cols);
-    std::cout << "\nspeedup over PMEM\n";
-    speedup.printHeader(std::cout);
-    for (std::size_t c = 0; c < combos.size(); ++c) {
-        const double pmem = static_cast<double>(
-            results[c * schemes.size()].result.cycles);
-        std::vector<std::string> cells{combos[c].name};
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
-            const SimJobResult &r = results[c * schemes.size() + s];
-            cells.push_back(TablePrinter::fmt(
-                pmem / static_cast<double>(r.result.cycles)));
-        }
-        speedup.printRow(std::cout, cells);
-    }
-    std::cout << "\nwrote " << opts.jsonPath << "\n";
-    return all_finished ? 0 : 1;
+        std::cout << "\nwrote " << opts.jsonPath << "\n";
+        return all_finished ? 0 : 1;
+    });
 }

@@ -8,6 +8,7 @@
 
 #include "dram/nvm_timing.hh"
 #include "cache/cache_array.hh"
+#include "harness/options.hh"
 #include "harness/system.hh"
 #include "heap/memory_image.hh"
 #include "logging/llt.hh"
@@ -150,4 +151,17 @@ BENCHMARK(BM_Xoshiro);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    // Google Benchmark owns this binary's flags (and its --help, which
+    // exits 0); anything it leaves in argv is an unknown option.
+    return cli::run([&] {
+        benchmark::Initialize(&argc, argv);
+        if (argc > 1)
+            fatal(argv[1], ": unknown option (see --help)");
+        benchmark::RunSpecifiedBenchmarks();
+        benchmark::Shutdown();
+        return 0;
+    });
+}

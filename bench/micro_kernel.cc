@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/options.hh"
 #include "sim/simulator.hh"
 
 using namespace proteus;
@@ -171,68 +172,56 @@ writeJson(const std::string &path, const std::vector<Row> &rows)
 int
 main(int argc, char **argv)
 {
-    Tick cycles = 20'000'000;
-    unsigned devices = 4;
-    std::string jsonPath = "BENCH_kernel.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << arg << " needs a value\n";
-                std::exit(2);
-            }
-            return argv[++i];
+    return cli::run([&] {
+        Tick cycles = 20'000'000;
+        unsigned devices = 4;
+        std::string jsonPath = "BENCH_kernel.json";
+        cli::OptionTable(cli::programName(argv[0]) + " [options]")
+            .add(cli::number("--cycles", "N", "simulated cycles per run",
+                             cycles))
+            .add(cli::number("--devices", "N", "synthetic devices",
+                             devices))
+            .add(cli::text("--json", "FILE", "results as JSON", jsonPath))
+            .parse(argc, argv);
+
+        // Idle-heavy mirrors a persist-ordering stall (short bursts between
+        // long event-bound waits); busy-heavy keeps devices ticking almost
+        // every cycle so skipping can only add overhead.
+        const std::vector<Scenario> scenarios{
+            {"idle_heavy", /*busySpan=*/4, /*idleSpan=*/1000},
+            {"busy_heavy", /*busySpan=*/1000, /*idleSpan=*/4},
         };
-        if (arg == "--cycles") {
-            cycles = std::stoull(value());
-        } else if (arg == "--devices") {
-            devices = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg == "--json") {
-            jsonPath = value();
-        } else {
-            std::cerr << "usage: micro_kernel [--cycles N] [--devices N]"
-                      << " [--json FILE]\n";
-            return arg == "--help" || arg == "-h" ? 0 : 2;
-        }
-    }
 
-    // Idle-heavy mirrors a persist-ordering stall (short bursts between
-    // long event-bound waits); busy-heavy keeps devices ticking almost
-    // every cycle so skipping can only add overhead.
-    const std::vector<Scenario> scenarios{
-        {"idle_heavy", /*busySpan=*/4, /*idleSpan=*/1000},
-        {"busy_heavy", /*busySpan=*/1000, /*idleSpan=*/4},
-    };
-
-    std::vector<Row> rows;
-    std::cout << "kernel micro-benchmark: " << cycles << " cycles, "
-              << devices << " devices\n\n"
-              << std::left << std::setw(12) << "scenario" << std::setw(10)
-              << "skip" << std::setw(12) << "wall ms" << std::setw(14)
-              << "kernelSteps" << std::setw(15) << "skippedCycles"
-              << "speedup\n";
-    for (const Scenario &sc : scenarios) {
-        const Row off = runScenario(sc, false, cycles, devices);
-        const Row on = runScenario(sc, true, cycles, devices);
-        if (on.work != off.work || on.simCycles != off.simCycles) {
-            std::cerr << "FAIL: " << sc.name
-                      << " diverged between modes (work " << on.work
-                      << " vs " << off.work << ")\n";
-            return 1;
+        std::vector<Row> rows;
+        std::cout << "kernel micro-benchmark: " << cycles << " cycles, "
+                  << devices << " devices\n\n"
+                  << std::left << std::setw(12) << "scenario" << std::setw(10)
+                  << "skip" << std::setw(12) << "wall ms" << std::setw(14)
+                  << "kernelSteps" << std::setw(15) << "skippedCycles"
+                  << "speedup\n";
+        for (const Scenario &sc : scenarios) {
+            const Row off = runScenario(sc, false, cycles, devices);
+            const Row on = runScenario(sc, true, cycles, devices);
+            if (on.work != off.work || on.simCycles != off.simCycles) {
+                std::cerr << "FAIL: " << sc.name
+                          << " diverged between modes (work " << on.work
+                          << " vs " << off.work << ")\n";
+                return 1;
+            }
+            for (const Row &r : {off, on}) {
+                std::cout << std::left << std::setw(12) << r.scenario
+                          << std::setw(10) << (r.cycleSkip ? "on" : "off")
+                          << std::setw(12) << std::fixed
+                          << std::setprecision(1) << r.wallMs << std::setw(14)
+                          << r.kernelSteps << std::setw(15) << r.skippedCycles
+                          << std::setprecision(2)
+                          << (r.cycleSkip ? off.wallMs / r.wallMs : 1.0)
+                          << "x\n";
+                rows.push_back(r);
+            }
         }
-        for (const Row &r : {off, on}) {
-            std::cout << std::left << std::setw(12) << r.scenario
-                      << std::setw(10) << (r.cycleSkip ? "on" : "off")
-                      << std::setw(12) << std::fixed
-                      << std::setprecision(1) << r.wallMs << std::setw(14)
-                      << r.kernelSteps << std::setw(15) << r.skippedCycles
-                      << std::setprecision(2)
-                      << (r.cycleSkip ? off.wallMs / r.wallMs : 1.0)
-                      << "x\n";
-            rows.push_back(r);
-        }
-    }
-    writeJson(jsonPath, rows);
-    std::cout << "\nwrote " << jsonPath << "\n";
-    return 0;
+        writeJson(jsonPath, rows);
+        std::cout << "\nwrote " << jsonPath << "\n";
+        return 0;
+    });
 }

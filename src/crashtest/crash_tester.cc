@@ -146,6 +146,20 @@ recoverAllThreads(FullSystem &system, MemoryImage &image)
     return results;
 }
 
+CrashTestOptions
+crashTestOptionsFor(const BenchOptions &bench)
+{
+    CrashTestOptions ct;
+    ct.scale = bench.scale;
+    ct.initScale = bench.initScale;
+    ct.seed = bench.seed;
+    ct.jobs = bench.jobs;
+    ct.useTraceCache = bench.traceCache;
+    ct.cycleSkip = bench.cycleSkip;
+    ct.faults = bench.faults;
+    return ct;
+}
+
 std::string
 replayCommand(const CrashTestOptions &opts, const CrashPairResult &pair)
 {
@@ -258,26 +272,6 @@ checkCrashPoint(const CrashTestOptions &opts, FullSystem &sys,
         mediaLoss && (!checksOk || row.oracle.poisonedBytes > 0);
     row.ok = checksOk || mediaLoss;
     return row;
-}
-
-/** Minimal byte-diff note for a detected-unrecoverable crash point. */
-std::string
-formatDetectedLoss(const CrashPairResult &pair,
-                   const CrashPointResult &row)
-{
-    std::ostringstream os;
-    os << "DETECTED-UNRECOVERABLE " << toString(pair.scheme) << "/"
-       << toString(pair.workload) << " crash at cycle "
-       << row.crashCycle << ": " << row.poisonedLines
-       << " poisoned lines, " << row.poisonedSlots
-       << " poisoned log slots, " << row.oracle.poisonedBytes
-       << " tracked bytes lost\n";
-    for (const OracleViolation &v : row.oracle.poisonedSample) {
-        os << "    " << fmtHex(v.addr) << ": expected "
-           << fmtHex(v.expected) << ", media lost the line — "
-           << v.note << "\n";
-    }
-    return os.str();
 }
 
 /** Human-readable report of one failed crash point. */
@@ -447,9 +441,6 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
                     formatFailure(opts, sys, pair, row));
         } else if (row.detectedUnrecoverable) {
             ++pair.detectedUnrecoverable;
-            if (pair.degradedReports.size() < 5)
-                pair.degradedReports.push_back(
-                    formatDetectedLoss(pair, row));
         }
         pair.points.push_back(std::move(row));
     }
@@ -579,16 +570,12 @@ runCrashTests(const CrashTestOptions &opts, std::ostream &os)
                << toString(pair.scheme) << "/" << toString(pair.workload)
                << "\n";
         }
-        if (opts.verbose) {
-            for (const std::string &report : pair.degradedReports)
-                os << report;
-        }
-        if (pair.detectedUnrecoverable > 0 && !opts.verbose) {
+        if (pair.detectedUnrecoverable > 0) {
             os << "  " << pair.detectedUnrecoverable
                << " crash points with detected-unrecoverable media "
                   "loss in "
                << toString(pair.scheme) << "/" << toString(pair.workload)
-               << " (acceptable; --verbose for byte diffs)\n";
+               << " (acceptable)\n";
         }
     }
     summary.ok = summary.violations == 0;

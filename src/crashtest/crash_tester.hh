@@ -27,6 +27,7 @@
 
 #include "commit_oracle.hh"
 #include "faults/fault_config.hh"
+#include "harness/experiments.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/system.hh"
 #include "recovery/recovery.hh"
@@ -86,7 +87,6 @@ struct CrashTestOptions
      *  Crash points are cycle numbers; skipping clamps to them via
      *  run()'s limit, so sweeps are bit-identical either way. */
     bool cycleSkip = true;
-    bool verbose = false;
     /**
      * NVM media fault injection composed with the crash campaign
      * (--faults / --fault-seed). With faults active a crash point may
@@ -138,8 +138,6 @@ struct CrashPairResult
     /** Crash points verdicted detectedUnrecoverable (media loss). */
     std::uint64_t detectedUnrecoverable = 0;
     std::vector<std::string> failureReports;    ///< human-readable
-    /** Byte-diff notes for detected-unrecoverable points (capped). */
-    std::vector<std::string> degradedReports;
 };
 
 /** Campaign outcome. */
@@ -170,6 +168,12 @@ std::vector<RecoveryResult> recoverAllThreads(FullSystem &system,
  */
 CrashTestSummary runCrashTests(const CrashTestOptions &opts,
                                std::ostream &os);
+
+/** A campaign at @p bench's workload size, seed, host settings and
+ *  machine switches (scale, init-scale, seed, jobs, trace cache, cycle
+ *  skip, faults); the caller picks schemes, workloads and the mode.
+ *  Threads stay 1, which the byte-exact oracle requires. */
+CrashTestOptions crashTestOptionsFor(const BenchOptions &bench);
 
 /** The single command line that reproduces @p pair's campaign cell. */
 std::string replayCommand(const CrashTestOptions &opts,

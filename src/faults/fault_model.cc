@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 
 namespace proteus {
 namespace faults {
@@ -59,40 +60,29 @@ parseFaultSpec(const std::string &spec, const FaultConfig &base)
             fatal("--faults: expected key=value, got '", item, "'");
         const std::string key = item.substr(0, eq);
         const std::string val = item.substr(eq + 1);
-        try {
-            if (key == "torn") {
-                cfg.tornWriteRate = std::stod(val);
-            } else if (key == "readflip") {
-                cfg.readFlipRate = std::stod(val);
-            } else if (key == "bits") {
-                cfg.readFlipBitsMax =
-                    static_cast<unsigned>(std::stoul(val));
-            } else if (key == "endurance") {
-                cfg.enduranceWrites = std::stoull(val);
-            } else if (key == "stuck") {
-                cfg.stuckBits = static_cast<unsigned>(std::stoul(val));
-            } else if (key == "detect") {
-                cfg.eccDetectBits =
-                    static_cast<unsigned>(std::stoul(val));
-            } else if (key == "correct") {
-                cfg.eccCorrectBits =
-                    static_cast<unsigned>(std::stoul(val));
-            } else if (key == "retries") {
-                cfg.readRetryLimit =
-                    static_cast<unsigned>(std::stoul(val));
-            } else if (key == "backoff") {
-                cfg.retryBackoffBase =
-                    static_cast<unsigned>(std::stoul(val));
-            } else if (key == "seed") {
-                cfg.seed = std::stoull(val);
-            } else {
-                fatal("--faults: unknown key '", key, "'");
-            }
-        } catch (const std::invalid_argument &) {
-            fatal("--faults: bad value '", val, "' for key '", key, "'");
-        } catch (const std::out_of_range &) {
-            fatal("--faults: value out of range for key '", key, "'");
-        }
+        const std::string label = "--faults " + key;
+        if (key == "torn")
+            cfg.tornWriteRate = parseDouble(label, val);
+        else if (key == "readflip")
+            cfg.readFlipRate = parseDouble(label, val);
+        else if (key == "bits")
+            cfg.readFlipBitsMax = parseUnsigned<unsigned>(label, val);
+        else if (key == "endurance")
+            cfg.enduranceWrites = parseUnsigned<std::uint64_t>(label, val);
+        else if (key == "stuck")
+            cfg.stuckBits = parseUnsigned<unsigned>(label, val);
+        else if (key == "detect")
+            cfg.eccDetectBits = parseUnsigned<unsigned>(label, val);
+        else if (key == "correct")
+            cfg.eccCorrectBits = parseUnsigned<unsigned>(label, val);
+        else if (key == "retries")
+            cfg.readRetryLimit = parseUnsigned<unsigned>(label, val);
+        else if (key == "backoff")
+            cfg.retryBackoffBase = parseUnsigned<unsigned>(label, val);
+        else if (key == "seed")
+            cfg.seed = parseUnsigned<std::uint64_t>(label, val);
+        else
+            fatal("--faults: unknown key '", key, "'");
     }
     if (cfg.tornWriteRate < 0.0 || cfg.tornWriteRate > 1.0 ||
         cfg.readFlipRate < 0.0 || cfg.readFlipRate > 1.0) {

@@ -5,35 +5,12 @@
 #include <sstream>
 
 #include "harness/trace_cache.hh"
+#include "sim/json_util.hh"
 #include "sim/logging.hh"
 
 namespace proteus {
 
 namespace {
-
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::ostringstream os;
-    for (char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                os << "\\u" << std::hex << std::setw(4)
-                   << std::setfill('0') << static_cast<int>(c)
-                   << std::dec << std::setfill(' ');
-            } else {
-                os << c;
-            }
-        }
-    }
-    return os.str();
-}
 
 std::string
 hex(Addr addr)
@@ -70,12 +47,7 @@ runCheckImpl(LogScheme scheme, WorkloadKind kind,
     cfg.analysis.check = true;
     cfg.analysis.mutateRule = mutate_rule;
     cfg.analysis.mutateSeed = mutate_seed;
-    cfg.analysis.repro = checkReproLine(scheme, kind, opts);
-    // Checked runs never write per-run observability files: batches
-    // would race on one path, and verdicts must not depend on it.
-    cfg.obs.txStats.clear();
-    cfg.obs.statsInterval = 0;
-    cfg.obs.traceEvents.clear();
+    cfg.analysis.repro = checkReproLine(scheme, kind, opts, extras.gen);
 
     const WorkloadParams params = paramsFor(opts, cfg);
     TraceBundleKey key;
@@ -111,7 +83,7 @@ runCheckImpl(LogScheme scheme, WorkloadKind kind,
 
 std::string
 checkReproLine(LogScheme scheme, WorkloadKind kind,
-               const BenchOptions &opts)
+               const BenchOptions &opts, const wlgen::GenSpec &gen)
 {
     std::ostringstream os;
     os << "proteus-check run " << toString(kind)
@@ -120,6 +92,8 @@ checkReproLine(LogScheme scheme, WorkloadKind kind,
        << " --threads " << opts.threads
        << " --scale " << opts.scale
        << " --init-scale " << opts.initScale;
+    if (kind == WorkloadKind::Generated)
+        os << " --wl-spec " << gen.canonical();
     if (opts.dram)
         os << " --dram";
     // Cycle skipping and --jobs are result-invariant by design, so the
@@ -147,9 +121,6 @@ runCheckOnBundle(std::shared_ptr<const TraceBundle> bundle,
     cfg.memCtrl.adr = bundle->key.scheme != LogScheme::PMEMPCommit;
     cfg.analysis.check = true;
     cfg.analysis.repro = std::move(repro);
-    cfg.obs.txStats.clear();
-    cfg.obs.statsInterval = 0;
-    cfg.obs.traceEvents.clear();
 
     FullSystem system(cfg, bundle);
     CheckRow row;
@@ -171,6 +142,8 @@ runCheckBatch(const std::vector<LogScheme> &schemes,
         for (WorkloadKind kind : kinds)
             jobs.emplace_back(scheme, kind);
     }
+    WorkloadExtras extras;
+    extras.gen = opts.genSpec();
     std::vector<CheckRow> rows(jobs.size());
     std::vector<ParallelRunner::Task> tasks;
     tasks.reserve(jobs.size());
@@ -180,8 +153,10 @@ runCheckBatch(const std::vector<LogScheme> &schemes,
         label << "check " << toString(scheme) << " / "
               << toString(kind);
         tasks.push_back(
-            {label.str(), [&rows, &opts, scheme = scheme, kind = kind,
-                           i]() { rows[i] = runCheck(scheme, kind, opts); }});
+            {label.str(), [&rows, &opts, &extras, scheme = scheme,
+                           kind = kind, i]() {
+                 rows[i] = runCheck(scheme, kind, opts, extras);
+             }});
     }
     ParallelRunner runner(opts.jobs);
     runner.runTasks(tasks, progress);
@@ -204,6 +179,8 @@ runMutationCampaign(LogScheme scheme, WorkloadKind kind,
             targets.push_back(r);
     }
 
+    WorkloadExtras extras;
+    extras.gen = opts.genSpec();
     std::vector<MutationRow> rows(targets.size());
     std::vector<ParallelRunner::Task> tasks;
     tasks.reserve(targets.size());
@@ -212,11 +189,11 @@ runMutationCampaign(LogScheme scheme, WorkloadKind kind,
         std::ostringstream label;
         label << "mutate " << toString(static_cast<analysis::Rule>(r))
               << " on " << toString(scheme) << " / " << toString(kind);
-        tasks.push_back({label.str(), [&rows, &opts, scheme, kind, r,
-                                       mutate_seed, i]() {
+        tasks.push_back({label.str(), [&rows, &opts, &extras, scheme, kind,
+                                       r, mutate_seed, i]() {
             std::uint64_t mutations = 0;
             const CheckRow run = runCheckImpl(
-                scheme, kind, opts, {}, static_cast<int>(r),
+                scheme, kind, opts, extras, static_cast<int>(r),
                 mutate_seed, &mutations);
             MutationRow &row = rows[i];
             row.rule = static_cast<analysis::Rule>(r);
@@ -302,14 +279,14 @@ checkRowsJson(const std::vector<CheckRow> &rows)
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const CheckRow &row = rows[i];
         const analysis::CheckOutcome &o = row.outcome;
-        os << "  {\"scheme\": \"" << jsonEscape(toString(row.scheme))
-           << "\", \"workload\": \"" << toString(row.kind)
+        os << "  {\"scheme\": " << json::quoted(toString(row.scheme))
+           << ", \"workload\": \"" << toString(row.kind)
            << "\", \"pass\": " << (o.pass() ? "true" : "false")
            << ", \"events\": " << o.eventsSeen
            << ", \"violations\": " << o.totalViolations
            << ", \"cycles\": " << row.run.cycles
            << ", \"committedTxs\": " << row.run.committedTxs
-           << ", \"repro\": \"" << jsonEscape(o.repro) << "\""
+           << ", \"repro\": " << json::quoted(o.repro)
            << ", \"rules\": [";
         for (unsigned r = 0; r < analysis::numRules; ++r) {
             os << (r ? ", " : "") << "{\"name\": \""
@@ -326,9 +303,9 @@ checkRowsJson(const std::vector<CheckRow> &rows)
                << viol.core << ", \"tx\": " << viol.tx
                << ", \"addr\": \"" << hex(viol.addr)
                << "\", \"ordinal\": " << viol.ordinal << ", \"tick\": "
-               << viol.tick << ", \"missingEdge\": \""
-               << jsonEscape(viol.missingEdge) << "\", \"detail\": \""
-               << jsonEscape(viol.detail) << "\"}";
+               << viol.tick << ", \"missingEdge\": "
+               << json::quoted(viol.missingEdge) << ", \"detail\": "
+               << json::quoted(viol.detail) << "}";
         }
         os << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -342,8 +319,8 @@ mutationRowsJson(LogScheme scheme, WorkloadKind kind,
                  const std::vector<MutationRow> &rows)
 {
     std::ostringstream os;
-    os << "{\"scheme\": \"" << jsonEscape(toString(scheme))
-       << "\", \"workload\": \"" << toString(kind)
+    os << "{\"scheme\": " << json::quoted(toString(scheme))
+       << ", \"workload\": \"" << toString(kind)
        << "\", \"seed\": " << mutate_seed
        << ", \"pass\": " << (allFired(rows) ? "true" : "false")
        << ", \"rules\": [\n";

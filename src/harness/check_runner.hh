@@ -43,9 +43,11 @@ struct MutationRow
     std::uint64_t mutations = 0;    ///< edges the mutator perturbed
 };
 
-/** The one-command repro line carried into every violation report. */
+/** The one-command repro line carried into every violation report;
+ *  @p gen is the generated workload's spec. */
 std::string checkReproLine(LogScheme scheme, WorkloadKind kind,
-                           const BenchOptions &opts);
+                           const BenchOptions &opts,
+                           const wlgen::GenSpec &gen);
 
 /** Run one (scheme, workload) pair with the checker armed. Builds the
  *  trace bundle with the write history so the software schemes arm
@@ -61,7 +63,9 @@ CheckRow runCheckOnBundle(std::shared_ptr<const TraceBundle> bundle,
                           const BenchOptions &opts, std::string repro);
 
 /** Run every (scheme x workload) pair on the pool; rows land in
- *  submission order (schemes outer, workloads inner). */
+ *  submission order (schemes outer, workloads inner). The generated
+ *  workload runs opts.genSpec(). Checked runs write no observability
+ *  files: a caller that set them would race one path across jobs. */
 std::vector<CheckRow> runCheckBatch(
     const std::vector<LogScheme> &schemes,
     const std::vector<WorkloadKind> &kinds, const BenchOptions &opts,

@@ -1,7 +1,6 @@
 #include "experiments.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -10,143 +9,35 @@
 #include "harness/check_runner.hh"
 #include "harness/trace_cache.hh"
 #include "sim/logging.hh"
-#include "sim/parse_number.hh"
 
 namespace proteus {
+
+cli::OptionTable
+BenchOptions::optionTable(const char *argv0)
+{
+    cli::OptionTable table(cli::programName(argv0) + " [options]");
+    table.add(cli::sizeOptions(scale, initScale, threads, seed))
+        .add(cli::configOptions(*this))
+        .add(cli::machineOptions(cycleSkip, faults))
+        .add(cli::batchOptions(jobs, jsonPath, traceCache))
+        .add(cli::checkOption(check))
+        .add(cli::traceOptions(*this))
+        .add(cli::txStatsOptions(*this));
+    return table;
+}
 
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
     BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value after ", arg);
-            return argv[++i];
-        };
-        if (arg == "--scale") {
-            opts.scale = parseUnsigned<unsigned>(arg, next());
-        } else if (arg == "--init-scale") {
-            opts.initScale = parseUnsigned<unsigned>(arg, next());
-        } else if (arg == "--threads") {
-            opts.threads = parseUnsigned<unsigned>(arg, next());
-        } else if (arg == "--jobs") {
-            opts.jobs = parseUnsigned<unsigned>(arg, next());
-        } else if (arg == "--json") {
-            opts.jsonPath = next();
-        } else if (arg == "--seed") {
-            opts.seed = parseUnsigned<std::uint64_t>(arg, next());
-        } else if (arg == "--dram") {
-            opts.dram = true;
-        } else if (arg == "--no-trace-cache") {
-            opts.traceCache = false;
-        } else if (arg == "--no-cycle-skip") {
-            opts.cycleSkip = false;
-        } else if (arg == "--set") {
-            opts.overrides.push_back(next());
-        } else if (arg == "--stats-interval") {
-            opts.statsInterval = parseUnsigned<std::uint64_t>(arg, next());
-        } else if (arg == "--stats-out") {
-            opts.statsOut = next();
-        } else if (arg == "--trace-events") {
-            opts.traceEvents = next();
-        } else if (arg == "--trace-categories") {
-            opts.traceCategories = next();
-        } else if (arg == "--tx-stats") {
-            opts.txStats = next();
-        } else if (arg == "--tx-slowest") {
-            opts.txSlowest = parseUnsigned<std::uint64_t>(arg, next());
-        } else if (arg == "--faults") {
-            opts.faults = faults::parseFaultSpec(next(), opts.faults);
-        } else if (arg == "--fault-seed") {
-            opts.faults.seed = parseUnsigned<std::uint64_t>(arg, next());
-        } else if (arg == "--check") {
-            opts.check = true;
-        } else if (arg == "--check-mutate") {
-            opts.check = true;
-            opts.checkMutate = parseUnsigned<std::uint32_t>(arg, next());
-        } else if (arg == "--wl-spec") {
-            opts.wlSpec = next();
-        } else if (arg == "--wl-spec-file") {
-            opts.wlSpecFile = next();
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout
-                << "options:\n"
-                << "  --scale N      divide Table 2 SimOps by N "
-                << "(default 200; 1 = paper size)\n"
-                << "  --init-scale N divide Table 2 InitOps "
-                << "(working-set size; default 1 = paper)\n"
-                << "  --threads N    simulated cores (default 4)\n"
-                << "  --jobs N       host threads for batch runs "
-                << "(default: all cores)\n"
-                << "  --seed N       workload RNG seed\n"
-                << "  --dram         DRAM timing (Section 7.2)\n"
-                << "  --json FILE    write per-run results as JSON "
-                << "rows\n"
-                << "  --set k=v      config override, e.g. "
-                << "logging.logQEntries=8\n"
-                << "  --no-trace-cache  rebuild traces per run instead "
-                << "of sharing cached bundles\n"
-                << "  --no-cycle-skip   tick every cycle instead of "
-                << "skipping quiescent spans (same results, slower)\n"
-                << "  --stats-interval N  sample scalar-stat deltas "
-                << "every N cycles\n"
-                << "  --stats-out FILE    interval time series "
-                << "(.json or .csv)\n"
-                << "  --trace-events FILE Chrome Trace Event JSON "
-                << "(load in Perfetto)\n"
-                << "  --trace-categories LIST  comma list of "
-                << "cpu,memctrl,log,lock,all (default all)\n"
-                << "  --tx-stats FILE     transaction flight-recorder "
-                << "summary (.json or .csv)\n"
-                << "  --tx-slowest K      retain full timelines for the "
-                << "K slowest transactions (default 8)\n"
-                << "  --faults SPEC       NVM media fault injection, "
-                << "e.g. torn=0.01,readflip=1e-4,\n"
-                << "                      endurance=1000,detect=8,"
-                << "correct=1 (default: off)\n"
-                << "  --fault-seed N      fault-draw seed (default 1)\n"
-                << "  --check             arm the persistency-order "
-                << "checker; any ordering\n"
-                << "                      violation fails the run "
-                << "(see proteus-check)\n"
-                << "  --check-mutate N    seeded mutation campaign: "
-                << "every armed rule must\n"
-                << "                      catch one injected violation "
-                << "(implies --check)\n"
-                << "  --wl-spec k=v,...   generated-workload spec "
-                << "(see proteus-sim --list-workloads)\n"
-                << "  --wl-spec-file FILE base spec file; --wl-spec "
-                << "overrides on top\n";
-            std::exit(0);
-        } else {
-            fatal("unknown argument: ", arg);
-        }
-    }
-    // Catch nonsense at the CLI boundary: a zero divisor or an
-    // impossible thread count would otherwise surface as a confusing
-    // failure deep inside workload construction.
-    if (opts.scale == 0)
-        fatal("--scale must be >= 1");
-    if (opts.initScale == 0)
-        fatal("--init-scale must be >= 1");
-    if (opts.threads == 0 || opts.threads > 32)
-        fatal("--threads must be in [1, 32] (got ", opts.threads, ")");
-    if (!opts.wlSpec.empty() || !opts.wlSpecFile.empty())
-        opts.genSpec();     // validate eagerly, fail fast
+    opts.optionTable(argv[0]).parse(argc, argv);
     return opts;
 }
 
 wlgen::GenSpec
 BenchOptions::genSpec() const
 {
-    wlgen::GenSpec spec;
-    if (!wlSpecFile.empty())
-        spec = wlgen::GenSpec::parseFile(wlSpecFile);
-    if (!wlSpec.empty())
-        spec = wlgen::GenSpec::parse(wlSpec, spec);
-    return spec;
+    return cli::genSpecFrom(wlSpec, wlSpecFile);
 }
 
 SystemConfig
@@ -204,7 +95,7 @@ runExperiment(SystemConfig cfg, LogScheme scheme, WorkloadKind kind,
     cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
     if (opts.check) {
         cfg.analysis.check = true;
-        cfg.analysis.repro = checkReproLine(scheme, kind, opts);
+        cfg.analysis.repro = checkReproLine(scheme, kind, opts, extras.gen);
     }
 
     WorkloadParams params;

@@ -14,6 +14,7 @@
 
 #include "faults/fault_config.hh"
 #include "obs/tx_stats_io.hh"
+#include "options.hh"
 #include "system.hh"
 
 namespace proteus {
@@ -59,23 +60,19 @@ struct BenchOptions
     long checkMutate = -1;  ///< --check-mutate N: campaign seed (-1 off)
     /// @}
 
-    /** Parse argv; recognizes --scale N, --threads N, --jobs N,
-     *  --seed N, --dram, --json FILE, --set key=value,
-     *  --no-trace-cache, --no-cycle-skip,
-     *  --stats-interval N, --stats-out FILE,
-     *  --trace-events FILE, --trace-categories LIST,
-     *  --tx-stats FILE, --tx-slowest K,
-     *  --faults SPEC, --fault-seed N, --check, --check-mutate N,
-     *  --wl-spec k=v,... and --wl-spec-file FILE.
-     *  Validates numeric ranges (scale, init-scale, threads) before
-     *  returning. Exits on --help. */
+    /** The bench binaries' option table: the size, config, machine,
+     *  batch, check, trace and tx-stats groups of harness/options.hh,
+     *  bound to this object's fields. @p argv0 names the program. */
+    cli::OptionTable optionTable(const char *argv0);
+
+    /** Parse argv against optionTable(); see cli::OptionTable::parse. */
     static BenchOptions parse(int argc, char **argv);
 
     /** Baseline config with the options applied. */
     SystemConfig makeConfig() const;
 
-    /** The generated-workload spec: the spec file (if any) with the
-     *  inline --wl-spec applied on top. Defaults when neither is set. */
+    /** The generated-workload spec of --wl-spec-file / --wl-spec
+     *  (cli::genSpecFrom). Defaults when neither is set. */
     wlgen::GenSpec genSpec() const;
 };
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <type_traits>
 
 #include "logging.hh"
+#include "parse_number.hh"
 
 namespace proteus {
 
@@ -49,6 +51,28 @@ parseScheme(const std::string &name)
     return it->second;
 }
 
+std::vector<LogScheme>
+allSchemes()
+{
+    return {LogScheme::PMEM,      LogScheme::PMEMPCommit,
+            LogScheme::PMEMNoLog, LogScheme::ATOM,
+            LogScheme::Proteus,   LogScheme::ProteusNoLWR};
+}
+
+std::vector<LogScheme>
+parseSchemes(const std::string &list)
+{
+    if (list == "all")
+        return allSchemes();
+    std::vector<LogScheme> out;
+    for (const std::string &name : splitList(list))
+        out.push_back(parseScheme(name));
+    if (out.empty())
+        fatal("expected a comma list of schemes or 'all', got '", list,
+              "'");
+    return out;
+}
+
 bool
 isSoftwareScheme(LogScheme scheme)
 {
@@ -65,19 +89,15 @@ SystemConfig::applyOverride(const std::string &spec)
     const std::string key = spec.substr(0, eq);
     const std::string value = spec.substr(eq + 1);
 
-    auto as_u64 = [&]() -> std::uint64_t {
-        try {
-            return std::stoull(value);
-        } catch (const std::exception &) {
-            fatal("bad numeric value in override: ", spec);
-        }
-    };
-    auto as_double = [&]() -> double {
-        try {
-            return std::stod(value);
-        } catch (const std::exception &) {
-            fatal("bad numeric value in override: ", spec);
-        }
+    // Numbers are checked the way command-line flags are: "8x", "-1"
+    // and out-of-range values are errors, never truncated or wrapped.
+    const std::string label = "override " + key;
+    auto num = [&](auto &field) {
+        using T = std::remove_reference_t<decltype(field)>;
+        if constexpr (std::is_floating_point_v<T>)
+            field = parseDouble(label, value);
+        else
+            field = parseUnsigned<T>(label, value);
     };
     auto as_bool = [&]() -> bool {
         if (value == "true" || value == "1") return true;
@@ -85,65 +105,42 @@ SystemConfig::applyOverride(const std::string &spec)
         fatal("bad boolean value in override: ", spec);
     };
 
-    if (key == "cores") cores = static_cast<unsigned>(as_u64());
-    else if (key == "seed") seed = as_u64();
-    else if (key == "cpu.robEntries")
-        cpu.robEntries = static_cast<unsigned>(as_u64());
-    else if (key == "cpu.issueQueueEntries")
-        cpu.issueQueueEntries = static_cast<unsigned>(as_u64());
-    else if (key == "cpu.loadQueueEntries")
-        cpu.loadQueueEntries = static_cast<unsigned>(as_u64());
-    else if (key == "cpu.storeQueueEntries")
-        cpu.storeQueueEntries = static_cast<unsigned>(as_u64());
-    else if (key == "cpu.fetchWidth")
-        cpu.fetchWidth = static_cast<unsigned>(as_u64());
+    if (key == "cores") num(cores);
+    else if (key == "seed") num(seed);
+    else if (key == "cpu.robEntries") num(cpu.robEntries);
+    else if (key == "cpu.issueQueueEntries") num(cpu.issueQueueEntries);
+    else if (key == "cpu.loadQueueEntries") num(cpu.loadQueueEntries);
+    else if (key == "cpu.storeQueueEntries") num(cpu.storeQueueEntries);
+    else if (key == "cpu.fetchWidth") num(cpu.fetchWidth);
     else if (key == "mem.nvmMode") mem.nvmMode = as_bool();
-    else if (key == "mem.nvmReadTRCD")
-        mem.nvmReadTRCD = static_cast<unsigned>(as_u64());
-    else if (key == "mem.nvmWriteTRCD")
-        mem.nvmWriteTRCD = static_cast<unsigned>(as_u64());
-    else if (key == "mem.banks")
-        mem.banks = static_cast<unsigned>(as_u64());
+    else if (key == "mem.nvmReadTRCD") num(mem.nvmReadTRCD);
+    else if (key == "mem.nvmWriteTRCD") num(mem.nvmWriteTRCD);
+    else if (key == "mem.banks") num(mem.banks);
     else if (key == "memCtrl.adr") memCtrl.adr = as_bool();
-    else if (key == "memCtrl.wpqEntries")
-        memCtrl.wpqEntries = static_cast<unsigned>(as_u64());
-    else if (key == "memCtrl.lpqEntries")
-        memCtrl.lpqEntries = static_cast<unsigned>(as_u64());
+    else if (key == "memCtrl.wpqEntries") num(memCtrl.wpqEntries);
+    else if (key == "memCtrl.lpqEntries") num(memCtrl.lpqEntries);
     else if (key == "memCtrl.wpqDrainThreshold")
-        memCtrl.wpqDrainThreshold = as_double();
+        num(memCtrl.wpqDrainThreshold);
     else if (key == "memCtrl.lpqDrainThreshold")
-        memCtrl.lpqDrainThreshold = as_double();
+        num(memCtrl.lpqDrainThreshold);
     else if (key == "logging.scheme") logging.scheme = parseScheme(value);
-    else if (key == "logging.logRegisters")
-        logging.logRegisters = static_cast<unsigned>(as_u64());
-    else if (key == "logging.logQEntries")
-        logging.logQEntries = static_cast<unsigned>(as_u64());
-    else if (key == "logging.lltEntries")
-        logging.lltEntries = static_cast<unsigned>(as_u64());
-    else if (key == "logging.lltWays")
-        logging.lltWays = static_cast<unsigned>(as_u64());
-    else if (key == "logging.logAreaBytes") logging.logAreaBytes = as_u64();
+    else if (key == "logging.logRegisters") num(logging.logRegisters);
+    else if (key == "logging.logQEntries") num(logging.logQEntries);
+    else if (key == "logging.lltEntries") num(logging.lltEntries);
+    else if (key == "logging.lltWays") num(logging.lltWays);
+    else if (key == "logging.logAreaBytes") num(logging.logAreaBytes);
     else if (key == "logging.atomTruncationEntries")
-        logging.atomTruncationEntries = static_cast<unsigned>(as_u64());
-    else if (key == "faults.tornWriteRate")
-        faults.tornWriteRate = as_double();
-    else if (key == "faults.readFlipRate")
-        faults.readFlipRate = as_double();
-    else if (key == "faults.enduranceWrites")
-        faults.enduranceWrites = as_u64();
-    else if (key == "faults.eccDetectBits")
-        faults.eccDetectBits = static_cast<unsigned>(as_u64());
-    else if (key == "faults.eccCorrectBits")
-        faults.eccCorrectBits = static_cast<unsigned>(as_u64());
-    else if (key == "faults.readRetryLimit")
-        faults.readRetryLimit = static_cast<unsigned>(as_u64());
-    else if (key == "faults.retryBackoffBase")
-        faults.retryBackoffBase = static_cast<unsigned>(as_u64());
-    else if (key == "faults.seed") faults.seed = as_u64();
-    else if (key == "obs.traceRingEntries")
-        obs.traceRingEntries = as_u64();
-    else if (key == "obs.txSlowest")
-        obs.txSlowest = as_u64();
+        num(logging.atomTruncationEntries);
+    else if (key == "faults.tornWriteRate") num(faults.tornWriteRate);
+    else if (key == "faults.readFlipRate") num(faults.readFlipRate);
+    else if (key == "faults.enduranceWrites") num(faults.enduranceWrites);
+    else if (key == "faults.eccDetectBits") num(faults.eccDetectBits);
+    else if (key == "faults.eccCorrectBits") num(faults.eccCorrectBits);
+    else if (key == "faults.readRetryLimit") num(faults.readRetryLimit);
+    else if (key == "faults.retryBackoffBase") num(faults.retryBackoffBase);
+    else if (key == "faults.seed") num(faults.seed);
+    else if (key == "obs.traceRingEntries") num(obs.traceRingEntries);
+    else if (key == "obs.txSlowest") num(obs.txSlowest);
     else if (key == "cycleSkip") cycleSkip = as_bool();
     else
         fatal("unknown config override key: ", key);

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "faults/fault_config.hh"
 #include "types.hh"
@@ -35,6 +36,13 @@ const char *toString(LogScheme scheme);
 
 /** Parse a scheme name (case-insensitive); throws FatalError if unknown. */
 LogScheme parseScheme(const std::string &name);
+
+/** Every scheme, in declaration order. */
+std::vector<LogScheme> allSchemes();
+
+/** Parse a comma list of scheme names, or "all"; throws FatalError on
+ *  an unknown name or an empty list. */
+std::vector<LogScheme> parseSchemes(const std::string &list);
 
 /** @return true if the scheme uses software-generated logging code. */
 bool isSoftwareScheme(LogScheme scheme);

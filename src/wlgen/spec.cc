@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 
 namespace proteus {
 namespace wlgen {
@@ -19,27 +19,13 @@ constexpr char knownKeys[] =
     "read, update, insert, delete, rmw, keys, vsize, tables, keyspace, "
     "populate, ops, dist, theta, hot-frac, hot-ops";
 
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
+/** Numbers are checked like command-line flags: no sign, trailing
+ *  text or wrap-around. */
+template <typename T>
+T
+parseNum(const std::string &key, const std::string &value)
 {
-    try {
-        std::size_t used = 0;
-        const unsigned long long v = std::stoull(value, &used);
-        if (used != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        fatal("wl-spec: ", key, "=", value, " is not a number");
-    }
-}
-
-unsigned
-parseU32(const std::string &key, const std::string &value)
-{
-    const std::uint64_t v = parseU64(key, value);
-    if (v > 0xffffffffull)
-        fatal("wl-spec: ", key, "=", value, " is out of range");
-    return static_cast<unsigned>(v);
+    return parseUnsigned<T>("wl-spec " + key, value);
 }
 
 /** Parse a fraction and quantize to 1e-4 so equality, hashing, and the
@@ -47,15 +33,7 @@ parseU32(const std::string &key, const std::string &value)
 double
 parseFrac(const std::string &key, const std::string &value)
 {
-    double v = 0;
-    try {
-        std::size_t used = 0;
-        v = std::stod(value, &used);
-        if (used != value.size())
-            throw std::invalid_argument(value);
-    } catch (const std::exception &) {
-        fatal("wl-spec: ", key, "=", value, " is not a number");
-    }
+    const double v = parseDouble("wl-spec " + key, value);
     if (!(v >= 0.0 && v <= 1.0))
         fatal("wl-spec: ", key, "=", value, " must be in [0, 1]");
     return std::round(v * 10000.0) / 10000.0;
@@ -79,34 +57,34 @@ applyKeyValue(GenSpec &spec, const std::string &key,
               const std::string &value)
 {
     if (key == "read") {
-        spec.readPct = parseU32(key, value);
+        spec.readPct = parseNum<unsigned>(key, value);
     } else if (key == "update") {
-        spec.updatePct = parseU32(key, value);
+        spec.updatePct = parseNum<unsigned>(key, value);
     } else if (key == "insert") {
-        spec.insertPct = parseU32(key, value);
+        spec.insertPct = parseNum<unsigned>(key, value);
     } else if (key == "delete") {
-        spec.deletePct = parseU32(key, value);
+        spec.deletePct = parseNum<unsigned>(key, value);
     } else if (key == "rmw") {
-        spec.rmwPct = parseU32(key, value);
+        spec.rmwPct = parseNum<unsigned>(key, value);
     } else if (key == "keys") {
         // "N" or "N-M", inclusive.
         const std::size_t dash = value.find('-');
         if (dash == std::string::npos) {
-            spec.keysMin = spec.keysMax = parseU32(key, value);
+            spec.keysMin = spec.keysMax = parseNum<unsigned>(key, value);
         } else {
-            spec.keysMin = parseU32(key, value.substr(0, dash));
-            spec.keysMax = parseU32(key, value.substr(dash + 1));
+            spec.keysMin = parseNum<unsigned>(key, value.substr(0, dash));
+            spec.keysMax = parseNum<unsigned>(key, value.substr(dash + 1));
         }
     } else if (key == "vsize") {
-        spec.valueBytes = parseU32(key, value);
+        spec.valueBytes = parseNum<unsigned>(key, value);
     } else if (key == "tables") {
-        spec.tables = parseU32(key, value);
+        spec.tables = parseNum<unsigned>(key, value);
     } else if (key == "keyspace") {
-        spec.keySpace = parseU64(key, value);
+        spec.keySpace = parseNum<std::uint64_t>(key, value);
     } else if (key == "populate") {
-        spec.populatePct = parseU32(key, value);
+        spec.populatePct = parseNum<unsigned>(key, value);
     } else if (key == "ops") {
-        spec.baseOps = parseU64(key, value);
+        spec.baseOps = parseNum<std::uint64_t>(key, value);
     } else if (key == "dist") {
         spec.dist = parseKeyDist(value);
     } else if (key == "theta") {

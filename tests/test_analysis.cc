@@ -285,14 +285,6 @@ checkOpts()
     return opts;
 }
 
-std::vector<LogScheme>
-allSchemes()
-{
-    return {LogScheme::PMEM,      LogScheme::PMEMPCommit,
-            LogScheme::PMEMNoLog, LogScheme::ATOM,
-            LogScheme::Proteus,   LogScheme::ProteusNoLWR};
-}
-
 TEST(AnalysisDeterminism, CleanMachinePassesAllSchemesAndWorkloads)
 {
     BenchOptions opts = checkOpts();
@@ -318,6 +310,30 @@ TEST(AnalysisDeterminism, CleanMachinePassesAllSchemesAndWorkloads)
                 << toString(row.scheme) << " rule " << r;
         }
     }
+}
+
+TEST(AnalysisDeterminism, GeneratedWorkloadRunsTheGivenSpec)
+{
+    // proteus-check run gen used to accept --wl-spec and then check the
+    // default spec; the repro line now carries the spec too.
+    BenchOptions opts = checkOpts();
+    opts.scale = 1;
+    opts.initScale = 4;
+    opts.wlSpec = "keyspace=2000,ops=200";
+    WorkloadExtras extras;
+    extras.gen = opts.genSpec();
+    const auto rows = runCheckBatch({LogScheme::Proteus},
+                                    {WorkloadKind::Generated}, opts);
+    ASSERT_EQ(1u, rows.size());
+    const CheckRow direct = runCheck(LogScheme::Proteus,
+                                     WorkloadKind::Generated, opts, extras);
+    EXPECT_TRUE(rows[0].outcome.pass()) << formatCheckReport(rows[0]);
+    EXPECT_EQ(rows[0].outcome.eventsSeen, direct.outcome.eventsSeen);
+    EXPECT_EQ(rows[0].run.committedTxs, direct.run.committedTxs);
+    EXPECT_NE(rows[0].outcome.repro.find(" --wl-spec " +
+                                         extras.gen.canonical()),
+              std::string::npos)
+        << rows[0].outcome.repro;
 }
 
 TEST(AnalysisDeterminism, JsonByteIdenticalAcrossJobs)

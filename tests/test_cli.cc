@@ -1,0 +1,445 @@
+/**
+ * @file
+ * The command-line contract of every front end: the option table and
+ * its one parser in-process, then each built tool and bench binary as
+ * a child process. --help exits 0 and lists every flag of the table,
+ * an unknown flag exits 2 with "fatal:" (never an abort), and the flags
+ * a front end used to accept and then ignore are rejected up front.
+ */
+
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "harness/experiments.hh"
+#include "harness/options.hh"
+#include "sim/logging.hh"
+
+using namespace proteus;
+
+namespace {
+
+/** Run @p argv (space-separated) from @p dir; exit status and output. */
+struct Outcome
+{
+    int status = -1;        ///< exit code, or 128 + signal
+    std::string output;     ///< stdout and stderr together
+};
+
+Outcome
+runBinary(const std::string &dir, const std::string &args)
+{
+    const std::string cmd = dir + "/" + args + " 2>&1";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (!pipe)
+        return {};
+    Outcome out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0)
+        out.output.append(buf, n);
+    const int status = pclose(pipe);
+    out.status = WIFEXITED(status) ? WEXITSTATUS(status)
+                                   : 128 + WTERMSIG(status);
+    return out;
+}
+
+Outcome
+tool(const std::string &args)
+{
+    return runBinary(PROTEUS_TOOLS_DIR, args);
+}
+
+Outcome
+bench(const std::string &args)
+{
+    return runBinary(PROTEUS_BENCH_DIR, args);
+}
+
+/** argv for OptionTable::parse from a space-separated string. */
+struct Argv
+{
+    explicit Argv(const std::string &line)
+    {
+        std::istringstream is("prog " + line);
+        for (std::string w; is >> w;)
+            words.push_back(w);
+        for (std::string &w : words)
+            ptrs.push_back(w.data());
+    }
+    int argc() const { return static_cast<int>(ptrs.size()); }
+    std::vector<std::string> words;
+    std::vector<char *> ptrs;
+};
+
+/** The message parse() fails with on @p line, or "" if it succeeds. */
+std::string
+parseError(const cli::OptionTable &table, const std::string &line)
+{
+    Argv args(line);
+    try {
+        table.parse(args.argc(), args.ptrs.data());
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** @p table's --help text with each whitespace run made one space,
+ *  so searches ignore the word wrap. */
+std::string
+helpOf(const cli::OptionTable &table)
+{
+    std::ostringstream os;
+    table.printHelp(os);
+    std::istringstream words(os.str());
+    std::string out;
+    for (std::string w; words >> w;)
+        out += " " + w;
+    return out + " ";
+}
+
+std::vector<std::string>
+flagsOf(const cli::OptionTable &table)
+{
+    std::vector<std::string> out;
+    for (const cli::Option &o : table.options())
+        out.push_back(o.flag);
+    return out;
+}
+
+} // namespace
+
+TEST(CliOptionTable, EachEntryKindStoresIntoItsField)
+{
+    unsigned n = 3;
+    bool on = false;
+    bool skip = true;
+    std::string path;
+    std::vector<std::string> sets;
+    cli::OptionTable table("prog [options]");
+    table.add(cli::number("--n", "N", "a number", n, 1u, 9u))
+        .add(cli::flag("--on", "a switch", on))
+        .add(cli::flag("--no-skip", "a clearing switch", skip, false))
+        .add(cli::text("--out", "FILE", "a path", path))
+        .add({"--set", "k=v", "repeatable", "",
+              [&sets](const std::string &v) { sets.push_back(v); }});
+    Argv args("--n 7 --on --no-skip --out f.json --set a=1 --set b=2");
+    table.parse(args.argc(), args.ptrs.data());
+    EXPECT_EQ(n, 7u);
+    EXPECT_TRUE(on);
+    EXPECT_FALSE(skip);
+    EXPECT_EQ(path, "f.json");
+    EXPECT_EQ(sets, (std::vector<std::string>{"a=1", "b=2"}));
+}
+
+TEST(CliOptionTable, ErrorsNameTheFlag)
+{
+    unsigned n = 3;
+    cli::OptionTable table("prog [options]");
+    table.add(cli::number("--n", "N", "a number", n, 1u, 9u));
+    EXPECT_EQ(parseError(table, "--bogus"),
+              "fatal: --bogus: unknown option (see --help)");
+    EXPECT_EQ(parseError(table, "--n"), "fatal: --n: missing value N");
+    EXPECT_EQ(parseError(table, "--n abc"),
+              "fatal: --n: expected an unsigned integer, got 'abc'");
+    EXPECT_EQ(parseError(table, "--n 0"),
+              "fatal: --n: must be in [1, 9], got 0");
+    EXPECT_EQ(parseError(table, "--n 10"),
+              "fatal: --n: must be in [1, 9], got 10");
+    EXPECT_EQ(parseError(table, "positional"),
+              "fatal: positional: unknown option (see --help)");
+    EXPECT_EQ(n, 3u);
+}
+
+TEST(CliOptionTable, ValuesAreCheckedAtTheFlag)
+{
+    // Each was accepted by the parser and failed (or was dropped) only
+    // when a run built its config.
+    BenchOptions opts;
+    const cli::OptionTable table = opts.optionTable("prog");
+    for (const char *line :
+         {"--set bogus=1", "--set logging.logQEntries=8x",
+          "--trace-categories nope", "--faults torn=2",
+          "--threads 33", "--scale 0"})
+        EXPECT_NE(parseError(table, line), "") << line;
+    EXPECT_TRUE(opts.overrides.empty());
+}
+
+TEST(CliOptionTable, DuplicateFlagPanics)
+{
+    bool a = false;
+    cli::OptionTable table("prog");
+    table.add(cli::flag("--a", "", a));
+    EXPECT_THROW(table.add(cli::flag("--a", "", a)), PanicError);
+}
+
+TEST(CliOptionTable, HelpDefaultsComeFromTheBoundFields)
+{
+    // One size group, two front ends' defaults: fig06's 200 and
+    // crashtest's 250, with no hand-kept default strings.
+    BenchOptions bench;
+    const std::string benchHelp = helpOf(bench.optionTable("fig06"));
+    unsigned scale = 250, initScale = 100, threads = 1;
+    std::uint64_t seed = 11;
+    cli::OptionTable crash("crashtest [options]");
+    crash.add(cli::sizeOptions(scale, initScale, threads, seed));
+    const std::string crashHelp = helpOf(crash);
+    EXPECT_NE(benchHelp.find("paper size (default 200)"), std::string::npos)
+        << benchHelp;
+    EXPECT_NE(crashHelp.find("paper size (default 250)"), std::string::npos)
+        << crashHelp;
+    EXPECT_NE(crashHelp.find("(default 11)"), std::string::npos);
+    for (const std::string &flag : flagsOf(bench.optionTable("fig06")))
+        EXPECT_NE(benchHelp.find(" " + flag + " "), std::string::npos)
+            << flag;
+}
+
+TEST(CliOptionTable, HelpIsShownThenSignalled)
+{
+    BenchOptions opts;
+    const cli::OptionTable table = opts.optionTable("prog");
+    Argv args("--scale 5 --help --bogus");
+    testing::internal::CaptureStdout();
+    EXPECT_THROW(table.parse(args.argc(), args.ptrs.data()),
+                 cli::HelpShown);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(out.rfind("usage: prog [options]\n", 0), 0u) << out;
+}
+
+TEST(CliOptionTable, CheckMutateTakesAnUnsigned32BitSeed)
+{
+    long seed = -1;
+    cli::OptionTable table("prog");
+    table.add(cli::checkMutateOption(seed));
+    EXPECT_NE(parseError(table, "--check-mutate -1"), "");
+    EXPECT_NE(parseError(table, "--check-mutate 4294967296"), "");
+    EXPECT_EQ(parseError(table, "--check-mutate 4294967295"), "");
+    EXPECT_EQ(seed, 4294967295L);
+}
+
+TEST(CliRun, ExitStatuses)
+{
+    EXPECT_EQ(cli::run([] { return 1; }), 1);
+    EXPECT_EQ(cli::run([]() -> int { throw cli::HelpShown{}; }), 0);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(cli::run([]() -> int { fatal("--x: bad"); }), 2);
+    EXPECT_EQ(cli::run([]() -> int { panic("broken"); }), 2);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "fatal: --x: bad\npanic: broken\n");
+}
+
+namespace {
+
+/** One binary or subcommand and the flags its table holds. */
+struct Front
+{
+    const char *dir;
+    std::string invocation;
+    std::vector<std::string> flags;
+};
+
+const char *const toolsDir = PROTEUS_TOOLS_DIR;
+const char *const benchDir = PROTEUS_BENCH_DIR;
+
+const std::vector<std::string> sizeFlags{"--scale", "--init-scale",
+                                         "--threads", "--seed"};
+const std::vector<std::string> specFlags{"--wl-spec", "--wl-spec-file"};
+const std::vector<std::string> machineFlags{
+    "--dram", "--set", "--no-cycle-skip", "--faults", "--fault-seed"};
+const std::vector<std::string> traceFlags{
+    "--stats-interval", "--stats-out", "--trace-events",
+    "--trace-categories"};
+const std::vector<std::string> txFlags{"--tx-stats", "--tx-slowest"};
+const std::vector<std::string> batchFlags{"--jobs", "--json",
+                                          "--no-trace-cache"};
+
+std::vector<std::string>
+cat(std::initializer_list<std::vector<std::string>> groups)
+{
+    std::vector<std::string> out;
+    for (const auto &g : groups)
+        out.insert(out.end(), g.begin(), g.end());
+    return out;
+}
+
+/** Every front end. The bench binaries' lists come from the table
+ *  itself; the tools' are their CLI contract, written out. */
+std::vector<Front>
+frontEnds()
+{
+    BenchOptions opts;
+    const std::vector<std::string> benchFlags =
+        flagsOf(opts.optionTable("bench"));
+    std::vector<Front> out;
+    for (const char *b :
+         {"ablation_llt", "ablation_lwr", "fig06_speedup_nvm",
+          "fig07_frontend_stalls", "fig08_nvm_writes", "fig09_slow_nvm",
+          "fig10_dram", "fig11_logq_sweep", "fig12_lpq_sweep",
+          "table3_large_tx", "table4_llt_missrate"})
+        out.push_back({benchDir, b, benchFlags});
+    out.push_back({benchDir, "gen_sweep",
+                   cat({benchFlags, specFlags, {"--thetas", "--tx-keys"}})});
+    out.push_back({benchDir, "fault_sweep", cat({benchFlags, {"--out"}})});
+    out.push_back({benchDir, "micro_kernel",
+                   {"--cycles", "--devices", "--json"}});
+    out.push_back({benchDir, "micro_components", {"--benchmark_filter"}});
+
+    out.push_back({toolsDir, "proteus-sim",
+                   {"run", "replay", "crash", "matrix", "list",
+                    "--list-workloads"}});
+    out.push_back({toolsDir, "proteus-sim run",
+                   cat({{"--scheme", "--check", "--check-mutate", "--stats",
+                         "--json"},
+                        sizeFlags, specFlags, machineFlags, traceFlags,
+                        txFlags})});
+    out.push_back({toolsDir, "proteus-sim replay",
+                   cat({{"--check", "--stats", "--json"}, machineFlags,
+                        traceFlags, txFlags})});
+    out.push_back({toolsDir, "proteus-sim crash",
+                   cat({{"--scheme", "--at"}, sizeFlags, specFlags,
+                        machineFlags, traceFlags})});
+    out.push_back({toolsDir, "proteus-sim matrix",
+                   cat({sizeFlags, machineFlags, batchFlags, {"--check"},
+                        traceFlags, txFlags})});
+    out.push_back({toolsDir, "proteus-check", {"run", "replay", "rules"}});
+    out.push_back({toolsDir, "proteus-check run",
+                   cat({{"--scheme", "--check-mutate"}, sizeFlags,
+                        specFlags, machineFlags, batchFlags})});
+    out.push_back({toolsDir, "proteus-check replay",
+                   cat({machineFlags, {"--json"}})});
+    out.push_back({toolsDir, "proteus-check rules", {"--scheme"}});
+    out.push_back({toolsDir, "proteus-crashtest",
+                   cat({{"--sweep", "--sweep-points", "--crash-stride",
+                         "--crash-at", "--fuzz", "--schemes", "--workloads",
+                         "--check", "--max-violations", "--no-serialize",
+                         "--no-cycle-skip", "--faults", "--fault-seed",
+                         "--break-recovery"},
+                        sizeFlags, specFlags, batchFlags})});
+    out.push_back({toolsDir, "proteus-trace", {"record", "info", "verify"}});
+    out.push_back({toolsDir, "proteus-trace record",
+                   cat({{"--out", "--scheme", "--with-history",
+                         "--log-area-bytes", "--elements-per-node"},
+                        sizeFlags, specFlags})});
+    out.push_back({toolsDir, "proteus-txstats", {"report", "diff"}});
+    out.push_back({toolsDir, "proteus-txstats report", {"--per-workload"}});
+    return out;
+}
+
+} // namespace
+
+TEST(CliContract, HelpExitsZeroAndListsEveryFlag)
+{
+    for (const Front &f : frontEnds()) {
+        SCOPED_TRACE(f.invocation);
+        const Outcome out = runBinary(f.dir, f.invocation + " --help");
+        EXPECT_EQ(out.status, 0) << out.output;
+        for (const std::string &flag : f.flags)
+            EXPECT_NE(out.output.find(flag), std::string::npos) << flag;
+    }
+}
+
+TEST(CliContract, UnknownFlagExitsTwoWithFatal)
+{
+    for (const Front &f : frontEnds()) {
+        SCOPED_TRACE(f.invocation);
+        // Subcommands that take an operand get one that parses.
+        std::string line = f.invocation;
+        if (line == "proteus-sim run" || line == "proteus-sim crash" ||
+            line == "proteus-check run" || line == "proteus-trace record")
+            line += " QE";
+        else if (line.find(' ') != std::string::npos &&
+                 line != "proteus-sim matrix" &&
+                 line != "proteus-check rules")
+            line += " file";
+        const Outcome out = runBinary(f.dir, line + " --no-such-flag");
+        EXPECT_EQ(out.status, 2) << out.output;
+        EXPECT_NE(out.output.find("fatal: "), std::string::npos)
+            << out.output;
+    }
+}
+
+TEST(CliContract, BadValuesExitTwoNotAbort)
+{
+    // Each of these ended in an uncaught exception (exit 134) before
+    // the bench mains shared one catch.
+    for (const char *args :
+         {"fig06_speedup_nvm --scale abc", "fig06_speedup_nvm --bogus",
+          "fig11_logq_sweep --threads 0", "fault_sweep --jobs x",
+          "gen_sweep --thetas ,", "table3_large_tx --seed 5x",
+          "micro_kernel --cycles abc", "micro_kernel --devices -1"}) {
+        SCOPED_TRACE(args);
+        const Outcome out = bench(args);
+        EXPECT_EQ(out.status, 2) << out.output;
+        EXPECT_NE(out.output.find("fatal: "), std::string::npos)
+            << out.output;
+    }
+    for (const char *args :
+         {"proteus-sim run QE --scale 0", "proteus-sim run QE --scheme x",
+          "proteus-crashtest --schemes pmem,bogus",
+          "proteus-trace record QE --threads 33 --out x.ptrace",
+          "proteus-sim", "proteus-sim bogus", "proteus-sim run",
+          "proteus-txstats diff a.json"}) {
+        SCOPED_TRACE(args);
+        const Outcome out = tool(args);
+        EXPECT_EQ(out.status, 2) << out.output;
+        EXPECT_NE(out.output.find("fatal: "), std::string::npos)
+            << out.output;
+    }
+}
+
+TEST(CliContract, FlagsOnceAcceptedAndIgnoredAreRejected)
+{
+    // Each exited 0 before, without the effect the flag names (no file
+    // written, no campaign run, no range check).
+    for (const char *args :
+         {"proteus-check run QE --tx-stats tx.json",
+          "proteus-check run QE --stats-interval 5 --stats-out iv.json",
+          "proteus-check run QE --trace-events t.json",
+          "proteus-check run QE --check",
+          "proteus-check replay f.ptrace --scale 5",
+          "proteus-check rules --jobs 2",
+          "proteus-sim matrix --check-mutate 1",
+          "proteus-sim matrix --wl-spec keys=4",
+          "proteus-sim run QE --jobs 2",
+          "proteus-sim run QE --no-trace-cache",
+          "proteus-sim crash QE --at 250",
+          "proteus-sim crash QE --tx-stats tx.json",
+          "proteus-sim crash QE --check",
+          "proteus-sim replay f.ptrace --seed 3",
+          "proteus-sim list --scale 5",
+          "proteus-sim run QE --check-mutate 1 --tx-stats tx.json",
+          "proteus-crashtest --verbose"}) {
+        SCOPED_TRACE(args);
+        const Outcome out = tool(args);
+        EXPECT_EQ(out.status, 2) << out.output;
+        EXPECT_NE(out.output.find("fatal: "), std::string::npos)
+            << out.output;
+    }
+    for (const char *args :
+         {"fig06_speedup_nvm --check-mutate 1",
+          "fig06_speedup_nvm --wl-spec keys=4"}) {
+        SCOPED_TRACE(args);
+        const Outcome out = bench(args);
+        EXPECT_EQ(out.status, 2) << out.output;
+    }
+}
+
+TEST(CliContract, CheckedNumbersInSetAndFaults)
+{
+    for (const char *args :
+         {"proteus-sim run QE --set logging.logQEntries=8x",
+          "proteus-sim run QE --set logging.atomTruncationEntries=-1",
+          "proteus-sim run QE --faults torn=0.01x,detect=8x,correct=1"}) {
+        SCOPED_TRACE(args);
+        const Outcome out = tool(args);
+        EXPECT_EQ(out.status, 2) << out.output;
+        EXPECT_NE(out.output.find("fatal: "), std::string::npos)
+            << out.output;
+    }
+}

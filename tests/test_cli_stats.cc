@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -89,23 +90,73 @@ TEST(StatsJson, DistributionEmitsBucketsAndBounds)
 
 TEST(BenchOptionsParse, RecognizesAllFlags)
 {
-    const char *argv[] = {"prog",    "--scale",      "25",
-                          "--threads", "2",          "--seed",
-                          "9",       "--init-scale", "4",
-                          "--dram",  "--set",        "memCtrl.adr=false"};
-    BenchOptions opts = BenchOptions::parse(
-        static_cast<int>(std::size(argv)),
-        const_cast<char **>(argv));
+    // Every entry of every shared group (harness/options.hh), bound to
+    // one BenchOptions: the bench table plus the entries only the tools
+    // compose.
+    BenchOptions opts;
+    LogScheme scheme = LogScheme::Proteus;
+    std::vector<LogScheme> schemes = allSchemes();
+    cli::OptionTable table = opts.optionTable("prog");
+    table.add(cli::specOptions(opts.wlSpec, opts.wlSpecFile))
+        .add(cli::checkMutateOption(opts.checkMutate))
+        .add(cli::schemeOption(scheme))
+        .add(cli::schemesOption("--schemes", schemes));
+    const char *argv[] = {
+        "prog",
+        "--scale", "25", "--init-scale", "4", "--threads", "2",
+        "--seed", "9",
+        "--dram", "--set", "memCtrl.adr=false",
+        "--no-cycle-skip", "--faults", "torn=0.01", "--fault-seed", "7",
+        "--jobs", "3", "--json", "rows.json", "--no-trace-cache",
+        "--check",
+        "--stats-interval", "1000", "--stats-out", "iv.json",
+        "--trace-events", "trace.json", "--trace-categories", "cpu,log",
+        "--tx-stats", "tx.json", "--tx-slowest", "5",
+        "--wl-spec", "keys=4", "--wl-spec-file", "base.spec",
+        "--check-mutate", "6",
+        "--scheme", "atom", "--schemes", "pmem,proteus",
+    };
+    // The argv above names every flag in the table.
+    for (const cli::Option &o : table.options()) {
+        EXPECT_NE(std::find_if(std::begin(argv), std::end(argv),
+                               [&](const char *a) { return o.flag == a; }),
+                  std::end(argv))
+            << o.flag;
+    }
+    table.parse(static_cast<int>(std::size(argv)),
+                const_cast<char **>(argv));
     EXPECT_EQ(opts.scale, 25u);
+    EXPECT_EQ(opts.initScale, 4u);
     EXPECT_EQ(opts.threads, 2u);
     EXPECT_EQ(opts.seed, 9u);
-    EXPECT_EQ(opts.initScale, 4u);
     EXPECT_TRUE(opts.dram);
+    EXPECT_FALSE(opts.cycleSkip);
+    EXPECT_EQ(opts.faults.tornWriteRate, 0.01);
+    EXPECT_EQ(opts.faults.seed, 7u);
+    EXPECT_EQ(opts.jobs, 3u);
+    EXPECT_EQ(opts.jsonPath, "rows.json");
+    EXPECT_FALSE(opts.traceCache);
+    EXPECT_TRUE(opts.check);
+    EXPECT_EQ(opts.statsInterval, 1000u);
+    EXPECT_EQ(opts.statsOut, "iv.json");
+    EXPECT_EQ(opts.traceEvents, "trace.json");
+    EXPECT_EQ(opts.traceCategories, "cpu,log");
+    EXPECT_EQ(opts.txStats, "tx.json");
+    EXPECT_EQ(opts.txSlowest, 5u);
+    EXPECT_EQ(opts.wlSpec, "keys=4");
+    EXPECT_EQ(opts.wlSpecFile, "base.spec");
+    EXPECT_EQ(opts.checkMutate, 6);
+    EXPECT_EQ(scheme, LogScheme::ATOM);
+    EXPECT_EQ(schemes, (std::vector<LogScheme>{LogScheme::PMEM,
+                                               LogScheme::Proteus}));
 
     const SystemConfig cfg = opts.makeConfig();
     EXPECT_FALSE(cfg.mem.nvmMode);      // --dram
     EXPECT_FALSE(cfg.memCtrl.adr);      // --set override
+    EXPECT_FALSE(cfg.cycleSkip);
     EXPECT_EQ(cfg.seed, 9u);
+    EXPECT_EQ(cfg.faults.seed, 7u);
+    EXPECT_EQ(cfg.obs.txSlowest, 5u);
 }
 
 TEST(BenchOptionsParse, ObservabilityFlags)
@@ -158,6 +209,9 @@ TEST(BenchOptionsParse, NonNumericValuesAreFatal)
         {"--check-mutate", "-1"},
         {"--seed", "99999999999999999999"},   // overflows 64 bits
         {"--scale", "4294967296"},            // overflows 32 bits
+        {"--scale", "0"}, {"--init-scale", "0"}, {"--threads", "0"},
+        {"--threads", "33"},                  // range checks
+        {"--fault-seed", "x"}, {"--faults", "torn=0.01x"},
     };
     for (const auto &[flag, value] : bad) {
         const char *argv[] = {"prog", flag, value};
@@ -184,6 +238,15 @@ TEST(ParseUnsigned, CheckedConversion)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(ParseDouble, CheckedConversion)
+{
+    EXPECT_EQ(parseDouble("--x", "0.01"), 0.01);
+    EXPECT_EQ(parseDouble("--x", "1e-4"), 1e-4);
+    EXPECT_EQ(parseDouble("--x", "-0.5"), -0.5);    // ranges are the caller's
+    for (const char *bad : {"", "0.01x", " 1", "abc", "nan", "inf", "1e999"})
+        EXPECT_THROW(parseDouble("--x", bad), FatalError) << bad;
 }
 
 TEST(Geomean, Basics)

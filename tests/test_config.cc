@@ -65,6 +65,17 @@ TEST(Config, BadOverridesFatal)
     EXPECT_THROW(cfg.applyOverride("unknown.key=1"), FatalError);
     EXPECT_THROW(cfg.applyOverride("cores=abc"), FatalError);
     EXPECT_THROW(cfg.applyOverride("memCtrl.adr=maybe"), FatalError);
+    // Numbers are checked like flags: no trailing text, sign, wrap or
+    // truncation to the field's width.
+    EXPECT_THROW(cfg.applyOverride("logging.logQEntries=8x"), FatalError);
+    EXPECT_THROW(cfg.applyOverride("logging.atomTruncationEntries=-1"),
+                 FatalError);
+    EXPECT_THROW(cfg.applyOverride("cores=4294967296"), FatalError);
+    EXPECT_THROW(cfg.applyOverride("memCtrl.wpqDrainThreshold=0.5x"),
+                 FatalError);
+    EXPECT_THROW(cfg.applyOverride("faults.tornWriteRate=nan"),
+                 FatalError);
+    EXPECT_EQ(cfg.logging.logQEntries, baselineConfig().logging.logQEntries);
 }
 
 TEST(Config, SchemeNames)
@@ -76,6 +87,22 @@ TEST(Config, SchemeNames)
     EXPECT_EQ(parseScheme("ideal"), LogScheme::PMEMNoLog);
     EXPECT_EQ(parseScheme("nolwr"), LogScheme::ProteusNoLWR);
     EXPECT_THROW(parseScheme("bogus"), FatalError);
+}
+
+TEST(Config, SchemeLists)
+{
+    const std::vector<LogScheme> all = allSchemes();
+    ASSERT_EQ(all.size(), 6u);
+    EXPECT_EQ(all.front(), LogScheme::PMEM);
+    EXPECT_EQ(all.back(), LogScheme::ProteusNoLWR);
+    EXPECT_EQ(parseSchemes("all"), all);
+    EXPECT_EQ(parseSchemes("pmem,ATOM"),
+              (std::vector<LogScheme>{LogScheme::PMEM, LogScheme::ATOM}));
+    EXPECT_EQ(parseSchemes("Proteus+NoLWR"),
+              std::vector<LogScheme>{LogScheme::ProteusNoLWR});
+    EXPECT_THROW(parseSchemes(""), FatalError);
+    EXPECT_THROW(parseSchemes(","), FatalError);
+    EXPECT_THROW(parseSchemes("pmem,bogus"), FatalError);
 }
 
 TEST(Config, SoftwareSchemeClassification)

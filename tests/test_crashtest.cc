@@ -52,6 +52,28 @@ slurp(const std::string &path)
 
 } // namespace
 
+TEST(CrashTestOptionsFor, ForwardsTheBenchRunsSizeSeedAndHost)
+{
+    BenchOptions bench;
+    bench.scale = 2000;
+    bench.initScale = 50;   // fault_sweep once dropped this one
+    bench.threads = 4;
+    bench.seed = 9;
+    bench.jobs = 3;
+    bench.traceCache = false;
+    bench.cycleSkip = false;
+    bench.faults = faults::parseFaultSpec("torn=0.01");
+    const CrashTestOptions ct = crashTestOptionsFor(bench);
+    EXPECT_EQ(ct.scale, 2000u);
+    EXPECT_EQ(ct.initScale, 50u);
+    EXPECT_EQ(ct.threads, 1u);  // the byte-exact oracle needs one core
+    EXPECT_EQ(ct.seed, 9u);
+    EXPECT_EQ(ct.jobs, 3u);
+    EXPECT_FALSE(ct.useTraceCache);
+    EXPECT_FALSE(ct.cycleSkip);
+    EXPECT_EQ(ct.faults.tornWriteRate, 0.01);
+}
+
 // ---------------------------------------------------------------------
 // CommitOracle unit tests: histories built by hand, images checked
 // against them. Two transactions on one thread: tx 100 commits value

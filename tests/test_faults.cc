@@ -110,6 +110,13 @@ TEST(FaultSpec, RejectsNonsense)
     EXPECT_THROW(spec("unknown=1"), FatalError);
     EXPECT_THROW(spec("torn"), FatalError);
     EXPECT_THROW(spec("torn=abc"), FatalError);
+    EXPECT_THROW(spec("torn=0.01x"), FatalError);
+    EXPECT_THROW(spec("readflip=nan"), FatalError);
+    EXPECT_THROW(spec("detect=8x"), FatalError);
+    EXPECT_THROW(spec("correct=1x"), FatalError);
+    EXPECT_THROW(spec("stuck=-1"), FatalError);
+    EXPECT_THROW(spec("bits=4294967296"), FatalError);
+    EXPECT_THROW(spec("seed="), FatalError);
 }
 
 TEST(FaultSpec, DefaultIsDisabled)

@@ -36,11 +36,6 @@ namespace {
 
 const char *goldenPath = PROTEUS_GOLDEN_DIR "/golden_stats.txt";
 
-const std::vector<LogScheme> allSchemes{
-    LogScheme::PMEM,    LogScheme::PMEMPCommit, LogScheme::PMEMNoLog,
-    LogScheme::ATOM,    LogScheme::Proteus,     LogScheme::ProteusNoLWR,
-};
-
 const std::vector<WorkloadKind> goldenWorkloads{
     WorkloadKind::Queue, WorkloadKind::HashMap, WorkloadKind::BTree,
 };
@@ -181,7 +176,7 @@ TEST(GoldenStats, SchemesMatchGoldenCounters)
         }
     };
 
-    for (const LogScheme scheme : allSchemes) {
+    for (const LogScheme scheme : allSchemes()) {
         for (const WorkloadKind kind : goldenWorkloads) {
             checkCell(std::string(toString(scheme)) + " " +
                           toString(kind),
@@ -191,7 +186,7 @@ TEST(GoldenStats, SchemesMatchGoldenCounters)
     // The generated workload: one fixed spec (see runGenCell), pinned
     // per scheme so GenSpec/keydist/GenWorkload drift is caught at the
     // counter level, not just functionally.
-    for (const LogScheme scheme : allSchemes) {
+    for (const LogScheme scheme : allSchemes()) {
         checkCell(std::string(toString(scheme)) + " GEN",
                   runGenCell(scheme));
     }

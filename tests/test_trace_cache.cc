@@ -31,11 +31,6 @@ using testbundle::expectHeapsEqual;
 
 namespace {
 
-const std::vector<LogScheme> allSchemes{
-    LogScheme::PMEM,    LogScheme::PMEMPCommit, LogScheme::PMEMNoLog,
-    LogScheme::ATOM,    LogScheme::Proteus,     LogScheme::ProteusNoLWR,
-};
-
 TraceBundleKey
 smallKey(LogScheme scheme, std::uint64_t seed = 1)
 {
@@ -262,7 +257,7 @@ TEST(PopulatedState, ClonedRecordingMatchesFreshBuildForEveryKindAndScheme)
         const std::string serialized_before =
             state->workload().serialize(state->heap().volatileImage());
 
-        for (const LogScheme scheme : allSchemes) {
+        for (const LogScheme scheme : allSchemes()) {
             SCOPED_TRACE(toString(scheme));
             TraceBundleKey key = base;
             key.scheme = scheme;
@@ -300,7 +295,7 @@ TEST(PopulatedState, PopulationIgnoresTheScheme)
         SCOPED_TRACE(reg.abbrev);
         const auto state =
             PopulatedState::build(kindKey(reg.kind, LogScheme::PMEM));
-        for (const LogScheme scheme : allSchemes) {
+        for (const LogScheme scheme : allSchemes()) {
             SCOPED_TRACE(toString(scheme));
             const TraceBundleKey key = kindKey(reg.kind, scheme);
             EXPECT_TRUE(key.populationKey() == state->key);
@@ -339,10 +334,10 @@ TEST(PopulatedState, InstancesReplayIndependently)
 TEST(TraceCache, PopulatesOncePerWorkloadAcrossSchemes)
 {
     TraceCache cache;
-    for (const LogScheme scheme : allSchemes)
+    for (const LogScheme scheme : allSchemes())
         cache.get(smallKey(scheme));
     EXPECT_EQ(cache.populations(), 1u);
-    EXPECT_EQ(cache.misses(), allSchemes.size());
+    EXPECT_EQ(cache.misses(), allSchemes().size());
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.populated(smallKey(LogScheme::ATOM)).get(),
               cache.populated(smallKey(LogScheme::PMEM)).get());
@@ -351,7 +346,7 @@ TEST(TraceCache, PopulatesOncePerWorkloadAcrossSchemes)
     const auto upgraded = cache.get(smallKey(LogScheme::PMEM), true);
     ASSERT_NE(upgraded->history, nullptr);
     EXPECT_EQ(cache.populations(), 1u);
-    EXPECT_EQ(cache.misses(), allSchemes.size() + 1);
+    EXPECT_EQ(cache.misses(), allSchemes().size() + 1);
 
     // Another workload, or other params, is another population.
     cache.get(smallKey(LogScheme::PMEM, 7));
@@ -367,22 +362,22 @@ TEST(TraceCache, ConcurrentSchemesPopulateOnce)
 {
     TraceCache cache;
     std::vector<std::shared_ptr<const TraceBundle>> results(
-        allSchemes.size());
+        allSchemes().size());
     std::vector<std::thread> threads;
     for (std::size_t i = 0; i < results.size(); ++i) {
         threads.emplace_back([&cache, &results, i]() {
-            results[i] = cache.get(smallKey(allSchemes[i], 5));
+            results[i] = cache.get(smallKey(allSchemes()[i], 5));
         });
     }
     for (std::thread &t : threads)
         t.join();
 
     EXPECT_EQ(cache.populations(), 1u);
-    EXPECT_EQ(cache.misses(), allSchemes.size());
+    EXPECT_EQ(cache.misses(), allSchemes().size());
     for (std::size_t i = 0; i < results.size(); ++i) {
-        SCOPED_TRACE(toString(allSchemes[i]));
+        SCOPED_TRACE(toString(allSchemes()[i]));
         ASSERT_NE(results[i], nullptr);
         expectBundlesEqual(*results[i],
-                           *TraceBundle::build(smallKey(allSchemes[i], 5)));
+                           *TraceBundle::build(smallKey(allSchemes()[i], 5)));
     }
 }

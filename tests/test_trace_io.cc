@@ -24,11 +24,6 @@ using testbundle::expectTracesEqual;
 
 namespace {
 
-const std::vector<LogScheme> allSchemes{
-    LogScheme::PMEM,    LogScheme::PMEMPCommit, LogScheme::PMEMNoLog,
-    LogScheme::ATOM,    LogScheme::Proteus,     LogScheme::ProteusNoLWR,
-};
-
 TraceBundleKey
 smallKey(LogScheme scheme, WorkloadKind kind = WorkloadKind::Queue)
 {
@@ -80,7 +75,7 @@ TEST(TraceIo, Crc32KnownVector)
 
 TEST(TraceIo, RoundTripPreservesEverything)
 {
-    for (const LogScheme scheme : allSchemes) {
+    for (const LogScheme scheme : allSchemes()) {
         SCOPED_TRACE(toString(scheme));
         const TraceBundleKey key = smallKey(scheme);
         const auto built = TraceBundle::build(key, nullptr, true);
@@ -123,7 +118,7 @@ TEST(TraceIo, RoundTripPreservesEverything)
 
 TEST(TraceIo, LoadedBundleRunsBitIdentical)
 {
-    for (const LogScheme scheme : allSchemes) {
+    for (const LogScheme scheme : allSchemes()) {
         SCOPED_TRACE(toString(scheme));
         const TraceBundleKey key = smallKey(scheme);
 

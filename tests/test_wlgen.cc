@@ -144,6 +144,8 @@ TEST(WlgenSpec, RejectsInvalidSpecs)
         "dist=gaussian",        // unknown distribution
         "nope=1",               // unknown key
         "theta=abc",            // not a number
+        "ops=-5",               // wrapped around to 2^64 - 5
+        "theta=0x0.8",          // hex float
         "keys",                 // missing '='
     };
     for (const std::string &s : bad)

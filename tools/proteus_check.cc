@@ -2,9 +2,9 @@
  * @file
  * proteus-check: the persistency-order checker front end.
  *
- *   proteus-check run <workload|all> [--scheme S|all] [options]
+ *   proteus-check run <workload|all> [options]
  *   proteus-check replay <file.ptrace> [options]
- *   proteus-check rules [--scheme S]
+ *   proteus-check rules [--scheme LIST]
  *
  * `run` replays the workload through the full timing machine with the
  * online happens-before checker armed and reports every ordering
@@ -15,7 +15,6 @@
  * — the CI gate proving the rules are live.
  */
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "harness/check_runner.hh"
 #include "harness/trace_io.hh"
 #include "sim/logging.hh"
-#include "sim/parse_number.hh"
 #include "workloads/registry.hh"
 
 using namespace proteus;
@@ -32,86 +30,8 @@ using namespace proteus;
 namespace {
 
 int
-usage()
+cmdRules(const std::vector<LogScheme> &schemes)
 {
-    std::cout
-        << "usage: proteus-check <command> [args]\n\n"
-        << "commands:\n"
-        << "  run <workload|all>  check one workload (or every paper "
-        << "workload)\n"
-        << "  replay <file>       check a .ptrace trace snapshot\n"
-        << "  rules               print the rule set per scheme\n\n"
-        << "options:\n"
-        << "  --scheme S|all     pmem | pmem+pcommit | pmem+nolog | "
-        << "atom |\n"
-        << "                     proteus | proteus+nolwr | all "
-        << "(default: all)\n"
-        << "  --check-mutate N   seeded mutation campaign: inject one "
-        << "violation per\n"
-        << "                     armed rule (seed N) and require every "
-        << "rule to fire\n"
-        << "  --json FILE        deterministic JSON verdict (no "
-        << "wall-clock)\n"
-        << "  --jobs N           host worker threads (0 = all cores)\n"
-        << "  --scale N          divide Table 2 SimOps (default 200)\n"
-        << "  --init-scale N     divide Table 2 InitOps (default 1)\n"
-        << "  --threads N        simulated cores (default 4)\n"
-        << "  --seed N           workload RNG seed\n"
-        << "  --dram             DRAM timing (Section 7.2)\n"
-        << "  --set k=v          config override\n"
-        << "  --no-cycle-skip    tick every cycle (verdicts are "
-        << "bit-identical)\n"
-        << "  --wl-spec k=v,...  generated-workload spec (workload "
-        << "'gen')\n";
-    return 2;
-}
-
-/** Options BenchOptions::parse does not know about. */
-struct CliExtras
-{
-    std::vector<LogScheme> schemes;     ///< empty = all
-    long mutateSeed = -1;               ///< --check-mutate N (-1 = off)
-};
-
-CliExtras
-extractExtras(std::vector<char *> &args)
-{
-    CliExtras extras;
-    for (std::size_t i = 1; i < args.size();) {
-        const std::string arg = args[i];
-        auto take_value = [&](unsigned count) {
-            args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                       args.begin() +
-                           static_cast<std::ptrdiff_t>(i + count));
-        };
-        if (arg == "--scheme" && i + 1 < args.size()) {
-            if (std::string(args[i + 1]) != "all")
-                extras.schemes.push_back(parseScheme(args[i + 1]));
-            take_value(2);
-        } else if (arg == "--check-mutate" && i + 1 < args.size()) {
-            extras.mutateSeed =
-                parseUnsigned<std::uint32_t>(arg, args[i + 1]);
-            take_value(2);
-        } else {
-            ++i;
-        }
-    }
-    return extras;
-}
-
-std::vector<LogScheme>
-allSchemes()
-{
-    return {LogScheme::PMEM,  LogScheme::PMEMPCommit,
-            LogScheme::PMEMNoLog, LogScheme::ATOM,
-            LogScheme::Proteus,   LogScheme::ProteusNoLWR};
-}
-
-int
-cmdRules(const CliExtras &extras)
-{
-    const auto schemes =
-        extras.schemes.empty() ? allSchemes() : extras.schemes;
     std::cout << "rules:\n";
     for (unsigned r = 0; r < analysis::numRules; ++r) {
         const auto rule = static_cast<analysis::Rule>(r);
@@ -136,13 +56,10 @@ cmdRules(const CliExtras &extras)
 }
 
 int
-cmdRun(const std::vector<WorkloadKind> &kinds, const CliExtras &extras,
-       const BenchOptions &opts)
+cmdRun(const std::vector<WorkloadKind> &kinds,
+       const std::vector<LogScheme> &schemes, const BenchOptions &opts)
 {
-    const auto schemes =
-        extras.schemes.empty() ? allSchemes() : extras.schemes;
-
-    if (extras.mutateSeed >= 0) {
+    if (opts.checkMutate >= 0) {
         // Mutation campaign: every (scheme, workload) pair must catch
         // every armed rule's injected violation.
         bool all_ok = true;
@@ -152,12 +69,12 @@ cmdRun(const std::vector<WorkloadKind> &kinds, const CliExtras &extras,
                 ProgressReporter progress(std::cerr);
                 const auto rows = runMutationCampaign(
                     scheme, kind, opts,
-                    static_cast<std::uint64_t>(extras.mutateSeed),
+                    static_cast<std::uint64_t>(opts.checkMutate),
                     &progress);
                 std::cout << formatMutationReport(scheme, kind, rows);
                 json += mutationRowsJson(
                     scheme, kind,
-                    static_cast<std::uint64_t>(extras.mutateSeed),
+                    static_cast<std::uint64_t>(opts.checkMutate),
                     rows);
                 all_ok = all_ok && allFired(rows);
             }
@@ -193,43 +110,38 @@ cmdReplay(const std::string &path, const BenchOptions &opts)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string command = argv[1];
-    if (command == "--help" || command == "-h")
-        return usage();
-    if (command != "run" && command != "replay" && command != "rules") {
-        std::cerr << "unknown command: " << command << "\n";
-        return usage();
-    }
-    const bool takes_operand = command != "rules";
-    if (takes_operand && argc < 3) {
-        std::cerr << command << " requires a "
-                  << (command == "replay" ? "trace file" : "workload")
-                  << "\n";
-        return usage();
-    }
+    BenchOptions opts;
+    std::vector<LogScheme> schemes = allSchemes();
+    using namespace cli;
+    const Option schemeList = schemesOption("--scheme", schemes);
+    const std::vector<Option> config = configOptions(opts);
+    const std::vector<Option> machine =
+        machineOptions(opts.cycleSkip, opts.faults);
 
-    try {
-        std::vector<char *> args;
-        args.push_back(argv[0]);
-        for (int i = takes_operand ? 3 : 2; i < argc; ++i)
-            args.push_back(argv[i]);
-        const CliExtras extras = extractExtras(args);
-        const BenchOptions opts = BenchOptions::parse(
-            static_cast<int>(args.size()), args.data());
-        if (command == "rules")
-            return cmdRules(extras);
-        if (command == "replay")
-            return cmdReplay(argv[2], opts);
-        const std::string operand = argv[2];
-        const std::vector<WorkloadKind> kinds =
-            operand == "all" ? allPaperWorkloads()
-                             : std::vector<WorkloadKind>{
-                                   parseWorkload(operand)};
-        return cmdRun(kinds, extras, opts);
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    return dispatch(argc, argv, {
+        {"run", {"<workload|all>"},
+         "check one workload, or every paper workload",
+         {{schemeList, checkMutateOption(opts.checkMutate)},
+          sizeOptions(opts.scale, opts.initScale, opts.threads, opts.seed),
+          specOptions(opts.wlSpec, opts.wlSpecFile), config, machine,
+          batchOptions(opts.jobs, opts.jsonPath, opts.traceCache)},
+         [&](const std::vector<std::string> &args) {
+             const std::vector<WorkloadKind> kinds =
+                 args[0] == "all"
+                     ? allPaperWorkloads()
+                     : std::vector<WorkloadKind>{parseWorkload(args[0])};
+             return cmdRun(kinds, schemes, opts);
+         }},
+        {"replay", {"<file>"}, "check a .ptrace trace snapshot",
+         {config, machine,
+          {text("--json", "FILE", "write the verdict as JSON",
+                opts.jsonPath)}},
+         [&](const std::vector<std::string> &args) {
+             return cmdReplay(args[0], opts);
+         }},
+        {"rules", {}, "print the rule set per scheme", {{schemeList}},
+         [&](const std::vector<std::string> &) {
+             return cmdRules(schemes);
+         }},
+    });
 }

@@ -2,103 +2,33 @@
  * @file
  * proteus-sim: the command-line front end to the simulator.
  *
- *   proteus-sim run    <workload> [--scheme S] [--stats] [--json]
- *   proteus-sim replay <file.ptrace> [--stats] [--json]
- *   proteus-sim crash  <workload> [--scheme S] [--at PERCENT]
- *   proteus-sim matrix [--jobs N] [--json FILE]
+ *   proteus-sim run    <workload> [options]
+ *   proteus-sim replay <file.ptrace> [options]
+ *   proteus-sim crash  <workload> [options]
+ *   proteus-sim matrix [options]
  *   proteus-sim list
  *
- * plus the shared options every harness binary takes: --scale,
- * --init-scale, --threads, --seed, --dram, --set key=value, and the
- * observability flags --stats-interval/--stats-out/--trace-events/
- * --trace-categories.
+ * Each command accepts exactly the flags its code reads; `proteus-sim
+ * <command> --help` lists them (harness/options.hh).
  */
 
-#include <cstring>
 #include <iostream>
 #include <vector>
 
+#include "crashtest/crash_tester.hh"
 #include "harness/check_runner.hh"
 #include "harness/experiments.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/system.hh"
 #include "harness/trace_io.hh"
-#include "recovery/recovery.hh"
 #include "sim/logging.hh"
-#include "sim/parse_number.hh"
 #include "workloads/registry.hh"
 
 using namespace proteus;
 
 namespace {
 
-int
-usage()
-{
-    std::cout
-        << "usage: proteus_sim <command> [args]\n\n"
-        << "commands:\n"
-        << "  run <workload>     simulate one workload to completion\n"
-        << "  replay <file>      simulate a .ptrace trace snapshot "
-        << "(proteus-trace record)\n"
-        << "  crash <workload>   crash partway, recover, validate\n"
-        << "  matrix             every scheme x workload, in parallel\n"
-        << "  list               show workloads and schemes\n"
-        << "  --list-workloads   show every workload with its extra "
-        << "knobs\n\n"
-        << "options (run/crash):\n"
-        << "  --scheme S         pmem | pmem+pcommit | pmem+nolog |\n"
-        << "                     atom | proteus | proteus+nolwr\n"
-        << "  --at PERCENT       crash point as %% of the full run "
-        << "(crash; default 50)\n"
-        << "  --stats            dump the full statistics registry\n"
-        << "  --json             dump statistics as JSON\n"
-        << "  --scale N          divide Table 2 SimOps (default 200)\n"
-        << "  --init-scale N     divide Table 2 InitOps (default 1)\n"
-        << "  --threads N        simulated cores (default 4)\n"
-        << "  --seed N           workload RNG seed\n"
-        << "  --dram             DRAM timing (Section 7.2)\n"
-        << "  --set k=v          config override\n"
-        << "  --no-cycle-skip    tick every cycle instead of skipping "
-        << "quiescent spans (same results, slower)\n"
-        << "  --check            arm the persistency-order checker "
-        << "(see proteus-check);\n"
-        << "                     any ordering violation fails the run\n"
-        << "  --check-mutate N   seeded mutation campaign (run): every "
-        << "armed rule must\n"
-        << "                     catch one injected violation\n"
-        << "  --faults SPEC      NVM media fault injection: comma list "
-        << "of torn=RATE,\n"
-        << "                     readflip=RATE, bits=N, endurance=N, "
-        << "stuck=N, detect=N,\n"
-        << "                     correct=N, retries=N, backoff=N, "
-        << "seed=N (default: off)\n"
-        << "  --fault-seed N     fault-draw seed (default 1)\n"
-        << "  --wl-spec k=v,...  generated-workload spec (workload "
-        << "'gen')\n"
-        << "  --wl-spec-file F   spec file; --wl-spec overrides on "
-        << "top\n\n"
-        << "observability (run/crash/matrix):\n"
-        << "  --stats-interval N sample scalar-stat deltas every N "
-        << "cycles\n"
-        << "  --stats-out FILE   interval time series (.json or .csv)\n"
-        << "  --trace-events FILE\n"
-        << "                     Chrome Trace Event JSON; open in "
-        << "Perfetto (ui.perfetto.dev)\n"
-        << "  --trace-categories LIST\n"
-        << "                     comma list of cpu,memctrl,log,lock,all"
-        << " (default all)\n"
-        << "  --tx-stats FILE    transaction flight-recorder summary "
-        << "(.json or .csv; see proteus-txstats)\n"
-        << "  --tx-slowest K     retain full timelines for the K "
-        << "slowest transactions (default 8)\n\n"
-        << "options (matrix):\n"
-        << "  --jobs N           host worker threads (0 = all cores)\n"
-        << "  --json FILE        write per-run result rows as JSON\n";
-    return 2;
-}
-
-/** Options the harness parser does not know about. */
+/** The flags only proteus-sim reads; BenchOptions holds the rest. */
 struct CliExtras
 {
     LogScheme scheme = LogScheme::Proteus;
@@ -107,40 +37,15 @@ struct CliExtras
     bool json = false;
 };
 
-/** Strip CLI-only flags, leaving argv for BenchOptions::parse. */
-CliExtras
-extractExtras(std::vector<char *> &args)
-{
-    CliExtras extras;
-    for (std::size_t i = 1; i < args.size();) {
-        const std::string arg = args[i];
-        auto take_value = [&](unsigned count) {
-            args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                       args.begin() +
-                           static_cast<std::ptrdiff_t>(i + count));
-        };
-        if (arg == "--scheme" && i + 1 < args.size()) {
-            extras.scheme = parseScheme(args[i + 1]);
-            take_value(2);
-        } else if (arg == "--at" && i + 1 < args.size()) {
-            extras.crashPercent =
-                parseUnsigned<unsigned>(arg, args[i + 1]);
-            take_value(2);
-        } else if (arg == "--stats") {
-            extras.stats = true;
-            take_value(1);
-        } else if (arg == "--json") {
-            extras.json = true;
-            take_value(1);
-        } else {
-            ++i;
-        }
-    }
-    return extras;
-}
-
-void
-printSummary(const RunResult &r)
+/** Print @p system's finished run @p r, write its tx-stats row under
+ *  @p id's identity, and print the check report and the statistics
+ *  dump that @p id and @p extras ask for. @p invariants (if set) is the
+ *  workload's verdict, printed before the dump. @return the exit
+ *  status: 0 if the run finished and passed. */
+int
+reportRun(FullSystem &system, const RunResult &r, const BenchOptions &id,
+          LogScheme scheme, WorkloadKind kind, const CliExtras &extras,
+          const std::string *invariants)
 {
     std::cout << "finished:           "
               << (r.finished ? "yes" : "NO (cycle limit)") << "\n"
@@ -167,6 +72,28 @@ printSummary(const RunResult &r)
                   << " lines poisoned, " << f.silentFaults
                   << " silent\n";
     }
+    std::cout << "kernel steps:       " << system.sim().kernelSteps()
+              << " (" << system.sim().skippedCycles()
+              << " cycles skipped)\n";
+    if (!id.txStats.empty() && r.txStats) {
+        obs::writeTxStatsFile(id.txStats,
+                              {makeTxStatsRow(id, scheme, kind, r)});
+    }
+    bool ok = r.finished;
+    if (id.check && r.check) {
+        std::cout << formatCheckReport(CheckRow{scheme, kind, r, *r.check});
+        ok = ok && r.check->pass();
+    }
+    if (invariants) {
+        std::cout << "invariants:         "
+                  << (invariants->empty() ? "OK" : *invariants) << "\n";
+        ok = ok && invariants->empty();
+    }
+    if (extras.json)
+        system.sim().statsRegistry().dumpJson(std::cout);
+    else if (extras.stats)
+        system.sim().statsRegistry().dump(std::cout);
+    return ok ? 0 : 1;
 }
 
 int
@@ -176,12 +103,8 @@ cmdList()
     for (const WorkloadRegistration &reg : workloadRegistry())
         std::cout << "  " << reg.abbrev << " (" << reg.summary << ")\n";
     std::cout << "\nschemes (Figure 6):\n";
-    for (LogScheme s :
-         {LogScheme::PMEM, LogScheme::PMEMPCommit,
-          LogScheme::PMEMNoLog, LogScheme::ATOM, LogScheme::Proteus,
-          LogScheme::ProteusNoLWR}) {
+    for (LogScheme s : allSchemes())
         std::cout << "  " << toString(s) << "\n";
-    }
     return 0;
 }
 
@@ -202,7 +125,12 @@ cmdRun(WorkloadKind kind, const CliExtras &extras,
 {
     if (opts.checkMutate >= 0) {
         // Seeded mutation campaign: every armed rule must catch its
-        // own injected violation (see tools/proteus-check).
+        // own injected violation (see tools/proteus-check). It runs one
+        // simulation per rule, in parallel, so no per-run output applies.
+        if (extras.stats || extras.json || !opts.statsOut.empty() ||
+            !opts.traceEvents.empty() || !opts.txStats.empty())
+            fatal("--check-mutate: the campaign takes no --stats, --json, "
+                  "--stats-out, --trace-events or --tx-stats");
         ProgressReporter progress(std::cerr);
         const auto rows = runMutationCampaign(
             extras.scheme, kind, opts,
@@ -211,12 +139,16 @@ cmdRun(WorkloadKind kind, const CliExtras &extras,
         return allFired(rows) ? 0 : 1;
     }
 
+    WorkloadExtras wlExtras;
+    wlExtras.gen = opts.genSpec();
+
     SystemConfig cfg = opts.makeConfig();
     cfg.logging.scheme = extras.scheme;
     cfg.memCtrl.adr = extras.scheme != LogScheme::PMEMPCommit;
     if (opts.check) {
         cfg.analysis.check = true;
-        cfg.analysis.repro = checkReproLine(extras.scheme, kind, opts);
+        cfg.analysis.repro =
+            checkReproLine(extras.scheme, kind, opts, wlExtras.gen);
     }
 
     WorkloadParams params;
@@ -225,40 +157,14 @@ cmdRun(WorkloadKind kind, const CliExtras &extras,
     params.initScale = opts.initScale;
     params.seed = opts.seed;
 
-    WorkloadExtras wlExtras;
-    wlExtras.gen = opts.genSpec();
-
     std::cout << "running " << toString(kind) << " under "
               << toString(extras.scheme) << " (" << params.threads
               << " cores)...\n";
     FullSystem system(cfg, kind, params, wlExtras);
     const RunResult r = system.run();
-    printSummary(r);
-    std::cout << "kernel steps:       " << system.sim().kernelSteps()
-              << " (" << system.sim().skippedCycles()
-              << " cycles skipped)\n";
-    if (!cfg.obs.txStats.empty() && r.txStats) {
-        obs::writeTxStatsFile(
-            cfg.obs.txStats,
-            {makeTxStatsRow(opts, extras.scheme, kind, r)});
-    }
-
-    bool check_ok = true;
-    if (opts.check && r.check) {
-        CheckRow row{extras.scheme, kind, r, *r.check};
-        std::cout << formatCheckReport(row);
-        check_ok = r.check->pass();
-    }
-
     const std::string err = system.workload().checkInvariants(
         system.heap().volatileImage());
-    std::cout << "invariants:         "
-              << (err.empty() ? "OK" : err) << "\n";
-    if (extras.json)
-        system.sim().statsRegistry().dumpJson(std::cout);
-    else if (extras.stats)
-        system.sim().statsRegistry().dump(std::cout);
-    return r.finished && err.empty() && check_ok ? 0 : 1;
+    return reportRun(system, r, opts, extras.scheme, kind, extras, &err);
 }
 
 int
@@ -280,37 +186,23 @@ cmdReplay(const std::string &path, const CliExtras &extras,
               << bundle->key.describe() << ")...\n";
     FullSystem system(cfg, bundle);
     const RunResult r = system.run();
-    printSummary(r);
-    std::cout << "kernel steps:       " << system.sim().kernelSteps()
-              << " (" << system.sim().skippedCycles()
-              << " cycles skipped)\n";
-    if (!cfg.obs.txStats.empty() && r.txStats) {
-        obs::writeTxStatsFile(cfg.obs.txStats,
-                              {makeTxStatsRow(opts, bundle->key.scheme,
-                                              bundle->key.kind, r)});
-    }
-    bool check_ok = true;
-    if (opts.check && r.check) {
-        CheckRow row{bundle->key.scheme, bundle->key.kind, r, *r.check};
-        std::cout << formatCheckReport(row);
-        check_ok = r.check->pass();
-    }
-    // No workload object travels with a snapshot, so structural
-    // invariants cannot be checked here — proteus-trace verify covers
-    // the file's integrity instead.
-    if (extras.json)
-        system.sim().statsRegistry().dumpJson(std::cout);
-    else if (extras.stats)
-        system.sim().statsRegistry().dump(std::cout);
-    return r.finished && check_ok ? 0 : 1;
+    // The tx-stats row's identity is the recorded run's. No workload
+    // object travels with a snapshot, so structural invariants cannot
+    // be checked here; proteus-trace verify covers the file instead.
+    const WorkloadParams &p = bundle->key.params;
+    BenchOptions id = opts;
+    id.threads = p.threads;
+    id.scale = p.scale;
+    id.initScale = p.initScale;
+    id.seed = p.seed;
+    return reportRun(system, r, id, bundle->key.scheme, bundle->key.kind,
+                     extras, nullptr);
 }
 
 int
 cmdMatrix(const BenchOptions &opts)
 {
-    const std::vector<LogScheme> schemes{
-        LogScheme::PMEM, LogScheme::PMEMPCommit, LogScheme::PMEMNoLog,
-        LogScheme::ATOM, LogScheme::Proteus, LogScheme::ProteusNoLWR};
+    const std::vector<LogScheme> schemes = allSchemes();
     const auto workloads = allPaperWorkloads();
 
     std::vector<SimJob> jobs;
@@ -396,30 +288,12 @@ cmdCrash(WorkloadKind kind, const CliExtras &extras,
     std::cout << "committed transactions at crash: " << committed
               << "\n";
 
-    for (unsigned t = 0; t < sys.coreCount(); ++t) {
-        TraceBuilder &tb = sys.workload().builder(t);
-        RecoveryResult rec;
-        switch (extras.scheme) {
-          case LogScheme::PMEM:
-          case LogScheme::PMEMPCommit:
-            rec = Recovery::recoverSoftware(image, tb.logAreaStart(),
-                                            tb.logAreaEnd(),
-                                            tb.logFlagAddr());
-            break;
-          case LogScheme::ATOM: {
-            const auto [start, end] = sys.atomLogArea(t);
-            rec = Recovery::recoverAtom(image, start, end);
-            break;
-          }
-          default:
-            rec = Recovery::recoverProteus(image, tb.logAreaStart(),
-                                           tb.logAreaEnd());
-            break;
-        }
+    const std::vector<RecoveryResult> recs = recoverAllThreads(sys, image);
+    for (std::size_t t = 0; t < recs.size(); ++t) {
         std::cout << "  thread " << t << ": "
-                  << (rec.didUndo ? "rolled back one transaction"
-                                  : "nothing in flight")
-                  << " (" << rec.entriesApplied << " entries)\n";
+                  << (recs[t].didUndo ? "rolled back one transaction"
+                                      : "nothing in flight")
+                  << " (" << recs[t].entriesApplied << " entries)\n";
     }
 
     const std::string err = sys.workload().checkInvariants(image);
@@ -433,54 +307,58 @@ cmdCrash(WorkloadKind kind, const CliExtras &extras,
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string command = argv[1];
-    if (command == "list")
-        return cmdList();
-    if (command == "--list-workloads" || command == "list-workloads")
-        return cmdListWorkloads();
-    if (command == "--help" || command == "-h")
-        return usage();
-    if (command == "matrix") {
-        try {
-            std::vector<char *> args;
-            args.push_back(argv[0]);
-            for (int i = 2; i < argc; ++i)
-                args.push_back(argv[i]);
-            return cmdMatrix(BenchOptions::parse(
-                static_cast<int>(args.size()), args.data()));
-        } catch (const FatalError &e) {
-            std::cerr << e.what() << "\n";
-            return 1;
-        }
-    }
-    if (command != "run" && command != "crash" && command != "replay") {
-        std::cerr << "unknown command: " << command << "\n";
-        return usage();
-    }
-    if (argc < 3) {
-        std::cerr << command << " requires a "
-                  << (command == "replay" ? "trace file" : "workload")
-                  << "\n";
-        return usage();
-    }
+    BenchOptions opts;
+    CliExtras extras;
+    using namespace cli;
+    const std::vector<Option> dumps{
+        flag("--stats", "dump the full statistics registry", extras.stats),
+        flag("--json", "dump the statistics registry as JSON",
+             extras.json),
+    };
+    const std::vector<Option> size =
+        sizeOptions(opts.scale, opts.initScale, opts.threads, opts.seed);
+    const std::vector<Option> spec =
+        specOptions(opts.wlSpec, opts.wlSpecFile);
+    const std::vector<Option> config = configOptions(opts);
+    const std::vector<Option> machine =
+        machineOptions(opts.cycleSkip, opts.faults);
+    const std::vector<Option> trace = traceOptions(opts);
+    const std::vector<Option> txStats = txStatsOptions(opts);
+    const Option check = checkOption(opts.check);
 
-    try {
-        std::vector<char *> args;
-        args.push_back(argv[0]);
-        for (int i = 3; i < argc; ++i)
-            args.push_back(argv[i]);
-        const CliExtras extras = extractExtras(args);
-        const BenchOptions opts = BenchOptions::parse(
-            static_cast<int>(args.size()), args.data());
-        if (command == "replay")
-            return cmdReplay(argv[2], extras, opts);
-        const WorkloadKind kind = parseWorkload(argv[2]);
-        return command == "run" ? cmdRun(kind, extras, opts)
-                                : cmdCrash(kind, extras, opts);
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    return dispatch(argc, argv, {
+        {"run", {"<workload>"}, "simulate one workload to completion",
+         {{schemeOption(extras.scheme), check,
+           checkMutateOption(opts.checkMutate)},
+          dumps, size, spec, config, machine, trace, txStats},
+         [&](const std::vector<std::string> &args) {
+             return cmdRun(parseWorkload(args[0]), extras, opts);
+         }},
+        {"replay", {"<file>"},
+         "simulate a .ptrace trace snapshot (proteus-trace record)",
+         {{check}, dumps, config, machine, trace, txStats},
+         [&](const std::vector<std::string> &args) {
+             return cmdReplay(args[0], extras, opts);
+         }},
+        {"crash", {"<workload>"}, "crash partway, recover, validate",
+         {{schemeOption(extras.scheme),
+           number("--at", "PERCENT",
+                  "crash point as a percentage of the full run",
+                  extras.crashPercent, 0u, 100u)},
+          size, spec, config, machine, trace},
+         [&](const std::vector<std::string> &args) {
+             return cmdCrash(parseWorkload(args[0]), extras, opts);
+         }},
+        {"matrix", {}, "every scheme x workload, in parallel",
+         {size, config, machine,
+          batchOptions(opts.jobs, opts.jsonPath, opts.traceCache), {check},
+          trace, txStats},
+         [&](const std::vector<std::string> &) { return cmdMatrix(opts); }},
+        {"list", {}, "show workloads and schemes", {},
+         [](const std::vector<std::string> &) { return cmdList(); }},
+        {"--list-workloads", {}, "show every workload with its knobs", {},
+         [](const std::vector<std::string> &) {
+             return cmdListWorkloads();
+         }},
+    });
 }

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/options.hh"
 #include "obs/json_reader.hh"
 #include "obs/tx_tracker.hh"
 #include "sim/logging.hh"
@@ -39,22 +40,6 @@
 using namespace proteus;
 
 namespace {
-
-int
-usage()
-{
-    std::cout
-        << "usage: proteus-txstats <command> [args]\n\n"
-        << "commands:\n"
-        << "  report <file.json> [--per-workload]\n"
-        << "      per-scheme stage latency percentiles (merged across\n"
-        << "      workloads), critical-path attribution, and the CPI\n"
-        << "      cross-check; exits 1 if the cross-check fails\n"
-        << "  diff <a.json> <b.json>\n"
-        << "      per-stage percentile deltas for rows present in both\n"
-        << "      files, matched by (scheme, workload)\n";
-    return 2;
-}
 
 /** One stage snapshot read back from a tx-stats row. */
 struct StageData
@@ -341,33 +326,23 @@ cmdDiff(const std::string &path_a, const std::string &path_b)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string command = argv[1];
-    try {
-        if (command == "report") {
-            if (argc < 3)
-                return usage();
-            bool per_workload = false;
-            for (int i = 3; i < argc; ++i) {
-                if (std::string(argv[i]) == "--per-workload")
-                    per_workload = true;
-                else
-                    fatal("unknown report option: ", argv[i]);
-            }
-            return cmdReport(argv[2], per_workload);
-        }
-        if (command == "diff") {
-            if (argc != 4)
-                return usage();
-            return cmdDiff(argv[2], argv[3]);
-        }
-        if (command == "--help" || command == "-h")
-            return usage();
-        std::cerr << "unknown command: " << command << "\n";
-        return usage();
-    } catch (const FatalError &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
+    bool perWorkload = false;
+    return cli::dispatch(argc, argv, {
+        {"report", {"<file.json>"},
+         "per-scheme stage latency percentiles (merged across workloads), "
+         "critical-path\nattribution, and the CPI cross-check; exits 1 if "
+         "the cross-check fails",
+         {{cli::flag("--per-workload", "also print one table per workload",
+                     perWorkload)}},
+         [&](const std::vector<std::string> &args) {
+             return cmdReport(args[0], perWorkload);
+         }},
+        {"diff", {"<a.json>", "<b.json>"},
+         "per-stage percentile deltas for rows in both files, matched by "
+         "(scheme, workload)",
+         {},
+         [](const std::vector<std::string> &args) {
+             return cmdDiff(args[0], args[1]);
+         }},
+    });
 }
