@@ -59,6 +59,43 @@ BM_MemoryImageRead64(benchmark::State &state)
 }
 BENCHMARK(BM_MemoryImageRead64);
 
+/** An ~8 MB populated image at the persistent heap's base. */
+MemoryImage
+populatedImage()
+{
+    MemoryImage img;
+    for (Addr off = 0; off < (8u << 20); off += blockSize)
+        img.write64(PersistentHeap::persistentBase + off, off);
+    return img;
+}
+
+void
+BM_MemoryImageCopy(benchmark::State &state)
+{
+    // Copy a populated image, then its first write (which unshares).
+    const MemoryImage source = populatedImage();
+    for (auto _ : state) {
+        MemoryImage copy = source;
+        copy.write64(PersistentHeap::persistentBase + 8, 1);
+        benchmark::DoNotOptimize(copy);
+    }
+}
+BENCHMARK(BM_MemoryImageCopy);
+
+void
+BM_MemoryImageIdentical(benchmark::State &state)
+{
+    // Two copies of one image; one rewrote a word with its own value,
+    // so one page is compared by content and the rest by sharing.
+    const MemoryImage source = populatedImage();
+    const MemoryImage a = source;
+    MemoryImage b = source;
+    b.write64(PersistentHeap::persistentBase, 0);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(a.identical(b));
+}
+BENCHMARK(BM_MemoryImageIdentical);
+
 void
 BM_CacheArrayProbeInsert(benchmark::State &state)
 {

@@ -6,27 +6,59 @@
 
 namespace proteus {
 
+namespace {
+
+/**
+ * Make @p p point at a node of its own for writing: materialize it if
+ * null, copy it if another image still shares it. @return true if it
+ * was materialized.
+ */
+template <typename T>
+bool
+own(std::shared_ptr<T> &p)
+{
+    if (!p) {
+        p = std::make_shared<T>();      // value-initialized: zeros/nulls
+        return true;
+    }
+    if (p.use_count() > 1) {
+        p = std::make_shared<T>(*p);
+    } else {
+        // Sole owner, possibly only since another thread's image let
+        // go of the node: order that image's reads before our write.
+        std::atomic_thread_fence(std::memory_order_acquire);
+    }
+    return false;
+}
+
+} // namespace
+
 MemoryImage::Page &
 MemoryImage::touch(Addr page_index)
 {
-    std::shared_ptr<Page> &page = _pages[page_index];
-    if (!page) {
-        page = std::make_shared<Page>();    // value-initialized: zeros
-    } else if (page.use_count() > 1) {
-        page = std::make_shared<Page>(*page);
+    const Addr slot = page_index >> leafBits;
+    std::shared_ptr<Leaf> *leaf;
+    if (slot < nearSlots) {
+        if (slot >= _dir.size())
+            _dir.resize(slot + 1);
+        leaf = &_dir[slot];
     } else {
-        // Sole owner, possibly only since another thread's image let
-        // go of the page: order that image's reads before our write.
-        std::atomic_thread_fence(std::memory_order_acquire);
+        leaf = &_far[slot];
     }
+    own(*leaf);
+    std::shared_ptr<Page> &page = (**leaf)[page_index & (leafPages - 1)];
+    if (own(page))
+        ++_pageCount;
     return *page;
 }
 
-const MemoryImage::Page *
-MemoryImage::peek(Addr page_index) const
+const MemoryImage::Leaf *
+MemoryImage::farLeaf(Addr slot) const
 {
-    auto it = _pages.find(page_index);
-    return it == _pages.end() ? nullptr : it->second.get();
+    if (slot < nearSlots || _far.empty())
+        return nullptr;
+    auto it = _far.find(slot);
+    return it == _far.end() ? nullptr : it->second.get();
 }
 
 void
@@ -82,60 +114,77 @@ std::vector<Addr>
 MemoryImage::pageIndices() const
 {
     std::vector<Addr> indices;
-    indices.reserve(_pages.size());
-    for (const auto &[index, page] : _pages)
-        indices.push_back(index);
-    std::sort(indices.begin(), indices.end());
+    indices.reserve(_pageCount);
+    const auto walk = [&indices](Addr slot, const Leaf *leaf) {
+        if (leaf == nullptr)
+            return;
+        for (std::size_t i = 0; i < leafPages; ++i) {
+            if ((*leaf)[i])
+                indices.push_back((slot << leafBits) + i);
+        }
+    };
+    for (std::size_t slot = 0; slot < _dir.size(); ++slot)
+        walk(slot, _dir[slot].get());
+    for (const auto &[slot, leaf] : _far)
+        walk(slot, leaf.get());
     return indices;
-}
-
-const std::uint8_t *
-MemoryImage::pageData(Addr page_index) const
-{
-    const Page *page = peek(page_index);
-    return page ? page->data() : nullptr;
 }
 
 std::vector<MemoryImage::DiffEntry>
 MemoryImage::diff(const MemoryImage &other,
                   std::size_t max_entries) const
 {
-    // The page maps are unordered; walk the sorted union of page
-    // indices so the result is deterministic and address-ordered.
-    std::vector<Addr> indices;
-    indices.reserve(_pages.size() + other._pages.size());
-    for (const auto &[index, page] : _pages)
-        indices.push_back(index);
-    for (const auto &[index, page] : other._pages) {
-        if (_pages.find(index) == _pages.end())
-            indices.push_back(index);
-    }
-    std::sort(indices.begin(), indices.end());
-
     std::vector<DiffEntry> entries;
     static const Page zeroPage{};
-    for (const Addr index : indices) {
-        const Page *lhs = peek(index);
-        const Page *rhs = other.peek(index);
-        if (lhs == nullptr)
-            lhs = &zeroPage;
-        if (rhs == nullptr)
-            rhs = &zeroPage;
-        if (lhs == rhs ||
-            std::memcmp(lhs->data(), rhs->data(), pageBytes) == 0) {
-            continue;
-        }
-        for (std::size_t off = 0; off < pageBytes; off += 8) {
-            std::uint64_t l, r;
-            std::memcpy(&l, lhs->data() + off, 8);
-            std::memcpy(&r, rhs->data() + off, 8);
-            if (l == r)
+    // Compare one directory slot's leaves; false once the cap is hit.
+    const auto diff_leaf = [&](Addr slot, const Leaf *lhs_leaf,
+                               const Leaf *rhs_leaf) {
+        if (lhs_leaf == rhs_leaf)
+            return true;        // shared (or both missing)
+        for (std::size_t i = 0; i < leafPages; ++i) {
+            const Page *lhs = lhs_leaf ? (*lhs_leaf)[i].get() : nullptr;
+            const Page *rhs = rhs_leaf ? (*rhs_leaf)[i].get() : nullptr;
+            if (lhs == rhs)
                 continue;
-            if (entries.size() >= max_entries)
-                return entries;
-            entries.push_back(DiffEntry{(index << pageBits) + off,
-                                        l, r});
+            if (lhs == nullptr)
+                lhs = &zeroPage;
+            if (rhs == nullptr)
+                rhs = &zeroPage;
+            if (std::memcmp(lhs->data(), rhs->data(), pageBytes) == 0)
+                continue;
+            const Addr base = ((slot << leafBits) + i) << pageBits;
+            for (std::size_t off = 0; off < pageBytes; off += 8) {
+                std::uint64_t l, r;
+                std::memcpy(&l, lhs->data() + off, 8);
+                std::memcpy(&r, rhs->data() + off, 8);
+                if (l == r)
+                    continue;
+                if (entries.size() >= max_entries)
+                    return false;
+                entries.push_back(DiffEntry{base + off, l, r});
+            }
         }
+        return true;
+    };
+
+    // Walk slots in address order: the dense directory, then the
+    // union of both side maps.
+    const std::size_t near = std::max(_dir.size(), other._dir.size());
+    for (std::size_t slot = 0; slot < near; ++slot) {
+        const Leaf *lhs = slot < _dir.size() ? _dir[slot].get() : nullptr;
+        const Leaf *rhs =
+            slot < other._dir.size() ? other._dir[slot].get() : nullptr;
+        if (!diff_leaf(slot, lhs, rhs))
+            return entries;
+    }
+    std::map<Addr, std::pair<const Leaf *, const Leaf *>> far;
+    for (const auto &[slot, leaf] : _far)
+        far[slot].first = leaf.get();
+    for (const auto &[slot, leaf] : other._far)
+        far[slot].second = leaf.get();
+    for (const auto &[slot, leaves] : far) {
+        if (!diff_leaf(slot, leaves.first, leaves.second))
+            break;
     }
     return entries;
 }

@@ -6,12 +6,19 @@
  * actually persisted). Pages materialize on first touch and read as
  * zero before that.
  *
- * Copies are cheap: pages are shared copy-on-write, so a copy costs one
- * pointer per page and a write duplicates only the page it lands on,
- * and only while another image still shares it. The images of a cached
- * populated state, of every bundle recorded from it, and of every
- * FullSystem wired from those bundles thus hold one copy of each page
- * nobody has written since.
+ * Pages live in a two-level radix table: a directory indexed by
+ * page_index >> leafBits whose slots hold leaves of leafPages page
+ * pointers, so a lookup is two array indexes. Directory slots at or
+ * above nearSlots (addresses >= 2^37) sit in a small ordered side
+ * map, so every 64-bit address works without a huge directory.
+ *
+ * Copies are cheap: leaves and pages are both shared copy-on-write. A
+ * copy duplicates only the directory; the first write through a shared
+ * leaf copies that leaf (its page pointers), and a write to a shared
+ * page copies that page. The images of a cached populated state, of
+ * every bundle recorded from it, and of every FullSystem wired from
+ * those bundles thus hold one copy of each page nobody has written
+ * since.
  */
 
 #ifndef PROTEUS_HEAP_MEMORY_IMAGE_HH
@@ -20,9 +27,9 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -36,6 +43,12 @@ class MemoryImage
   public:
     static constexpr unsigned pageBits = 12;
     static constexpr std::size_t pageBytes = std::size_t{1} << pageBits;
+    /** Pages per leaf of the page table (2 MiB of address space). */
+    static constexpr unsigned leafBits = 9;
+    static constexpr std::size_t leafPages = std::size_t{1} << leafBits;
+    /** Directory slots held in the dense array; higher ones (page
+     *  indices >= nearSlots << leafBits) go to the side map. */
+    static constexpr Addr nearSlots = Addr{1} << 16;
 
     /** Copy @p n bytes at @p addr into @p out (zero for untouched). */
     void read(Addr addr, void *out, std::size_t n) const;
@@ -72,16 +85,21 @@ class MemoryImage
                                   std::size_t max_lines = 16);
 
     /** @return number of materialized pages (tests, footprint stats). */
-    std::size_t pageCount() const { return _pages.size(); }
+    std::size_t pageCount() const { return _pageCount; }
 
     /**
-     * Materialized page indices (addr >> pageBits), sorted ascending so
-     * serialization is deterministic regardless of hash-map order.
+     * Materialized page indices (addr >> pageBits), sorted ascending
+     * (the table's walk order) so serialization is deterministic.
      */
     std::vector<Addr> pageIndices() const;
 
     /** Raw bytes of a materialized page; null if never touched. */
-    const std::uint8_t *pageData(Addr page_index) const;
+    const std::uint8_t *
+    pageData(Addr page_index) const
+    {
+        const Page *page = peek(page_index);
+        return page ? page->data() : nullptr;
+    }
 
     /** @return true if both images hold identical contents (untouched
      *  pages read as zero, so an all-zero page equals a missing one). */
@@ -91,7 +109,14 @@ class MemoryImage
     }
 
     /** Drop all contents. */
-    void clear() { _pages.clear(); _poison.clear(); }
+    void
+    clear()
+    {
+        _dir.clear();
+        _far.clear();
+        _pageCount = 0;
+        _poison.clear();
+    }
 
     /// @name Media-fault poison tracking (64B line granularity)
     /// @{
@@ -120,6 +145,7 @@ class MemoryImage
 
   private:
     using Page = std::array<std::uint8_t, pageBytes>;
+    using Leaf = std::array<std::shared_ptr<Page>, leafPages>;
 
     static Addr pageBase(Addr a) { return a >> pageBits; }
     static std::size_t pageOffset(Addr a)
@@ -127,12 +153,29 @@ class MemoryImage
         return static_cast<std::size_t>(a & (pageBytes - 1));
     }
 
-    /** The page for writing: materialized, and unshared. */
+    /** The page for writing: materialized, and unshared (as is the
+     *  leaf holding it). */
     Page &touch(Addr page_index);
-    const Page *peek(Addr page_index) const;
+
+    /** The page at @p page_index; null if never written. */
+    const Page *
+    peek(Addr page_index) const
+    {
+        const Addr slot = page_index >> leafBits;
+        const Leaf *leaf =
+            slot < _dir.size() ? _dir[slot].get() : farLeaf(slot);
+        return leaf ? (*leaf)[page_index & (leafPages - 1)].get()
+                    : nullptr;
+    }
+
+    /** The side map's leaf for directory slot @p slot, or null. */
+    const Leaf *farLeaf(Addr slot) const;
 
     /** Shared with copies of this image until one of them writes. */
-    std::unordered_map<Addr, std::shared_ptr<Page>> _pages;
+    std::vector<std::shared_ptr<Leaf>> _dir;
+    /** Leaves of directory slots >= nearSlots, ordered by slot. */
+    std::map<Addr, std::shared_ptr<Leaf>> _far;
+    std::size_t _pageCount = 0;
     /** Lines flagged detected-uncorrectable by the media fault model;
      *  empty (and cost-free) unless fault injection is active. */
     std::unordered_set<Addr> _poison;

@@ -141,6 +141,30 @@ TraceBuilder::load(Addr addr, unsigned size, Value addr_dep)
     return Value{v, dst};
 }
 
+void
+TraceBuilder::loadWords(Addr addr, std::uint64_t *out, std::size_t n,
+                        Value addr_dep)
+{
+    if (!_recording && !_collecting) {
+        _heap->readBytes(addr, out, n * 8);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = load(addr + i * 8, 8, addr_dep).v;
+}
+
+void
+TraceBuilder::storeWords(Addr addr, const std::uint64_t *in,
+                         std::size_t n)
+{
+    if (_inTx && !_recording && !_collecting) {
+        _heap->writeBytes(addr, in, n * 8);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        store(addr + i * 8, 8, in[i]);   // panics outside a transaction
+}
+
 Value
 TraceBuilder::alu(Value a, Value b)
 {

@@ -125,6 +125,22 @@ class TraceBuilder
     /** Load @p size bytes; @p addr_dep threads a pointer-chase chain. */
     Value load(Addr addr, unsigned size, Value addr_dep = {});
 
+    /**
+     * Load @p n consecutive 8-byte words at @p addr into @p out, each
+     * with @p addr_dep as its address dependency. Equal to n load()
+     * calls; while nothing is recorded or collected it is one heap
+     * read (the functional fast path of population).
+     */
+    void loadWords(Addr addr, std::uint64_t *out, std::size_t n,
+                   Value addr_dep = {});
+
+    /**
+     * Store @p n consecutive 8-byte words from @p in at @p addr
+     * transactionally. Equal to n store() calls; while nothing is
+     * recorded or collected it is one heap write.
+     */
+    void storeWords(Addr addr, const std::uint64_t *in, std::size_t n);
+
     /** Transactional persistent store, expanded per scheme. */
     void store(Addr addr, unsigned size, std::uint64_t value,
                Value dep = {});

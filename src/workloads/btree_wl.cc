@@ -2,6 +2,7 @@
 
 #include "registry.hh"
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <sstream>
@@ -15,6 +16,13 @@ namespace {
 constexpr unsigned offCount = 0;
 constexpr unsigned offKeys = 8;
 constexpr unsigned offChildren = 32;
+/** A node is moved as this many 8-byte words: count, keys, children. */
+constexpr unsigned nodeWords = BTreeWorkload::nodeBytes / 8;
+static_assert(offCount == 0 && offKeys == 8 &&
+                  offChildren == offKeys + BTreeWorkload::maxKeys * 8 &&
+                  offChildren + (BTreeWorkload::maxKeys + 1) * 8 ==
+                      BTreeWorkload::nodeBytes,
+              "count, keys and children fill the node's words exactly");
 
 } // namespace
 
@@ -44,24 +52,24 @@ BTreeWorkload::keyRange() const
 BTreeWorkload::Node
 BTreeWorkload::readNode(TraceBuilder &tb, Addr a, Value dep)
 {
+    std::uint64_t w[nodeWords];
+    tb.loadWords(a, w, nodeWords, dep);
     Node n;
     n.a = a;
-    n.count = tb.load(a + offCount, 8, dep).v;
-    for (unsigned i = 0; i < maxKeys; ++i)
-        n.keys[i] = tb.load(a + offKeys + i * 8, 8, dep).v;
-    for (unsigned i = 0; i < maxKeys + 1; ++i)
-        n.child[i] = tb.load(a + offChildren + i * 8, 8, dep).v;
+    n.count = w[offCount / 8];
+    std::copy_n(w + offKeys / 8, maxKeys, n.keys);
+    std::copy_n(w + offChildren / 8, maxKeys + 1, n.child);
     return n;
 }
 
 void
 BTreeWorkload::writeNode(TraceBuilder &tb, const Node &n)
 {
-    tb.store(n.a + offCount, 8, n.count);
-    for (unsigned i = 0; i < maxKeys; ++i)
-        tb.store(n.a + offKeys + i * 8, 8, n.keys[i]);
-    for (unsigned i = 0; i < maxKeys + 1; ++i)
-        tb.store(n.a + offChildren + i * 8, 8, n.child[i]);
+    std::uint64_t w[nodeWords];
+    w[offCount / 8] = n.count;
+    std::copy_n(n.keys, maxKeys, w + offKeys / 8);
+    std::copy_n(n.child, maxKeys + 1, w + offChildren / 8);
+    tb.storeWords(n.a, w, nodeWords);
 }
 
 Addr

@@ -335,8 +335,9 @@ TEST(FuzzRecovery, MediaFaultShapedCorruptionNeverCrashesOrReplays)
             // Recovery only rewrites logged-from granules and log-area
             // metadata; it must never clear a media poison mark.
             for (Addr line : image.poisonedLines()) {
-                if (line >= logStart && line < logEnd)
+                if (line >= logStart && line < logEnd) {
                     EXPECT_TRUE(scratch.isPoisoned(line));
+                }
             }
         }
     }

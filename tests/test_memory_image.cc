@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +197,17 @@ TEST(MemoryImageCow, PoisonTravelsWithCopiesAndClearsOnRewrite)
     MemoryImage c;
     c = a;
     EXPECT_EQ(c.poisonedLines(), a.poisonedLines());
+
+    // The same through a far page (the page table's side map).
+    const Addr far = 0xffff'ffff'ffff'f000ull;
+    a.write64(far, 2);
+    a.markPoisoned(far + 0x40);
+    MemoryImage d = a;
+    EXPECT_TRUE(d.isPoisoned(far + 0x48));
+    d.write(far + 0x40, line.data(), line.size());
+    EXPECT_FALSE(d.isPoisoned(far + 0x40));
+    EXPECT_TRUE(a.isPoisoned(far + 0x40));
+    EXPECT_EQ(d.poisonedCount(), 1u);
 }
 
 TEST(MemoryImageCow, DiffAndIdenticalOverSharedPages)
@@ -258,4 +271,262 @@ TEST(MemoryImageCow, ConcurrentCopiesAndWritesStayIndependent)
         EXPECT_EQ(ok[w], 8) << "worker " << w;
     for (unsigned p = 0; p < pages; ++p)
         EXPECT_EQ(source.read64(p * MemoryImage::pageBytes + 8), 0u);
+}
+
+namespace {
+
+constexpr Addr leafSpan = MemoryImage::leafPages * MemoryImage::pageBytes;
+/** First address whose directory slot lives in the side map. */
+constexpr Addr farBase = MemoryImage::nearSlots * leafSpan;
+constexpr Addr topPage = 0xffff'ffff'ffff'f000ull;
+
+} // namespace
+
+TEST(MemoryImageTable, SpansPageAndLeafBoundaries)
+{
+    MemoryImage img;
+    std::vector<std::uint8_t> data(MemoryImage::pageBytes + 10);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 13 + 1);
+
+    // Across a page boundary inside one leaf, and across a leaf
+    // boundary (three pages, two leaves).
+    const Addr in_leaf = 5 * MemoryImage::pageBytes - 3;
+    const Addr across_leaf = 3 * leafSpan - 5;
+    img.write(in_leaf, data.data(), 16);
+    img.write(across_leaf, data.data(), data.size());
+
+    std::vector<std::uint8_t> out(data.size());
+    img.read(in_leaf, out.data(), 16);
+    EXPECT_TRUE(std::equal(out.begin(), out.begin() + 16, data.begin()));
+    img.read(across_leaf, out.data(), out.size());
+    EXPECT_EQ(out, data);
+    EXPECT_EQ(img.pageCount(), 5u);
+
+    const Addr leaf_page = 3 * MemoryImage::leafPages;
+    EXPECT_EQ(img.pageIndices(),
+              (std::vector<Addr>{4, 5, leaf_page - 1, leaf_page,
+                                 leaf_page + 1}));
+    EXPECT_EQ(img.read64(across_leaf - 8), 0u);
+    EXPECT_EQ(img.read64(across_leaf + data.size()), 0u);
+}
+
+TEST(MemoryImageTable, FarAddressesRoundTrip)
+{
+    MemoryImage img;
+    const Addr addrs[] = {Addr{1} << 41, (Addr{1} << 41) + leafSpan + 8,
+                          Addr{1} << 52, topPage, topPage + 0xff8};
+    for (std::size_t i = 0; i < std::size(addrs); ++i)
+        img.write64(addrs[i], 0xf00d0000 + i);
+    for (std::size_t i = 0; i < std::size(addrs); ++i)
+        EXPECT_EQ(img.read64(addrs[i]), 0xf00d0000 + i);
+    EXPECT_EQ(img.pageCount(), 4u);     // the top two share a page
+    EXPECT_EQ(img.read64(topPage + 8), 0u);
+    EXPECT_EQ(img.read64((Addr{1} << 41) + 8), 0u);
+    EXPECT_EQ(img.pageData(topPage >> MemoryImage::pageBits),
+              img.pageData((topPage + 0xff8) >> MemoryImage::pageBits));
+
+    // A write straddling the last near slot and the first far one.
+    const std::uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    img.write(farBase - 4, bytes, sizeof(bytes));
+    std::uint8_t back[8] = {};
+    img.read(farBase - 4, back, sizeof(back));
+    EXPECT_EQ(0, std::memcmp(bytes, back, sizeof(bytes)));
+    EXPECT_EQ(img.pageCount(), 6u);
+}
+
+TEST(MemoryImageTable, PageIndicesSortedAcrossNearAndFar)
+{
+    MemoryImage img;
+    const Addr addrs[] = {topPage, 7 * leafSpan, Addr{1} << 41, 0x10,
+                          farBase, 3 * MemoryImage::pageBytes,
+                          (Addr{1} << 41) - MemoryImage::pageBytes};
+    std::vector<Addr> expect;
+    for (Addr a : addrs) {
+        img.write64(a, 1);
+        expect.push_back(a >> MemoryImage::pageBits);
+    }
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(img.pageIndices(), expect);
+    EXPECT_EQ(img.pageCount(), expect.size());
+}
+
+TEST(MemoryImageTable, CopyOnWriteAtBothLevels)
+{
+    // Pages in four near leaves and one far leaf.
+    MemoryImage a;
+    std::vector<Addr> bases;
+    for (Addr leaf : {Addr{0}, Addr{1}, Addr{2}, Addr{9}}) {
+        for (Addr p = 0; p < 8; ++p)
+            bases.push_back(leaf * leafSpan + p * MemoryImage::pageBytes);
+    }
+    bases.push_back(Addr{1} << 41);
+    bases.push_back((Addr{1} << 41) + MemoryImage::pageBytes);
+    for (std::size_t i = 0; i < bases.size(); ++i)
+        a.write64(bases[i], i + 1);
+
+    const auto shared_except = [&](const MemoryImage &x,
+                                   const MemoryImage &y,
+                                   const std::vector<Addr> &written) {
+        for (Addr base : bases) {
+            const Addr pi = base >> MemoryImage::pageBits;
+            const bool own = std::find(written.begin(), written.end(),
+                                       base) != written.end();
+            EXPECT_EQ(x.pageData(pi) == y.pageData(pi), !own)
+                << "page 0x" << std::hex << pi;
+        }
+    };
+
+    MemoryImage b = a;
+    shared_except(a, b, {});
+    // One write to the copy copies one leaf and one page; every other
+    // page, in that leaf too, still shares storage.
+    b.write64(bases[9] + 8, 99);
+    shared_except(a, b, {bases[9]});
+    b.write64(bases.back() + 8, 98);     // far leaf
+    shared_except(a, b, {bases[9], bases.back()});
+
+    // The source is unchanged, and the copy kept the rest of the page.
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+        EXPECT_EQ(a.read64(bases[i]), i + 1);
+        EXPECT_EQ(b.read64(bases[i]), i + 1);
+        EXPECT_EQ(a.read64(bases[i] + 8), 0u);
+    }
+    EXPECT_EQ(b.read64(bases[9] + 8), 99u);
+
+    // Writing the source after the copy owns its leaf: the source's
+    // leaf is now its own, but the page is still shared, so it is
+    // copied and the copy keeps its bytes.
+    a.write64(bases[10], 1000);
+    shared_except(a, b, {bases[9], bases[10], bases.back()});
+    EXPECT_EQ(b.read64(bases[10]), 11u);
+
+    // A sole owner writes in place.
+    const std::uint8_t *own = b.pageData(bases[9] >> MemoryImage::pageBits);
+    b.write64(bases[9] + 16, 97);
+    EXPECT_EQ(b.pageData(bases[9] >> MemoryImage::pageBits), own);
+}
+
+TEST(MemoryImageTable, DiffAndIdenticalOverLeaves)
+{
+    MemoryImage a;
+    for (Addr leaf = 0; leaf < 4; ++leaf)
+        a.write64(leaf * leafSpan + 0x40, leaf + 1);
+    a.write64(Addr{1} << 41, 5);
+
+    // A materialized all-zero page equals a missing one, near or far.
+    MemoryImage zeros = a;
+    zeros.write64(6 * leafSpan, 0);
+    zeros.write64(topPage, 0);
+    EXPECT_TRUE(a.identical(zeros));
+    EXPECT_TRUE(zeros.identical(a));
+    EXPECT_TRUE(a.diff(zeros).empty());
+
+    // Shared leaves are skipped; differences come back address-ordered
+    // across near and far leaves.
+    MemoryImage b = a;
+    EXPECT_TRUE(a.identical(b));
+    b.write64(topPage + 8, 7);          // missing in a
+    b.write64(2 * leafSpan + 0x48, 3);  // same leaf as a's word
+    b.write64(Addr{1} << 41, 6);        // far, differing
+    b.write64(5 * leafSpan, 4);         // leaf missing in a
+    EXPECT_FALSE(a.identical(b));
+    const auto entries = a.diff(b);
+    ASSERT_EQ(entries.size(), 4u);
+    EXPECT_EQ(entries[0].addr, 2 * leafSpan + 0x48);
+    EXPECT_EQ(entries[1].addr, 5 * leafSpan);
+    EXPECT_EQ(entries[1].lhs, 0u);
+    EXPECT_EQ(entries[1].rhs, 4u);
+    EXPECT_EQ(entries[2].addr, Addr{1} << 41);
+    EXPECT_EQ(entries[2].lhs, 5u);
+    EXPECT_EQ(entries[2].rhs, 6u);
+    EXPECT_EQ(entries[3].addr, topPage + 8);
+    EXPECT_EQ(a.diff(b, 2).size(), 2u);
+
+    // The reverse direction swaps the sides.
+    const auto back = b.diff(a);
+    ASSERT_EQ(back.size(), 4u);
+    EXPECT_EQ(back[3].lhs, 7u);
+    EXPECT_EQ(back[3].rhs, 0u);
+}
+
+TEST(MemoryImageTable, PageCountAcrossCopyAndClear)
+{
+    MemoryImage a;
+    a.write64(0, 1);
+    a.write64(8, 2);                    // same page
+    a.write64(3 * leafSpan, 3);
+    a.write64(Addr{1} << 41, 4);
+    EXPECT_EQ(a.pageCount(), 3u);
+
+    MemoryImage b = a;
+    EXPECT_EQ(b.pageCount(), 3u);
+    b.write64(16, 5);                   // copies a page: still three
+    EXPECT_EQ(b.pageCount(), 3u);
+    b.write64(MemoryImage::pageBytes, 6);
+    EXPECT_EQ(b.pageCount(), 4u);
+    EXPECT_EQ(a.pageCount(), 3u);
+
+    b.clear();
+    EXPECT_EQ(b.pageCount(), 0u);
+    EXPECT_TRUE(b.pageIndices().empty());
+    EXPECT_EQ(b.read64(Addr{1} << 41), 0u);
+    EXPECT_EQ(a.pageCount(), 3u);
+    EXPECT_EQ(a.read64(Addr{1} << 41), 4u);
+    b.write64(Addr{1} << 41, 7);
+    EXPECT_EQ(b.pageCount(), 1u);
+}
+
+TEST(MemoryImageCow, ConcurrentCopiesOfOnePopulatedImage)
+{
+    // A populated image over several leaves; each thread copies it and
+    // writes pages in every leaf, racing the leaf and page copies.
+    constexpr unsigned leaves = 6;
+    constexpr unsigned pagesPerLeaf = 24;
+    constexpr unsigned workers = 4;
+    MemoryImage source;
+    std::vector<Addr> bases;
+    for (unsigned l = 0; l < leaves; ++l) {
+        for (unsigned p = 0; p < pagesPerLeaf; ++p)
+            bases.push_back(l * leafSpan + p * MemoryImage::pageBytes);
+    }
+    bases.push_back(Addr{1} << 41);
+    for (std::size_t i = 0; i < bases.size(); ++i)
+        source.write64(bases[i], i);
+
+    std::vector<int> ok(workers, 0);
+    std::vector<std::thread> threads;
+    for (unsigned w = 0; w < workers; ++w) {
+        threads.emplace_back([&source, &bases, &ok, w]() {
+            for (unsigned round = 0; round < 4; ++round) {
+                MemoryImage mine = source;
+                // Every thread writes every other page, offset by its id,
+                // so pairs of threads race on the same leaves and pages.
+                for (std::size_t i = w % 2; i < bases.size(); i += 2)
+                    mine.write64(bases[i] + 8 * (w + 1), 100 * (w + 1) + i);
+                bool good = true;
+                for (std::size_t i = 0; i < bases.size(); ++i) {
+                    const bool mine_page = i % 2 == w % 2;
+                    good = good && mine.read64(bases[i]) == i;
+                    for (unsigned o = 0; o < workers; ++o) {
+                        const std::uint64_t want =
+                            mine_page && o == w ? 100 * (w + 1) + i : 0;
+                        good = good &&
+                               mine.read64(bases[i] + 8 * (o + 1)) == want;
+                    }
+                }
+                ok[w] += good ? 1 : 0;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (unsigned w = 0; w < workers; ++w)
+        EXPECT_EQ(ok[w], 4) << "worker " << w;
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+        EXPECT_EQ(source.read64(bases[i]), i);
+        for (unsigned o = 0; o < workers; ++o)
+            EXPECT_EQ(source.read64(bases[i] + 8 * (o + 1)), 0u);
+    }
+    EXPECT_EQ(source.pageCount(), bases.size());
 }

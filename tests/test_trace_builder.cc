@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "bundle_compare.hh"
 #include "heap/persistent_heap.hh"
 #include "logging/log_record.hh"
 #include "sim/logging.hh"
@@ -238,4 +242,137 @@ TEST(TraceBuilder, StoreOutsideTxPanics)
     Fixture f(LogScheme::PMEMNoLog);
     EXPECT_THROW(f.tb.store(f.data, 8, 1), PanicError);
     EXPECT_NO_THROW(f.tb.storeRaw(f.data, 8, 1));
+}
+
+namespace {
+
+/** Every write-observer callback, flattened for comparison. */
+struct ObserverLog : TraceWriteObserver
+{
+    std::vector<std::uint64_t> events;
+
+    void onTxBegin(CoreId thread, TxId tx) override
+    {
+        events.insert(events.end(), {1, thread, tx});
+    }
+    void onTxEnd(CoreId thread, TxId tx) override
+    {
+        events.insert(events.end(), {2, thread, tx});
+    }
+    void onStore(CoreId thread, TxId tx, Addr addr, unsigned size,
+                 std::uint64_t before, std::uint64_t after,
+                 ObservedWrite kind) override
+    {
+        events.insert(events.end(),
+                      {3, thread, tx, addr, size, before, after,
+                       static_cast<std::uint64_t>(kind)});
+    }
+};
+
+enum class Mode { Functional, Recording, Collecting };
+
+/** What one run of a word access left behind. */
+struct WordRun
+{
+    explicit WordRun(LogScheme scheme, Mode mode) : f(scheme)
+    {
+        for (unsigned i = 0; i < 32; ++i) {
+            f.heap.write<std::uint64_t>(f.data + i * 8,
+                                        0x1000 + i * 0x11);
+        }
+        f.tb.setRecording(mode != Mode::Functional);
+        f.tb.setWriteObserver(&observer);
+    }
+
+    Fixture f;
+    ObserverLog observer;
+    std::vector<std::uint64_t> loaded;
+    TraceBuilder::TouchSet touched;
+};
+
+/**
+ * Load @p n words at data + @p off, then store them back changed, in
+ * one transaction: through the word helpers if @p bulk, else through
+ * the per-word load/store loop they replace.
+ */
+void
+runWords(WordRun &run, Mode mode, bool bulk, unsigned off, unsigned n)
+{
+    TraceBuilder &tb = run.f.tb;
+    const Addr addr = run.f.data + off;
+    tb.beginTx();
+    tb.declareLogged(run.f.data, 128);
+    const auto body = [&]() {
+        const Value dep = tb.load(run.f.data + 192, 8);
+        run.loaded.assign(n, 0);
+        if (bulk) {
+            tb.loadWords(addr, run.loaded.data(), n, dep);
+        } else {
+            for (unsigned i = 0; i < n; ++i)
+                run.loaded[i] = tb.load(addr + i * 8, 8, dep).v;
+        }
+        std::vector<std::uint64_t> in(n);
+        for (unsigned i = 0; i < n; ++i)
+            in[i] = run.loaded[i] * 3 + i;
+        if (bulk) {
+            tb.storeWords(addr, in.data(), n);
+        } else {
+            for (unsigned i = 0; i < n; ++i)
+                tb.store(addr + i * 8, 8, in[i]);
+        }
+    };
+    if (mode == Mode::Collecting)
+        run.touched = tb.collectTouched(body);
+    else
+        body();
+    tb.endTx();
+}
+
+} // namespace
+
+TEST(TraceBuilderWords, EqualThePerWordLoop)
+{
+    // (offset, words): one aligned node, and a run that starts inside
+    // a log granule and crosses a cache block.
+    const std::pair<unsigned, unsigned> spans[] = {{0, 8}, {24, 6}};
+    for (LogScheme scheme : allSchemes()) {
+        for (Mode mode :
+             {Mode::Functional, Mode::Recording, Mode::Collecting}) {
+            for (const auto &[off, n] : spans) {
+                SCOPED_TRACE(std::string(toString(scheme)) + " mode " +
+                             std::to_string(static_cast<int>(mode)) +
+                             " off " + std::to_string(off));
+                WordRun bulk(scheme, mode);
+                WordRun loop(scheme, mode);
+                runWords(bulk, mode, true, off, n);
+                runWords(loop, mode, false, off, n);
+
+                EXPECT_EQ(bulk.loaded, loop.loaded);
+                EXPECT_TRUE(bulk.f.heap.volatileImage().identical(
+                    loop.f.heap.volatileImage()));
+                testbundle::expectTracesEqual(bulk.f.tb.trace(),
+                                              loop.f.tb.trace());
+                EXPECT_EQ(bulk.touched.readGranules,
+                          loop.touched.readGranules);
+                EXPECT_EQ(bulk.touched.writtenGranules,
+                          loop.touched.writtenGranules);
+                EXPECT_EQ(bulk.observer.events, loop.observer.events);
+                EXPECT_EQ(bulk.f.tb.trace().empty(),
+                          mode == Mode::Functional);
+                EXPECT_EQ(bulk.touched.writtenGranules.empty(),
+                          mode != Mode::Collecting);
+            }
+        }
+    }
+}
+
+TEST(TraceBuilderWords, StoreWordsOutsideTxPanics)
+{
+    const std::uint64_t in[2] = {1, 2};
+    for (bool recording : {false, true}) {
+        Fixture f(LogScheme::PMEMNoLog);
+        f.tb.setRecording(recording);
+        EXPECT_THROW(f.tb.storeWords(f.data, in, 2), PanicError);
+        EXPECT_EQ(f.heap.read<std::uint64_t>(f.data), 0x1111u);
+    }
 }
