@@ -23,9 +23,9 @@
 #include <sstream>
 #include <vector>
 
-#include "bench_util.hh"
 #include "crashtest/crash_tester.hh"
 #include "faults/fault_config.hh"
+#include "harness/parallel_runner.hh"
 #include "sim/json_util.hh"
 #include "sim/logging.hh"
 
@@ -92,11 +92,11 @@ main(int argc, char **argv)
                     }
                     jobs.push_back(SimJob{cfg, s, w, {},
                                           std::string(tier.name) + " / " +
-                                              bench::jobLabel(s, w)});
+                                              jobLabel(s, w)});
                 }
             }
         }
-        const auto outcomes = bench::runBatch(opts, jobs);
+        const auto outcomes = runBatch(opts, jobs);
 
         // Crash campaigns: every faulty tier, all schemes x workloads,
         // byte-exact oracle checking (threads=1 by requirement).

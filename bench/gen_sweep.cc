@@ -15,7 +15,9 @@
  * bit-identical at any --jobs level.
  */
 
-#include "bench_util.hh"
+#include <iostream>
+
+#include "harness/parallel_runner.hh"
 #include "sim/logging.hh"
 #include "wlgen/spec.hh"
 
@@ -95,7 +97,7 @@ main(int argc, char **argv)
                                       c.name + " " + toString(s)});
         }
 
-        // Run directly (not bench::runBatch): the JSON and tx-stats rows
+        // Run directly (not runBatch): the JSON and tx-stats rows
         // must carry the combo name, not the bare "GEN" workload label.
         ParallelRunner runner(opts.jobs);
         ProgressReporter progress(std::cerr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "heap/persistent_heap.hh"
 #include "sim/logging.hh"
@@ -95,6 +96,17 @@ Core::Core(Simulator &sim, const SystemConfig &cfg, CoreId id,
                       &_cpiWpqBackpressure,
                       &_cpiLockWait};
 
+    // A zero width or queue would stall dispatch forever, and the run
+    // would only end at the cycle limit.
+    for (const auto &[field, value] :
+         {std::pair{"cpu.fetchWidth", cfg.cpu.fetchWidth},
+          {"cpu.robEntries", cfg.cpu.robEntries},
+          {"cpu.issueQueueEntries", cfg.cpu.issueQueueEntries},
+          {"cpu.loadQueueEntries", cfg.cpu.loadQueueEntries},
+          {"cpu.storeQueueEntries", cfg.cpu.storeQueueEntries}}) {
+        if (value == 0)
+            fatal("Core: ", field, " must be at least 1");
+    }
     const unsigned phys = cfg.cpu.physIntRegs;
     if (phys <= numArchRegs)
         fatal("Core: physIntRegs must exceed ", numArchRegs);

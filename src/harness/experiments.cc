@@ -12,17 +12,24 @@
 
 namespace proteus {
 
+std::vector<std::vector<cli::Option>>
+BenchOptions::optionGroups()
+{
+    return {cli::sizeOptions(scale, initScale, threads, seed),
+            cli::configOptions(*this),
+            cli::machineOptions(cycleSkip, faults),
+            cli::batchOptions(jobs, jsonPath, traceCache),
+            {cli::checkOption(check)},
+            cli::traceOptions(*this),
+            cli::txStatsOptions(*this)};
+}
+
 cli::OptionTable
 BenchOptions::optionTable(const char *argv0)
 {
     cli::OptionTable table(cli::programName(argv0) + " [options]");
-    table.add(cli::sizeOptions(scale, initScale, threads, seed))
-        .add(cli::configOptions(*this))
-        .add(cli::machineOptions(cycleSkip, faults))
-        .add(cli::batchOptions(jobs, jsonPath, traceCache))
-        .add(cli::checkOption(check))
-        .add(cli::traceOptions(*this))
-        .add(cli::txStatsOptions(*this));
+    for (std::vector<cli::Option> &group : optionGroups())
+        table.add(std::move(group));
     return table;
 }
 

@@ -60,9 +60,12 @@ struct BenchOptions
     long checkMutate = -1;  ///< --check-mutate N: campaign seed (-1 off)
     /// @}
 
-    /** The bench binaries' option table: the size, config, machine,
-     *  batch, check, trace and tx-stats groups of harness/options.hh,
-     *  bound to this object's fields. @p argv0 names the program. */
+    /** The bench flags: the size, config, machine, batch, check,
+     *  trace and tx-stats groups of harness/options.hh, bound to this
+     *  object's fields. */
+    std::vector<std::vector<cli::Option>> optionGroups();
+
+    /** optionGroups() as one table; @p argv0 names the program. */
     cli::OptionTable optionTable(const char *argv0);
 
     /** Parse argv against optionTable(); see cli::OptionTable::parse. */

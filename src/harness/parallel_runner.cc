@@ -3,7 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <ostream>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
@@ -22,6 +22,12 @@ perJobPath(const std::string &path, std::size_t index)
         return path + tag;
     }
     return path.substr(0, dot) + tag + path.substr(dot);
+}
+
+std::string
+jobLabel(LogScheme s, WorkloadKind w)
+{
+    return std::string(toString(s)) + " / " + toString(w);
 }
 
 ProgressReporter::ProgressReporter(std::ostream &os) : _os(os)
@@ -178,6 +184,36 @@ ParallelRunner::run(const std::vector<SimJob> &batch,
     const std::vector<double> wallMs = runTasks(tasks, progress);
     for (std::size_t i = 0; i < batch.size(); ++i)
         results[i].wallMs = wallMs[i];
+    return results;
+}
+
+std::vector<SimJobResult>
+runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
+{
+    ParallelRunner runner(opts.jobs);
+    ProgressReporter progress(std::cerr);
+    const auto results = runner.run(jobs, opts, &progress);
+
+    if (!opts.jsonPath.empty()) {
+        std::vector<JsonResultRow> rows;
+        rows.reserve(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            rows.push_back(JsonResultRow{toString(jobs[i].scheme),
+                                         toString(jobs[i].kind),
+                                         results[i].result,
+                                         results[i].wallMs});
+        writeJsonResults(opts.jsonPath, rows);
+    }
+    if (!opts.txStats.empty()) {
+        // The runner suppressed the per-job files (see run()).
+        std::vector<obs::TxStatsRow> rows;
+        rows.reserve(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            rows.push_back(makeTxStatsRow(opts, jobs[i].scheme,
+                                          jobs[i].kind,
+                                          results[i].result));
+        obs::writeTxStatsFile(opts.txStats, rows);
+    }
     return results;
 }
 

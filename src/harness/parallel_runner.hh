@@ -42,6 +42,9 @@ struct SimJob
     std::string label;          ///< progress text, e.g. "Proteus / QE"
 };
 
+/** The usual progress label: "<scheme> / <workload>". */
+std::string jobLabel(LogScheme s, WorkloadKind w);
+
 /** Outcome of one job: simulated counters plus host wall-clock. */
 struct SimJobResult
 {
@@ -124,6 +127,16 @@ class ParallelRunner
   private:
     unsigned _workers;
 };
+
+/**
+ * Run @p jobs on opts.jobs worker threads with progress lines on
+ * stderr; results come back in submission order. Honors the batch
+ * outputs: --json writes one result row per job and --tx-stats one
+ * combined flight-recorder file, both in submission order, so their
+ * bytes are identical at any --jobs level.
+ */
+std::vector<SimJobResult> runBatch(const BenchOptions &opts,
+                                   const std::vector<SimJob> &jobs);
 
 } // namespace proteus
 

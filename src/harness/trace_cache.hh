@@ -4,7 +4,7 @@
  * the scheme-independent PopulatedStates they are recorded from.
  *
  * A crashtest sweep (hundreds of crash points per scheme) or a
- * bench::runMatrix batch constructs many FullSystems whose traces are
+ * proteus-bench figure constructs many FullSystems whose traces are
  * identical; the cache builds each distinct bundle exactly once, and
  * populates each workload once for all schemes — including under
  * concurrent lookups from the parallel runner's worker threads, where

@@ -63,6 +63,12 @@ MemCtrl::MemCtrl(Simulator &sim, const SystemConfig &cfg, MemoryImage &nvm)
     _useLpq = scheme == LogScheme::Proteus ||
               scheme == LogScheme::ProteusNoLWR;
     _logWriteRemoval = scheme == LogScheme::Proteus;
+    // An empty queue would refuse every write forever.
+    if (cfg.memCtrl.wpqEntries == 0)
+        fatal("MemCtrl: memCtrl.wpqEntries must be at least 1");
+    if (_useLpq && cfg.memCtrl.lpqEntries == 0)
+        fatal("MemCtrl: memCtrl.lpqEntries must be at least 1 under ",
+              toString(scheme));
     ensureCore(cfg.cores ? cfg.cores - 1 : 0);
 
     // The fault model (and its faults.* stats) exists only when fault

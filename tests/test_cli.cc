@@ -11,6 +11,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -28,13 +29,14 @@ namespace {
 struct Outcome
 {
     int status = -1;        ///< exit code, or 128 + signal
-    std::string output;     ///< stdout and stderr together
+    std::string output;     ///< stdout, and stderr unless redirected
 };
 
 Outcome
-runBinary(const std::string &dir, const std::string &args)
+runBinary(const std::string &dir, const std::string &args,
+          const std::string &stderrTo = "&1")
 {
-    const std::string cmd = dir + "/" + args + " 2>&1";
+    const std::string cmd = dir + "/" + args + " 2>" + stderrTo;
     FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe)
         return {};
@@ -268,6 +270,18 @@ cat(std::initializer_list<std::vector<std::string>> groups)
     return out;
 }
 
+/** The proteus-bench commands that run one experiment each. */
+const std::vector<std::string> benchCommands{
+    "fig06", "fig07",  "fig08",  "fig09",        "fig10",       "fig11",
+    "fig12", "table3", "table4", "ablation-lwr", "ablation-llt"};
+
+/** The flags that write or shape one command's files; `proteus-bench
+ *  all` rejects them. */
+const std::vector<std::string> perFileFlags{
+    "--json",         "--tx-stats",         "--tx-slowest",
+    "--trace-events", "--trace-categories", "--stats-interval",
+    "--stats-out"};
+
 /** Every front end. The bench binaries' lists come from the table
  *  itself; the tools' are their CLI contract, written out. */
 std::vector<Front>
@@ -276,13 +290,17 @@ frontEnds()
     BenchOptions opts;
     const std::vector<std::string> benchFlags =
         flagsOf(opts.optionTable("bench"));
+    std::vector<std::string> suiteFlags;
+    for (const std::string &flag : benchFlags) {
+        if (std::find(perFileFlags.begin(), perFileFlags.end(), flag) ==
+            perFileFlags.end())
+            suiteFlags.push_back(flag);
+    }
     std::vector<Front> out;
-    for (const char *b :
-         {"ablation_llt", "ablation_lwr", "fig06_speedup_nvm",
-          "fig07_frontend_stalls", "fig08_nvm_writes", "fig09_slow_nvm",
-          "fig10_dram", "fig11_logq_sweep", "fig12_lpq_sweep",
-          "table3_large_tx", "table4_llt_missrate"})
-        out.push_back({benchDir, b, benchFlags});
+    out.push_back({benchDir, "proteus-bench", cat({benchCommands, {"all"}})});
+    for (const std::string &c : benchCommands)
+        out.push_back({benchDir, "proteus-bench " + c, benchFlags});
+    out.push_back({benchDir, "proteus-bench all", suiteFlags});
     out.push_back({benchDir, "gen_sweep",
                    cat({benchFlags, specFlags, {"--thetas", "--tx-keys"}})});
     out.push_back({benchDir, "fault_sweep", cat({benchFlags, {"--out"}})});
@@ -355,7 +373,8 @@ TEST(CliContract, UnknownFlagExitsTwoWithFatal)
             line += " QE";
         else if (line.find(' ') != std::string::npos &&
                  line != "proteus-sim matrix" &&
-                 line != "proteus-check rules")
+                 line != "proteus-check rules" &&
+                 line.rfind("proteus-bench ", 0) != 0)
             line += " file";
         const Outcome out = runBinary(f.dir, line + " --no-such-flag");
         EXPECT_EQ(out.status, 2) << out.output;
@@ -369,10 +388,11 @@ TEST(CliContract, BadValuesExitTwoNotAbort)
     // Each of these ended in an uncaught exception (exit 134) before
     // the bench mains shared one catch.
     for (const char *args :
-         {"fig06_speedup_nvm --scale abc", "fig06_speedup_nvm --bogus",
-          "fig11_logq_sweep --threads 0", "fault_sweep --jobs x",
-          "gen_sweep --thetas ,", "table3_large_tx --seed 5x",
-          "micro_kernel --cycles abc", "micro_kernel --devices -1"}) {
+         {"proteus-bench fig06 --scale abc", "proteus-bench fig06 --bogus",
+          "proteus-bench fig11 --threads 0", "fault_sweep --jobs x",
+          "gen_sweep --thetas ,", "proteus-bench table3 --seed 5x",
+          "micro_kernel --cycles abc", "micro_kernel --devices -1",
+          "proteus-bench", "proteus-bench bogus"}) {
         SCOPED_TRACE(args);
         const Outcome out = bench(args);
         EXPECT_EQ(out.status, 2) << out.output;
@@ -422,11 +442,80 @@ TEST(CliContract, FlagsOnceAcceptedAndIgnoredAreRejected)
             << out.output;
     }
     for (const char *args :
-         {"fig06_speedup_nvm --check-mutate 1",
-          "fig06_speedup_nvm --wl-spec keys=4"}) {
+         {"proteus-bench fig06 --check-mutate 1",
+          "proteus-bench fig06 --wl-spec keys=4"}) {
         SCOPED_TRACE(args);
         const Outcome out = bench(args);
         EXPECT_EQ(out.status, 2) << out.output;
+    }
+}
+
+TEST(CliContract, SuiteRejectsPerFileOutputs)
+{
+    // Under `all` every command would write the same file in turn.
+    for (const std::string &flag : perFileFlags) {
+        SCOPED_TRACE(flag);
+        const Outcome out = bench("proteus-bench all " + flag + " x");
+        EXPECT_EQ(out.status, 2) << out.output;
+        EXPECT_NE(out.output.find("fatal: " + flag + ": unknown option"),
+                  std::string::npos)
+            << out.output;
+    }
+}
+
+TEST(CliContract, ZeroSizedQueuesAreRejectedBeforeRunning)
+{
+    // Each hung (the WPQ and LPQ) or skipped to the cycle limit and
+    // still printed "invariants: OK" (the core's queues and widths).
+    for (const char *field :
+         {"memCtrl.wpqEntries", "memCtrl.lpqEntries", "cpu.fetchWidth",
+          "cpu.robEntries", "cpu.issueQueueEntries",
+          "cpu.loadQueueEntries", "cpu.storeQueueEntries"}) {
+        SCOPED_TRACE(field);
+        const Outcome out =
+            tool(std::string("proteus-sim run QE --scale 2000 "
+                             "--init-scale 100 --set ") +
+                 field + "=0");
+        EXPECT_EQ(out.status, 2) << out.output;
+        EXPECT_NE(out.output.find("fatal: "), std::string::npos)
+            << out.output;
+        EXPECT_NE(out.output.find(field), std::string::npos) << out.output;
+        EXPECT_EQ(out.output.find("cycles:"), std::string::npos)
+            << out.output;
+    }
+    // Only the Proteus schemes use the LPQ; the others ran to a
+    // verdict without one and still do.
+    const Outcome pmem = tool("proteus-sim run QE --scale 2000 "
+                              "--init-scale 100 --scheme pmem "
+                              "--set memCtrl.lpqEntries=0");
+    EXPECT_EQ(pmem.status, 0) << pmem.output;
+}
+
+TEST(BenchSuite, AllPrintsTheCommandsInTableOrder)
+{
+    // `all` runs every command in one process, each on its own copy of
+    // the options: fig09's slow NVM writes or fig10's DRAM timing
+    // leaking into a later command would change its table.
+    for (const char *jobs : {"1", "4"}) {
+        SCOPED_TRACE(jobs);
+        const std::string flags =
+            std::string(" --scale 100000 --init-scale 1000 --threads 1 "
+                        "--jobs ") +
+            jobs;
+        const Outcome all =
+            runBinary(benchDir, "proteus-bench all" + flags, "/dev/null");
+        ASSERT_EQ(all.status, 0) << all.output;
+        std::string each;
+        for (const std::string &c : benchCommands) {
+            const Outcome out = runBinary(
+                benchDir, "proteus-bench " + c + flags, "/dev/null");
+            ASSERT_EQ(out.status, 0) << c << "\n" << out.output;
+            each += out.output;
+        }
+        EXPECT_NE(all.output.find("Ablation: LLT size sweep"),
+                  std::string::npos)
+            << all.output;
+        EXPECT_EQ(all.output, each);
     }
 }
 

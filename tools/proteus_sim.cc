@@ -209,15 +209,13 @@ cmdMatrix(const BenchOptions &opts)
     for (LogScheme s : schemes) {
         for (WorkloadKind w : workloads)
             jobs.push_back(SimJob{opts.makeConfig(), s, w, {},
-                                  std::string(toString(s)) + " / " +
-                                      toString(w)});
+                                  jobLabel(s, w)});
     }
 
-    ParallelRunner runner(opts.jobs);
     std::cout << "running " << jobs.size() << " simulations on "
-              << runner.workers() << " host thread(s)...\n";
-    ProgressReporter progress(std::cerr);
-    const auto results = runner.run(jobs, opts, &progress);
+              << ParallelRunner(opts.jobs).workers()
+              << " host thread(s)...\n";
+    const auto results = runBatch(opts, jobs);
 
     std::vector<std::string> cols{"scheme"};
     for (WorkloadKind w : workloads)
@@ -226,27 +224,17 @@ cmdMatrix(const BenchOptions &opts)
     std::cout << "\ncycles per (scheme, workload)\n";
     table.printHeader(std::cout);
 
-    std::vector<JsonResultRow> rows;
-    std::vector<obs::TxStatsRow> tx_rows;
     std::size_t i = 0;
     bool all_finished = true;
     for (LogScheme s : schemes) {
         std::vector<std::string> cells{toString(s)};
-        for (WorkloadKind w : workloads) {
-            const SimJobResult &r = results[i++];
-            cells.push_back(std::to_string(r.result.cycles));
-            all_finished = all_finished && r.result.finished;
-            rows.push_back(JsonResultRow{toString(s), toString(w),
-                                         r.result, r.wallMs});
-            if (!opts.txStats.empty())
-                tx_rows.push_back(makeTxStatsRow(opts, s, w, r.result));
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            const RunResult &r = results[i++].result;
+            cells.push_back(std::to_string(r.cycles));
+            all_finished = all_finished && r.finished;
         }
         table.printRow(std::cout, cells);
     }
-    if (!opts.jsonPath.empty())
-        writeJsonResults(opts.jsonPath, rows);
-    if (!opts.txStats.empty())
-        obs::writeTxStatsFile(opts.txStats, tx_rows);
     return all_finished ? 0 : 1;
 }
 
