@@ -107,6 +107,10 @@ Core::Core(Simulator &sim, const SystemConfig &cfg, CoreId id,
         if (value == 0)
             fatal("Core: ", field, " must be at least 1");
     }
+    // Every Proteus log-load holds a log register until its log-flush.
+    if (_isProteus && cfg.logging.logRegisters == 0)
+        fatal("Core: logging.logRegisters must be at least 1 under ",
+              toString(cfg.logging.scheme));
     const unsigned phys = cfg.cpu.physIntRegs;
     if (phys <= numArchRegs)
         fatal("Core: physIntRegs must exceed ", numArchRegs);
@@ -814,17 +818,15 @@ Core::canRetire(DynInst &inst, Tick now)
         if (_scheme == LogScheme::ATOM && _retireTxId != 0 &&
             mop.persistent) {
             const Addr block = blockAlign(mop.addr);
-            if (_atomLoggedBlocks.count(block) == 0) {
-                if (inst.atomLogState == 0 &&
-                    _atomLogStarted.insert(block).second) {
+            if (_atomBlocks.get(block) != TxBlockSet::State::Logged) {
+                if (inst.atomLogState == 0 && _atomBlocks.start(block))
                     startAtomLog(inst);
-                }
                 if (inst.atomLogState != 2) {
                     ++_retireStallAtom;
                     _headBlock = RetireBlock::Persist;
                     return false;
                 }
-                _atomLoggedBlocks.insert(block);
+                _atomBlocks.markLogged(block);
             }
         }
         return true;
@@ -950,8 +952,7 @@ Core::doRetire(DynInst &inst, Tick now)
       }
       case Op::TxBegin:
         _retireTxId = mop.data;
-        _atomLoggedBlocks.clear();
-        _atomLogStarted.clear();
+        _atomBlocks.clear();
         _atomSeq = 0;
         if (_events) {
             _events->emit({.kind = SimEventKind::TxBegin, .core = _id,
@@ -1028,11 +1029,8 @@ Core::scanAtomWindow()
         if (op != Op::Store || !inst.mop->persistent)
             continue;
         const Addr block = blockAlign(inst.mop->addr);
-        if (inst.atomLogState == 0 &&
-            _atomLoggedBlocks.count(block) == 0 &&
-            _atomLogStarted.insert(block).second) {
+        if (inst.atomLogState == 0 && _atomBlocks.start(block))
             startAtomLog(inst);
-        }
     }
 }
 

@@ -49,6 +49,7 @@
 #include "memctrl/mem_ctrl.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
+#include "tx_block_set.hh"
 
 namespace proteus {
 
@@ -292,8 +293,7 @@ class Core : public Ticked
     LogLookupTable _llt;
     unsigned _lrInUse = 0;
     bool _lastLogLoadWasHit = false;
-    std::set<Addr> _atomLoggedBlocks;       ///< per-tx dedup (ATOM)
-    std::set<Addr> _atomLogStarted;         ///< log creation in flight
+    TxBlockSet _atomBlocks;     ///< per-tx log state per block (ATOM)
     unsigned _atomPendingLogs = 0;
     std::uint64_t _atomSeq = 0;
     TxId _retireTxId = 0;       ///< transaction live at retirement

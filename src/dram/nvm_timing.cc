@@ -20,13 +20,14 @@ NvmTiming::NvmTiming(const MemTimingConfig &cfg,
         fatal("NvmTiming: need at least one bank");
     if (cfg.cpuPerMemCycle <= 0)
         fatal("NvmTiming: cpuPerMemCycle must be positive");
-}
-
-Tick
-NvmTiming::memCycles(unsigned mem_cycles) const
-{
-    return static_cast<Tick>(
-        std::llround(mem_cycles * _cfg.cpuPerMemCycle));
+    const auto ticks = [&](unsigned mem_cycles) {
+        return static_cast<Tick>(
+            std::llround(mem_cycles * cfg.cpuPerMemCycle));
+    };
+    _t = Ticks{ticks(cfg.tCAS), ticks(cfg.tRCD), ticks(cfg.nvmReadTRCD),
+               ticks(cfg.nvmWriteTRCD), ticks(cfg.tRP), ticks(cfg.tRAS),
+               ticks(cfg.tWR), ticks(cfg.tRTP), ticks(cfg.tRRD),
+               ticks(cfg.tFAW), ticks(cfg.tBurst)};
 }
 
 unsigned
@@ -55,8 +56,7 @@ NvmTiming::bankReady(Addr addr, Tick now) const
 bool
 NvmTiming::rowHit(Addr addr) const
 {
-    const Bank &bank = _banks[bankIndex(addr)];
-    return bank.rowOpen && bank.openRow == rowIndex(addr);
+    return rowHit(bankIndex(addr), rowIndex(addr));
 }
 
 Tick
@@ -67,8 +67,8 @@ NvmTiming::reserveActivateSlot(Tick earliest)
     // time constrain it: a long NVM activate reserved far in the
     // future must not serialize earlier activates on other banks.
     Tick t = earliest;
-    const Tick rrd = memCycles(_cfg.tRRD);
-    const Tick faw = memCycles(_cfg.tFAW);
+    const Tick rrd = _t.rrd;
+    const Tick faw = _t.faw;
 
     bool moved = true;
     while (moved) {
@@ -112,54 +112,52 @@ NvmTiming::issue(Addr addr, bool is_write, Tick now)
 
     if (bank.readyAt > now)
         panic("NvmTiming::issue on a busy bank");
+    ++_issues;
 
     // Row activation latency: in NVM mode this is where the slow cell
     // array shows up, per access direction (Section 5.1).
-    const unsigned t_rcd = !_cfg.nvmMode ? _cfg.tRCD
-        : (is_write ? _cfg.nvmWriteTRCD : _cfg.nvmReadTRCD);
+    const Tick t_rcd = !_cfg.nvmMode ? _t.rcd
+        : (is_write ? _t.nvmWriteRcd : _t.nvmReadRcd);
 
     Tick data_start = now;
     if (bank.rowOpen && bank.openRow == row) {
         // Row-buffer hit: accesses stream at CAS + burst rate.
         ++_rowHits;
-        data_start = now + memCycles(_cfg.tCAS);
+        data_start = now + _t.cas;
     } else if (!bank.rowOpen) {
         ++_rowMisses;
         const Tick act = reserveActivateSlot(now);
         bank.activatedAt = act;
-        data_start = act + memCycles(t_rcd) + memCycles(_cfg.tCAS);
+        data_start = act + t_rcd + _t.cas;
     } else {
         ++_rowConflicts;
         // Precharge may not start before tRAS since the last activate
         // nor before read-to-precharge / write recovery have elapsed.
         const Tick pre_start = std::max(
-            {now, bank.activatedAt + memCycles(_cfg.tRAS),
-             bank.prechargeReadyAt});
-        const Tick act =
-            reserveActivateSlot(pre_start + memCycles(_cfg.tRP));
+            {now, bank.activatedAt + _t.ras, bank.prechargeReadyAt});
+        const Tick act = reserveActivateSlot(pre_start + _t.rp);
         bank.activatedAt = act;
-        data_start = act + memCycles(t_rcd) + memCycles(_cfg.tCAS);
+        data_start = act + t_rcd + _t.cas;
     }
     bank.rowOpen = true;
     bank.openRow = row;
 
     // Serialize on the shared data bus.
     data_start = std::max(data_start, _busFreeAt);
-    const Tick data_end = data_start + memCycles(_cfg.tBurst);
+    const Tick data_end = data_start + _t.burst;
     _busFreeAt = data_end;
 
     // CAS commands pipeline: the next column access to the open row
     // may issue one burst after this one, even though its data arrives
     // a full CAS latency later. tWR / tRTP gate only a later precharge.
-    bank.readyAt = data_start - memCycles(_cfg.tCAS) +
-                   memCycles(_cfg.tBurst);
-    const unsigned to_pre = is_write ? _cfg.tWR : _cfg.tRTP;
+    bank.readyAt = data_start - _t.cas + _t.burst;
+    const Tick to_pre = is_write ? _t.wr : _t.rtp;
     bank.prechargeReadyAt =
-        std::max(bank.prechargeReadyAt, data_end + memCycles(to_pre));
+        std::max(bank.prechargeReadyAt, data_end + to_pre);
 
     if (is_write) {
         ++_writes;
-        return data_end + memCycles(_cfg.tWR);
+        return data_end + _t.wr;
     }
     ++_reads;
     return data_end;

@@ -39,16 +39,26 @@ class NvmTiming
     /** @return true if the bank can accept a command at @p now. */
     bool bankReady(Addr addr, Tick now) const;
 
-    /** @return the tick at which @p addr's bank accepts its next
-     *  command (quiescence wake hints). */
-    Tick
-    bankReadyAt(Addr addr) const
-    {
-        return _banks[bankIndex(addr)].readyAt;
-    }
+    /** @return the tick at which bank @p bank (a bankIndex) accepts its
+     *  next command. */
+    Tick bankReadyAt(unsigned bank) const { return _banks[bank].readyAt; }
 
     /** @return true if @p addr hits the currently open row. */
     bool rowHit(Addr addr) const;
+
+    /** @return true if row @p row (a rowIndex) is open in bank @p bank. */
+    bool
+    rowHit(unsigned bank, std::uint64_t row) const
+    {
+        return _banks[bank].rowOpen && _banks[bank].openRow == row;
+    }
+
+    /**
+     * Accesses issued so far. Bank ready times and open rows change
+     * only in issue(), so a caller that saw the same count twice knows
+     * no bank state changed in between.
+     */
+    std::uint64_t issueCount() const { return _issues; }
 
     /**
      * Issue one 64B access. The bank must be ready (bankReady). Returns
@@ -71,10 +81,19 @@ class NvmTiming
         Tick prechargeReadyAt = 0;  ///< earliest precharge (tWR/tRTP)
     };
 
-    Tick memCycles(unsigned mem_cycles) const;
+    /** The timing parameters in CPU ticks, each rounded once from
+     *  memory cycles at construction. */
+    struct Ticks
+    {
+        Tick cas, rcd, nvmReadRcd, nvmWriteRcd, rp, ras, wr, rtp, rrd,
+            faw, burst;
+    };
+
     Tick reserveActivateSlot(Tick earliest);
 
     MemTimingConfig _cfg;
+    Ticks _t;
+    std::uint64_t _issues = 0;
     std::vector<Bank> _banks;
     Tick _busFreeAt = 0;
     std::deque<Tick> _recentActivates;  ///< for tRRD / tFAW

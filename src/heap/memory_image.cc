@@ -39,9 +39,10 @@ MemoryImage::touch(Addr page_index)
     const Addr slot = page_index >> leafBits;
     std::shared_ptr<Leaf> *leaf;
     if (slot < nearSlots) {
-        if (slot >= _dir.size())
-            _dir.resize(slot + 1);
-        leaf = &_dir[slot];
+        own(_dir);
+        if (slot >= _dir->size())
+            _dir->resize(slot + 1);
+        leaf = &(*_dir)[slot];
     } else {
         leaf = &_far[slot];
     }
@@ -123,8 +124,8 @@ MemoryImage::pageIndices() const
                 indices.push_back((slot << leafBits) + i);
         }
     };
-    for (std::size_t slot = 0; slot < _dir.size(); ++slot)
-        walk(slot, _dir[slot].get());
+    for (std::size_t slot = 0; slot < dirSize(); ++slot)
+        walk(slot, (*_dir)[slot].get());
     for (const auto &[slot, leaf] : _far)
         walk(slot, leaf.get());
     return indices;
@@ -167,13 +168,15 @@ MemoryImage::diff(const MemoryImage &other,
         return true;
     };
 
-    // Walk slots in address order: the dense directory, then the
-    // union of both side maps.
-    const std::size_t near = std::max(_dir.size(), other._dir.size());
+    // Walk slots in address order: the dense directory (unless both
+    // images share it), then the union of both side maps.
+    const std::size_t near =
+        _dir == other._dir ? 0 : std::max(dirSize(), other.dirSize());
     for (std::size_t slot = 0; slot < near; ++slot) {
-        const Leaf *lhs = slot < _dir.size() ? _dir[slot].get() : nullptr;
-        const Leaf *rhs =
-            slot < other._dir.size() ? other._dir[slot].get() : nullptr;
+        const Leaf *lhs = slot < dirSize() ? (*_dir)[slot].get() : nullptr;
+        const Leaf *rhs = slot < other.dirSize()
+            ? (*other._dir)[slot].get()
+            : nullptr;
         if (!diff_leaf(slot, lhs, rhs))
             return entries;
     }

@@ -12,10 +12,11 @@
  * above nearSlots (addresses >= 2^37) sit in a small ordered side
  * map, so every 64-bit address works without a huge directory.
  *
- * Copies are cheap: leaves and pages are both shared copy-on-write. A
- * copy duplicates only the directory; the first write through a shared
- * leaf copies that leaf (its page pointers), and a write to a shared
- * page copies that page. The images of a cached populated state, of
+ * Copies are cheap: the directory, leaves and pages are all shared
+ * copy-on-write. A copy duplicates one pointer per level it shares;
+ * the first write copies the directory (its leaf pointers), then the
+ * shared leaf on its path (its page pointers), then the shared page.
+ * The images of a cached populated state, of
  * every bundle recorded from it, and of every FullSystem wired from
  * those bundles thus hold one copy of each page nobody has written
  * since.
@@ -101,6 +102,14 @@ class MemoryImage
         return page ? page->data() : nullptr;
     }
 
+    /** @return true if this image and @p other share one dense
+     *  directory (a copy nobody has written since). */
+    bool
+    sharesDirectoryWith(const MemoryImage &other) const
+    {
+        return _dir != nullptr && _dir == other._dir;
+    }
+
     /** @return true if both images hold identical contents (untouched
      *  pages read as zero, so an all-zero page equals a missing one). */
     bool identical(const MemoryImage &other) const
@@ -112,7 +121,7 @@ class MemoryImage
     void
     clear()
     {
-        _dir.clear();
+        _dir.reset();
         _far.clear();
         _pageCount = 0;
         _poison.clear();
@@ -146,6 +155,7 @@ class MemoryImage
   private:
     using Page = std::array<std::uint8_t, pageBytes>;
     using Leaf = std::array<std::shared_ptr<Page>, leafPages>;
+    using Directory = std::vector<std::shared_ptr<Leaf>>;
 
     static Addr pageBase(Addr a) { return a >> pageBits; }
     static std::size_t pageOffset(Addr a)
@@ -163,7 +173,7 @@ class MemoryImage
     {
         const Addr slot = page_index >> leafBits;
         const Leaf *leaf =
-            slot < _dir.size() ? _dir[slot].get() : farLeaf(slot);
+            slot < dirSize() ? (*_dir)[slot].get() : farLeaf(slot);
         return leaf ? (*leaf)[page_index & (leafPages - 1)].get()
                     : nullptr;
     }
@@ -171,8 +181,11 @@ class MemoryImage
     /** The side map's leaf for directory slot @p slot, or null. */
     const Leaf *farLeaf(Addr slot) const;
 
-    /** Shared with copies of this image until one of them writes. */
-    std::vector<std::shared_ptr<Leaf>> _dir;
+    std::size_t dirSize() const { return _dir ? _dir->size() : 0; }
+
+    /** The dense directory (null: empty). Shared with copies of this
+     *  image until one of them writes. */
+    std::shared_ptr<Directory> _dir;
     /** Leaves of directory slots >= nearSlots, ordered by slot. */
     std::map<Addr, std::shared_ptr<Leaf>> _far;
     std::size_t _pageCount = 0;

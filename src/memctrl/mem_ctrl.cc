@@ -139,9 +139,7 @@ MemCtrl::write(const WriteRequest &req)
         panic("MemCtrl::write with unaligned address");
     _poked = true;
 
-    QueuedWrite qw;
-    qw.req = req;
-    qw.seq = _acceptSeq++;
+    QueuedWrite qw = newEntry(req);
     qw.acceptedAt = _sim.now();
 
     if (req.kind == WriteKind::Log || req.kind == WriteKind::AtomLog) {
@@ -169,8 +167,10 @@ MemCtrl::write(const WriteRequest &req)
     if (req.kind == WriteKind::Log && _useLpq) {
         emitAccept(req, qw.seq, evLpq);
         _lpq.push_back(std::move(qw));
+        _lpqPick.valid = false;
         return;
     }
+    _wpqPick.valid = false;
 
     // Write combining: a WPQ entry to the same block absorbs the new
     // data (standard ADR write-pending-queue behavior). This also makes
@@ -200,6 +200,17 @@ MemCtrl::write(const WriteRequest &req)
         ++_atomLogsQueued;
     emitAccept(req, qw.seq, 0);
     _wpq.push_back(std::move(qw));
+}
+
+MemCtrl::QueuedWrite
+MemCtrl::newEntry(const WriteRequest &req)
+{
+    QueuedWrite qw;
+    qw.req = req;
+    qw.bank = _dram.bankIndex(req.addr);
+    qw.row = _dram.rowIndex(req.addr);
+    qw.seq = _acceptSeq++;
+    return qw;
 }
 
 void
@@ -249,6 +260,7 @@ MemCtrl::noteLogArrival(CoreId core, TxId tx)
     for (auto it = _lpq.begin(); it != _lpq.end(); ++it) {
         if (it->marker && it->req.core == core && it->req.txId != tx) {
             ++_markersDropped;
+            _lpqPick.valid = false;
             emitMarker(core, it->req.txId, MarkerOp::Dropped);
             if (_logWriteRemoval)
                 _lpq.erase(it);
@@ -280,6 +292,7 @@ MemCtrl::txEnd(CoreId core, TxId tx)
     _durableLogs.erase(CoreTx{core, tx});
     if (!_useLpq)
         return;
+    _lpqPick.valid = false;
 
     // Find this transaction's LPQ-resident entries; all but the latest
     // are flash-cleared, the latest becomes the held tx-end marker.
@@ -347,9 +360,7 @@ MemCtrl::txEnd(CoreId core, TxId tx)
             req.core = core;
             req.txId = tx;
             req.data = rec.toBytes();
-            QueuedWrite qw;
-            qw.req = req;
-            qw.seq = _acceptSeq++;
+            QueuedWrite qw = newEntry(req);
             qw.marker = true;
             ++_markerWrites;
             _lpq.push_back(std::move(qw));
@@ -559,6 +570,7 @@ void
 MemCtrl::flushCoreLogs(CoreId core, std::function<void()> on_done)
 {
     _poked = true;
+    _lpqPick.valid = false;
     for (QueuedWrite &w : _lpq) {
         if (w.req.core == core)
             w.forced = true;
@@ -599,39 +611,63 @@ MemCtrl::applyBatteryDrain(MemoryImage &image) const
         image.write(entry.first, entry.second->data(), blockSize);
 }
 
+bool
+MemCtrl::allowConflicts(const std::deque<QueuedWrite> &queue,
+                        Tick now) const
+{
+    // Row-conflict writes commit a bank to a long NVM activate that
+    // pending reads then wait behind; defer them until the queue is
+    // under real pressure (conflict-averse write drain).
+    return !_drainWaiters.empty() ||
+           (!queue.empty() &&
+            now > queue.front().acceptedAt + agedWriteTicks) ||
+           queue.size() + _inflightWrites + _inflightLogs >=
+               (3 * _cfg.memCtrl.wpqEntries) / 4;
+}
+
 std::size_t
 MemCtrl::pickWriteCandidate(const std::deque<QueuedWrite> &queue,
-                            Tick now, bool skip_markers) const
+                            Tick now, bool skip_markers)
 {
+    PickMemo &memo = memoOf(queue);
+    const bool allow_conflicts = allowConflicts(queue, now);
+    if (now < memo.until && memo.holds(_dram.issueCount(), allow_conflicts))
+        return npos;
+
+    // Scan, remembering the earliest tick a busy bank the scan needed
+    // comes ready: until then (and while the memo holds) the answer
+    // stays "nothing".
+    Tick until = maxTick;
+    const auto ready = [&](const QueuedWrite &w) {
+        const Tick at = _dram.bankReadyAt(w.bank);
+        if (at <= now)
+            return true;
+        until = std::min(until, at);
+        return false;
+    };
     std::size_t fallback = npos;
     const std::size_t depth = std::min(queue.size(), scanLimit);
     // First preference: forced entries (context switch flushes).
     for (std::size_t i = 0; i < depth; ++i) {
         const QueuedWrite &w = queue[i];
-        if (w.forced && _dram.bankReady(w.req.addr, now))
+        if (w.forced && ready(w))
             return i;
     }
-    // Row-conflict writes commit a bank to a long NVM activate that
-    // pending reads then wait behind; defer them until the queue is
-    // under real pressure (conflict-averse write drain).
-    const bool allow_conflicts =
-        !_drainWaiters.empty() ||
-        (!queue.empty() &&
-         now > queue.front().acceptedAt + agedWriteTicks) ||
-        queue.size() + _inflightWrites + _inflightLogs >=
-            (3 * _cfg.memCtrl.wpqEntries) / 4;
     for (std::size_t i = 0; i < depth; ++i) {
         const QueuedWrite &w = queue[i];
         if (skip_markers && w.marker)
             continue;
-        if (!_dram.bankReady(w.req.addr, now))
+        if (!ready(w))
             continue;
-        if (_dram.rowHit(w.req.addr))
+        if (_dram.rowHit(w.bank, w.row))
             return i;
         if (fallback == npos)
             fallback = i;
     }
-    return allow_conflicts ? fallback : npos;
+    if (allow_conflicts && fallback != npos)
+        return fallback;
+    memo = PickMemo{true, allow_conflicts, _dram.issueCount(), until};
+    return npos;
 }
 
 void
@@ -669,6 +705,7 @@ MemCtrl::issueWriteEntry(std::deque<QueuedWrite> &queue, std::size_t idx,
     _inflightWriteAddrs.insert(addr);
     _inflightSeqs.insert(seq);
     _inflightData.emplace(seq, std::make_pair(addr, w.req.data));
+    // No memo to clear: the issue below changes NvmTiming::issueCount.
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(idx));
 
     const Tick done = _dram.issue(addr, true, now);
@@ -964,24 +1001,35 @@ MemCtrl::nextWake(Tick now)
     // below must be >= now, not > now. A bank ready strictly before now
     // was already ready during the last (idle) tick and the arbiter
     // still declined it, so only the aged threshold can unblock it.
+    //
+    // A write queue whose PickMemo holds for the inputs of a pick at
+    // `now` cannot pick before the memo's `until`, and none of those
+    // inputs changes inside a skipped span (the aged threshold is a
+    // wake of its own), so the memo's tick replaces the scan.
     Tick wake = maxTick;
-    auto bankWake = [&](Addr addr) {
-        const Tick at = _dram.bankReadyAt(addr);
+    auto bankWake = [&](unsigned bank) {
+        const Tick at = _dram.bankReadyAt(bank);
         if (at >= now)
             wake = std::min(wake, at);
     };
     const std::size_t rdepth = std::min(_readQ.size(), scanLimit);
     for (std::size_t i = 0; i < rdepth; ++i)
-        bankWake(_readQ[i].addr);
+        bankWake(_dram.bankIndex(_readQ[i].addr));
     auto queueWake = [&](const std::deque<QueuedWrite> &q) {
         if (q.empty())
             return;
         const Tick aged = q.front().acceptedAt + agedWriteTicks + 1;
         if (aged >= now)
             wake = std::min(wake, aged);
+        const PickMemo &memo = memoOf(q);
+        if (memo.until >= now &&
+            memo.holds(_dram.issueCount(), allowConflicts(q, now))) {
+            wake = std::min(wake, memo.until);
+            return;
+        }
         const std::size_t depth = std::min(q.size(), scanLimit);
         for (std::size_t i = 0; i < depth; ++i)
-            bankWake(q[i].req.addr);
+            bankWake(q[i].bank);
     };
     queueWake(_wpq);
     queueWake(_lpq);

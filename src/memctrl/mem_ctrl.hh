@@ -67,9 +67,11 @@ class MemCtrl : public Ticked
     /**
      * Quiescence protocol: busy while the last tick made progress or a
      * request arrived since; otherwise idle until the earliest bank
-     * ready time among scanned queue entries or an aged-write pressure
-     * threshold — everything else the arbiter reacts to changes only
-     * via scheduled events, which the kernel never skips past.
+     * ready time that can change a pick (a write queue's PickMemo, or
+     * a scan of its entries when the memo no longer holds) or an
+     * aged-write pressure threshold — everything else the arbiter
+     * reacts to changes only via scheduled events, which the kernel
+     * never skips past.
      */
     Tick nextWake(Tick now) override;
     /** Replay per-cycle occupancy samples and arbiter-attempt counters
@@ -169,10 +171,37 @@ class MemCtrl : public Ticked
     struct QueuedWrite
     {
         WriteRequest req;
+        unsigned bank = 0;      ///< NvmTiming bankIndex of req.addr
+        std::uint64_t row = 0;  ///< NvmTiming rowIndex of req.addr
         bool marker = false;    ///< held tx-end marker (Section 4.3)
         bool forced = false;    ///< must drain (context switch)
         std::uint64_t seq = 0;  ///< acceptance order
         Tick acceptedAt = 0;
+    };
+
+    /**
+     * Why the last pick on one write queue found nothing. A pick's
+     * answer depends on the queue's entries (the LPQ's marker skip is
+     * a function of them), the banks' ready times and open rows,
+     * allowConflicts() and the current tick. While the entries are
+     * unchanged (valid), the bank state is unchanged (dramIssues
+     * equals NvmTiming::issueCount) and allowConflicts() matches,
+     * every pick before `until` — the earliest ready tick among the
+     * busy banks the pick looked at — finds nothing again.
+     */
+    struct PickMemo
+    {
+        bool valid = false;     ///< cleared by every queue mutation
+        bool allowConflicts = false;
+        std::uint64_t dramIssues = 0;
+        Tick until = 0;
+
+        bool
+        holds(std::uint64_t issues, bool allow_conflicts) const
+        {
+            return valid && dramIssues == issues &&
+                   allowConflicts == allow_conflicts;
+        }
     };
 
     struct PendingRead
@@ -239,8 +268,19 @@ class MemCtrl : public Ticked
                     std::uint8_t flags);
     void emitMarker(CoreId core, TxId tx, MarkerOp op);
     void emitFault(FaultEvent what, Addr addr);
+    /** A queue entry for @p req: its bank and row, and the next
+     *  acceptance seq. */
+    QueuedWrite newEntry(const WriteRequest &req);
+    PickMemo &memoOf(const std::deque<QueuedWrite> &queue)
+    {
+        return &queue == &_lpq ? _lpqPick : _wpqPick;
+    }
+    /** Conflict-averse drain: may @p queue issue a row-conflict
+     *  write at @p now? */
+    bool allowConflicts(const std::deque<QueuedWrite> &queue,
+                        Tick now) const;
     std::size_t pickWriteCandidate(const std::deque<QueuedWrite> &queue,
-                                   Tick now, bool skip_markers) const;
+                                   Tick now, bool skip_markers);
 
     Simulator &_sim;
     SystemConfig _cfg;
@@ -257,6 +297,8 @@ class MemCtrl : public Ticked
     std::deque<PendingRead> _readQ;
     std::deque<QueuedWrite> _wpq;
     std::deque<QueuedWrite> _lpq;
+    PickMemo _wpqPick;
+    PickMemo _lpqPick;
     unsigned _inflightReads = 0;
     unsigned _inflightWrites = 0;
     unsigned _inflightLogs = 0;

@@ -470,7 +470,8 @@ TEST(CliContract, ZeroSizedQueuesAreRejectedBeforeRunning)
     for (const char *field :
          {"memCtrl.wpqEntries", "memCtrl.lpqEntries", "cpu.fetchWidth",
           "cpu.robEntries", "cpu.issueQueueEntries",
-          "cpu.loadQueueEntries", "cpu.storeQueueEntries"}) {
+          "cpu.loadQueueEntries", "cpu.storeQueueEntries",
+          "logging.logRegisters"}) {
         SCOPED_TRACE(field);
         const Outcome out =
             tool(std::string("proteus-sim run QE --scale 2000 "
@@ -483,12 +484,39 @@ TEST(CliContract, ZeroSizedQueuesAreRejectedBeforeRunning)
         EXPECT_EQ(out.output.find("cycles:"), std::string::npos)
             << out.output;
     }
-    // Only the Proteus schemes use the LPQ; the others ran to a
-    // verdict without one and still do.
-    const Outcome pmem = tool("proteus-sim run QE --scale 2000 "
-                              "--init-scale 100 --scheme pmem "
-                              "--set memCtrl.lpqEntries=0");
-    EXPECT_EQ(pmem.status, 0) << pmem.output;
+    // Only the Proteus schemes use the LPQ and log registers; the
+    // others ran to a verdict without them and still do.
+    for (const char *field :
+         {"memCtrl.lpqEntries", "logging.logRegisters"}) {
+        SCOPED_TRACE(field);
+        const Outcome pmem =
+            tool(std::string("proteus-sim run QE --scale 2000 "
+                             "--init-scale 100 --scheme pmem --set ") +
+                 field + "=0");
+        EXPECT_EQ(pmem.status, 0) << pmem.output;
+    }
+    // Proteus+NoLWR issues log-loads too: logRegisters=0 ran to the
+    // cycle limit there as well.
+    const Outcome nolwr = tool("proteus-sim run QE --scale 2000 "
+                               "--init-scale 100 --scheme proteus+nolwr "
+                               "--set logging.logRegisters=0");
+    EXPECT_EQ(nolwr.status, 2) << nolwr.output;
+    EXPECT_NE(nolwr.output.find("logging.logRegisters"), std::string::npos)
+        << nolwr.output;
+
+    // A valid config can still miss the cycle limit (here every NVM
+    // write activation outlasts it). Its verdict is "did not finish":
+    // it printed "invariants: OK" for the undrained run before.
+    const Outcome slow = tool("proteus-sim run QE --scale 2000 "
+                              "--init-scale 100 "
+                              "--set mem.nvmWriteTRCD=1000000000");
+    EXPECT_EQ(slow.status, 1) << slow.output;
+    EXPECT_NE(slow.output.find("finished:           NO"),
+              std::string::npos)
+        << slow.output;
+    EXPECT_EQ(slow.output.find("invariants:         OK"),
+              std::string::npos)
+        << slow.output;
 }
 
 TEST(BenchSuite, AllPrintsTheCommandsInTableOrder)

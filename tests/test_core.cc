@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "cache/hierarchy.hh"
 #include "cpu/core.hh"
@@ -356,4 +357,59 @@ TEST(Core, FrontendStallsAccumulateUnderPressure)
     f.start();
     f.runToCompletion();
     EXPECT_GT(f.core->frontendStallCycles(), 100u);
+}
+
+TEST(TxBlockSet, TracksStartedAndLoggedBlocksPerTransaction)
+{
+    using State = TxBlockSet::State;
+    TxBlockSet set;
+    EXPECT_EQ(set.get(0x1000), State::Absent);
+    EXPECT_TRUE(set.start(0x1000));
+    EXPECT_FALSE(set.start(0x1000));        // already in flight
+    EXPECT_EQ(set.get(0x1000), State::Started);
+    set.markLogged(0x1000);
+    EXPECT_EQ(set.get(0x1000), State::Logged);
+    EXPECT_FALSE(set.start(0x1000));        // logged blocks stay logged
+    set.markLogged(0x2000);                 // logged without a start
+    EXPECT_EQ(set.get(0x2000), State::Logged);
+    EXPECT_EQ(set.size(), 2u);
+
+    set.clear();
+    EXPECT_EQ(set.size(), 0u);
+    EXPECT_EQ(set.get(0x1000), State::Absent);
+    EXPECT_EQ(set.get(0x2000), State::Absent);
+    EXPECT_TRUE(set.start(0x2000));
+}
+
+TEST(TxBlockSet, MatchesOrderedSetsAcrossGrowthAndClears)
+{
+    // The two std::sets it replaced, driven by the same random ops.
+    using State = TxBlockSet::State;
+    TxBlockSet set;
+    std::set<Addr> started, logged;
+    Random rng(7);
+    for (unsigned i = 0; i < 20000; ++i) {
+        const Addr block = rng.nextBelow(700) * blockSize;
+        switch (rng.nextBelow(3)) {
+          case 0:
+            EXPECT_EQ(set.start(block),
+                      logged.count(block) == 0 &&
+                          started.insert(block).second);
+            break;
+          case 1:
+            set.markLogged(block);
+            logged.insert(block);
+            break;
+          default:
+            if (rng.nextBelow(100) == 0) {
+                set.clear();
+                started.clear();
+                logged.clear();
+            }
+        }
+        const State want = logged.count(block) ? State::Logged
+            : started.count(block)             ? State::Started
+                                               : State::Absent;
+        ASSERT_EQ(set.get(block), want) << i;
+    }
 }

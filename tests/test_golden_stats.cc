@@ -18,6 +18,8 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
+#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -196,5 +198,136 @@ TEST(GoldenStats, SchemesMatchGoldenCounters)
         ASSERT_TRUE(os.good()) << "cannot write " << goldenPath;
         os << out.str();
         std::cout << "rebaselined " << goldenPath << "\n";
+    }
+}
+
+namespace {
+
+const char *registryGoldenPath = PROTEUS_GOLDEN_DIR "/golden_registry.txt";
+
+/** One full-registry cell: a (scheme, workload) run under a config. */
+struct RegistryCell
+{
+    std::string tag;    ///< config label in the golden file
+    LogScheme scheme;
+    WorkloadKind kind;
+    unsigned threads;
+    bool dram;
+    std::vector<std::string> overrides;
+};
+
+std::vector<RegistryCell>
+registryCells()
+{
+    std::vector<RegistryCell> cells;
+    for (const LogScheme scheme : allSchemes()) {
+        for (const WorkloadKind kind : {WorkloadKind::Queue,
+                                        WorkloadKind::HashMap,
+                                        WorkloadKind::AvlTree}) {
+            cells.push_back({"base", scheme, kind, 2, false, {}});
+        }
+    }
+    // A starved controller: a tiny WPQ over two banks keeps the write
+    // arbiter blocked most cycles, and every scheme hits back-pressure.
+    for (const LogScheme scheme : allSchemes()) {
+        cells.push_back({"stress", scheme, WorkloadKind::AvlTree, 4, false,
+                         {"memCtrl.wpqEntries=8", "mem.banks=2"}});
+    }
+    cells.push_back({"dram", LogScheme::Proteus, WorkloadKind::HashMap, 4,
+                     true, {}});
+    cells.push_back({"dram", LogScheme::ATOM, WorkloadKind::AvlTree, 4,
+                     true, {}});
+    return cells;
+}
+
+/** Every registered stat of one run, "name value" per line, values at
+ *  full precision so any drift in an average shows. */
+std::string
+registryDump(const RegistryCell &cell)
+{
+    BenchOptions opts;
+    opts.dram = cell.dram;
+    opts.overrides = cell.overrides;
+    SystemConfig cfg = opts.makeConfig();
+    cfg.logging.scheme = cell.scheme;
+    cfg.memCtrl.adr = cell.scheme != LogScheme::PMEMPCommit;
+    WorkloadParams params;
+    params.threads = cell.threads;
+    params.scale = 2000;
+    params.initScale = 200;
+    params.seed = 1;
+    FullSystem system(cfg, cell.kind, params);
+    const RunResult r = system.run();
+    std::ostringstream os;
+    os << std::setprecision(17);
+    os << "finished " << r.finished << "\n";
+    for (const auto &[name, stat] : system.sim().statsRegistry().all()) {
+        os << name << " ";
+        stat->dumpJsonValue(os);
+        os << "\n";
+    }
+    return os.str();
+}
+
+} // namespace
+
+/**
+ * The whole stat registry, not just the headline counters: arbiter
+ * attempt counters, queue-occupancy averages, per-bank DRAM outcomes
+ * and every per-core stall class. Changes to the MC's arbiter or to
+ * cycle skipping must leave all of it bit-identical. The golden file
+ * holds one "== <tag> <scheme> <workload>" header per cell followed by
+ * its dump; rebaseline as for SchemesMatchGoldenCounters.
+ */
+TEST(GoldenStats, FullRegistryMatchesGolden)
+{
+    const bool rebaseline = rebaselineRequested();
+    std::ostringstream out;
+    out << "# Full stat registry per cell: --scale 2000 --init-scale 200 "
+           "--seed 1 (see registryCells in test_golden_stats.cc).\n";
+
+    std::map<std::string, std::string> golden;
+    if (!rebaseline) {
+        std::ifstream in(registryGoldenPath);
+        ASSERT_TRUE(in.good())
+            << "golden file missing: " << registryGoldenPath
+            << " — run once with PROTEUS_GOLDEN_REBASELINE=1";
+        std::string line, cell;
+        while (std::getline(in, line)) {
+            if (line.empty() || line[0] == '#')
+                continue;
+            if (line.rfind("== ", 0) == 0)
+                cell = line.substr(3);
+            else
+                golden[cell] += line + "\n";
+        }
+    }
+
+    for (const RegistryCell &c : registryCells()) {
+        const std::string cell = c.tag + " " + toString(c.scheme) + " " +
+                                 toString(c.kind);
+        SCOPED_TRACE(cell);
+        const std::string actual = registryDump(c);
+        if (rebaseline) {
+            out << "== " << cell << "\n" << actual;
+            continue;
+        }
+        const auto it = golden.find(cell);
+        ASSERT_NE(it, golden.end()) << "no golden cell " << cell;
+        // Compare line by line so a drift names its stat.
+        std::istringstream want(it->second), got(actual);
+        std::string w, g;
+        while (std::getline(want, w)) {
+            ASSERT_TRUE(std::getline(got, g)) << "missing stat " << w;
+            EXPECT_EQ(w, g) << cell;
+        }
+        EXPECT_FALSE(std::getline(got, g)) << "extra stat " << g;
+    }
+
+    if (rebaseline) {
+        std::ofstream os(registryGoldenPath);
+        ASSERT_TRUE(os.good()) << "cannot write " << registryGoldenPath;
+        os << out.str();
+        std::cout << "rebaselined " << registryGoldenPath << "\n";
     }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "faults/fault_config.hh"
@@ -14,12 +15,16 @@ namespace {
 
 struct McFixture
 {
-    explicit McFixture(LogScheme scheme = LogScheme::Proteus,
-                       unsigned atom_truncation_entries = 64)
+    explicit McFixture(
+        LogScheme scheme = LogScheme::Proteus,
+        unsigned atom_truncation_entries = 64,
+        const std::function<void(SystemConfig &)> &tweak = {})
     {
         cfg = baselineConfig();
         cfg.logging.scheme = scheme;
         cfg.logging.atomTruncationEntries = atom_truncation_entries;
+        if (tweak)
+            tweak(cfg);
         mc = std::make_unique<MemCtrl>(sim, cfg, nvm);
         sim.addTicked(mc.get());
     }
@@ -51,6 +56,25 @@ struct McFixture
         req.txId = tx;
         req.data = rec.toBytes();
         return req;
+    }
+
+    /** Run until the array has seen @p n writes. @return the tick the
+     *  n-th write issued on. */
+    Tick
+    runUntilWrites(std::uint64_t n, Tick max = 100000)
+    {
+        EXPECT_TRUE(
+            sim.runUntil([&]() { return mc->nvmWrites() >= n; }, max));
+        return sim.now() - 1;
+    }
+
+    /** Read @p addr and wait for it, leaving its row open. */
+    void
+    openRow(Addr addr)
+    {
+        bool done = false;
+        mc->read(addr, [&]() { done = true; });
+        ASSERT_TRUE(sim.runUntil([&]() { return done; }, 10000));
     }
 
     void
@@ -411,4 +435,191 @@ TEST(MemCtrl, FlashClearWhileFaultedLogWriteInFlight)
     EXPECT_TRUE(nvm.isPoisoned(0x9000));
     EXPECT_TRUE(nvm.isPoisoned(0x90C0));
     EXPECT_EQ(mc.nvmWrites(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// The write arbiter's pick memo: once a pick finds nothing, the MC
+// answers "nothing" without rescanning until the queue, the banks or
+// the pick's inputs change. Each test blocks a pick, then changes one
+// of those inputs and checks the write issues on exactly the tick a
+// full rescan would pick it — with cycle skipping on and off, since
+// the memo also feeds nextWake.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Bank 0 of the baseline geometry (16 banks, 2 KiB rows) holds row r
+ *  at r * 32 KiB + (r % 16) * 2 KiB; rows 0 and 1 of bank 0 conflict. */
+constexpr Addr bank0Row0 = 0;
+constexpr Addr bank0Row1 = 32768 + 2048;
+/** A queued write's age at which it drains regardless of pressure
+ *  (agedWriteTicks in mem_ctrl.cc). */
+constexpr Tick agedTicks = 4000;
+
+} // namespace
+
+TEST(MemCtrlPickMemo, BankReadyTickUnblocksRowHit)
+{
+    for (const bool skip : {false, true}) {
+        SCOPED_TRACE(skip);
+        McFixture f;
+        f.sim.setCycleSkip(skip);
+        f.mc->write(f.dataWrite(bank0Row0, 1));
+        f.runUntilWrites(1);    // the aged drain opens row 0
+        const unsigned bank = f.mc->dram().bankIndex(bank0Row0);
+        const Tick ready = f.mc->dram().bankReadyAt(bank);
+        ASSERT_GT(ready, f.sim.now());
+        // A row hit on the busy bank waits exactly until it is ready.
+        f.mc->write(f.dataWrite(bank0Row0 + 64, 2));
+        EXPECT_EQ(f.runUntilWrites(2), ready);
+    }
+}
+
+TEST(MemCtrlPickMemo, NewWriteIsANewCandidate)
+{
+    for (const bool skip : {false, true}) {
+        SCOPED_TRACE(skip);
+        McFixture f;
+        f.sim.setCycleSkip(skip);
+        f.openRow(bank0Row0);
+        f.mc->write(f.dataWrite(bank0Row1, 1));
+        f.sim.run(50);
+        ASSERT_EQ(f.mc->nvmWrites(), 0u);
+        // A row hit behind the deferred conflict issues at once.
+        const Tick arrived = f.sim.now();
+        f.mc->write(f.dataWrite(bank0Row0 + 64, 2));
+        EXPECT_EQ(f.runUntilWrites(1), arrived);
+    }
+}
+
+TEST(MemCtrlPickMemo, ReadToSameBankOpensTheWritesRow)
+{
+    for (const bool skip : {false, true}) {
+        SCOPED_TRACE(skip);
+        McFixture f;
+        f.sim.setCycleSkip(skip);
+        f.openRow(bank0Row0);
+        // A row-1 write conflicts with open row 0: deferred.
+        f.mc->write(f.dataWrite(bank0Row1, 1));
+        const Tick accepted = f.sim.now();
+        f.sim.run(50);
+        ASSERT_EQ(f.mc->nvmWrites(), 0u);
+        // A read of another row-1 block opens row 1; the write becomes
+        // a row hit the moment the bank is ready again.
+        bool done = false;
+        f.mc->read(bank0Row1 + 64, [&]() { done = true; });
+        f.sim.run(1);
+        ASSERT_EQ(f.mc->nvmReads(), 2u);
+        const unsigned bank = f.mc->dram().bankIndex(bank0Row1);
+        const Tick ready = f.mc->dram().bankReadyAt(bank);
+        EXPECT_EQ(f.runUntilWrites(1), ready);
+        EXPECT_LT(ready, accepted + agedTicks);
+    }
+}
+
+TEST(MemCtrlPickMemo, FlushCoreLogsForcesBlockedEntry)
+{
+    for (const bool skip : {false, true}) {
+        SCOPED_TRACE(skip);
+        // Without log write removal the LPQ drains opportunistically,
+        // so its arbiter picks (and finds nothing) every cycle.
+        McFixture f(LogScheme::ProteusNoLWR);
+        f.sim.setCycleSkip(skip);
+        f.openRow(bank0Row0);
+        f.mc->write(f.logWrite(bank0Row1, 0, 7, 0x5000, 0));
+        f.sim.run(50);
+        ASSERT_EQ(f.mc->nvmWrites(), 0u);
+        // A forced entry issues on a ready bank even as a conflict.
+        const Tick flushed = f.sim.now();
+        f.mc->flushCoreLogs(0, nullptr);
+        EXPECT_EQ(f.runUntilWrites(1), flushed);
+    }
+}
+
+TEST(MemCtrlPickMemo, FlashClearBringsRowHitIntoScanWindow)
+{
+    for (const bool skip : {false, true}) {
+        SCOPED_TRACE(skip);
+        // Keep the LPQ pressured whenever it is non-empty, and far from
+        // the occupancy that would allow conflicts.
+        McFixture f(LogScheme::Proteus, 64, [](SystemConfig &c) {
+            c.memCtrl.lpqDrainThreshold = 0.001;
+            c.memCtrl.wpqEntries = 256;
+        });
+        f.sim.setCycleSkip(skip);
+        f.openRow(bank0Row0);
+        // Tx 7 fills the 64-entry scan window with row-1 and row-2
+        // conflicts on bank 0; tx 8's row hit sits just past it.
+        const Addr bank0Row2 = 2 * 32768 + 2 * 2048;
+        for (unsigned i = 0; i < 64; ++i) {
+            const Addr row = i < 32 ? bank0Row1 : bank0Row2;
+            f.mc->write(f.logWrite(row + (i % 32) * 64, 0, 7,
+                                   0x5000 + i * 32, i));
+        }
+        f.mc->write(f.logWrite(bank0Row0 + 64, 1, 8, 0x9000, 0));
+        f.sim.run(50);
+        ASSERT_EQ(f.mc->nvmWrites(), 0u);
+        // Tx 7's end flash-clears all but its held marker (skipped by
+        // the pick): tx 8's entry is now scanned and issues at once.
+        const Tick ended = f.sim.now();
+        f.mc->txEnd(0, 7);
+        EXPECT_EQ(f.mc->droppedLogWrites(), 63u);
+        EXPECT_EQ(f.runUntilWrites(1), ended);
+    }
+}
+
+TEST(MemCtrlPickMemo, TxEndMarkerRewriteIsANewCandidate)
+{
+    for (const bool skip : {false, true}) {
+        SCOPED_TRACE(skip);
+        McFixture f(LogScheme::ProteusNoLWR);
+        f.sim.setCycleSkip(skip);
+        // Core 1's only log entry reaches the array, leaving its row
+        // (row 0 of bank 0) open.
+        f.mc->write(f.logWrite(bank0Row0, 1, 9, 0x9000, 0));
+        f.mc->flushCoreLogs(1, nullptr);
+        f.runUntilWrites(1);
+        const unsigned bank = f.mc->dram().bankIndex(bank0Row0);
+        f.sim.run(f.mc->dram().bankReadyAt(bank) - f.sim.now());
+        // Core 0's row-1 entry conflicts and waits.
+        f.mc->write(f.logWrite(bank0Row1, 0, 7, 0x5000, 0));
+        f.sim.run(50);
+        ASSERT_EQ(f.mc->nvmWrites(), 1u);
+        // Tx 9's end rewrites its last entry with the tx-end flag: a
+        // row hit the arbiter picks on the next cycle.
+        const Tick ended = f.sim.now();
+        f.mc->txEnd(1, 9);
+        EXPECT_EQ(f.runUntilWrites(2), ended);
+    }
+}
+
+TEST(MemCtrlPickMemo, DrainAllowsConflicts)
+{
+    for (const bool skip : {false, true}) {
+        SCOPED_TRACE(skip);
+        McFixture f;
+        f.sim.setCycleSkip(skip);
+        f.openRow(bank0Row0);
+        f.mc->write(f.dataWrite(bank0Row1, 1));
+        f.sim.run(50);
+        ASSERT_EQ(f.mc->nvmWrites(), 0u);
+        // pcommit: the deferred conflict must drain now.
+        const Tick drained = f.sim.now();
+        f.mc->drain(nullptr);
+        EXPECT_EQ(f.runUntilWrites(1), drained);
+    }
+}
+
+TEST(MemCtrlPickMemo, AgedWriteCrossesThreshold)
+{
+    for (const bool skip : {false, true}) {
+        SCOPED_TRACE(skip);
+        McFixture f;
+        f.sim.setCycleSkip(skip);
+        f.openRow(bank0Row0);
+        const Tick accepted = f.sim.now();
+        f.mc->write(f.dataWrite(bank0Row1, 1));
+        // Conflict-averse until it is older than the aged threshold.
+        EXPECT_EQ(f.runUntilWrites(1), accepted + agedTicks + 1);
+    }
 }

@@ -151,10 +151,15 @@ TEST(MemoryImageCow, CopySharesPagesUntilWritten)
     a.write64(0x1000, 1);
     a.write64(0x5000, 2);
     MemoryImage b = a;
+    EXPECT_TRUE(b.sharesDirectoryWith(a));          // the copy is O(1)
     EXPECT_EQ(a.pageData(0x1), b.pageData(0x1));
     EXPECT_EQ(a.pageData(0x5), b.pageData(0x5));
+    MemoryImage c = b;      // a copy of a copy shares it too
+    EXPECT_TRUE(c.sharesDirectoryWith(a));
 
     b.write64(0x1008, 3);
+    EXPECT_FALSE(b.sharesDirectoryWith(a));         // copied on write
+    EXPECT_TRUE(c.sharesDirectoryWith(a));
     EXPECT_NE(a.pageData(0x1), b.pageData(0x1));   // copied on write
     EXPECT_EQ(a.pageData(0x5), b.pageData(0x5));   // still shared
     EXPECT_EQ(a.read64(0x1008), 0u);
@@ -173,6 +178,15 @@ TEST(MemoryImageCow, CopySharesPagesUntilWritten)
     a.write64(0x5000, 7);
     EXPECT_EQ(b.read64(0x5000), 2u);
     EXPECT_NE(a.pageData(0x5), b.pageData(0x5));
+    EXPECT_FALSE(c.sharesDirectoryWith(a));
+    EXPECT_EQ(c.read64(0x5000), 2u);
+
+    // An empty image has no directory to share; a far write (side
+    // map) leaves a shared directory shared.
+    EXPECT_FALSE(MemoryImage{}.sharesDirectoryWith(MemoryImage{}));
+    MemoryImage d = c;
+    d.write64(0xffff'ffff'ffff'f000ull, 1);
+    EXPECT_TRUE(d.sharesDirectoryWith(c));
 }
 
 TEST(MemoryImageCow, PoisonTravelsWithCopiesAndClearsOnRewrite)
@@ -216,6 +230,7 @@ TEST(MemoryImageCow, DiffAndIdenticalOverSharedPages)
     for (unsigned p = 0; p < 4; ++p)
         a.write64(p * MemoryImage::pageBytes + 8, p + 1);
     MemoryImage b = a;
+    ASSERT_TRUE(b.sharesDirectoryWith(a));
     EXPECT_TRUE(a.identical(b));
     EXPECT_TRUE(a.diff(b).empty());
 
@@ -249,12 +264,16 @@ TEST(MemoryImageCow, ConcurrentCopiesAndWritesStayIndependent)
         threads.emplace_back([&source, &ok, w]() {
             for (unsigned round = 0; round < 8; ++round) {
                 MemoryImage mine = source;
+                bool good = mine.sharesDirectoryWith(source);
                 for (unsigned p = 0; p < pages; ++p)
                     mine.write64(p * MemoryImage::pageBytes + 8, w + 1);
                 MemoryImage copy = mine;
+                good = good && !mine.sharesDirectoryWith(source) &&
+                       copy.sharesDirectoryWith(mine);
                 copy.write64(8, 100 + w);
-                bool good = mine.read64(8) == w + 1 &&
-                            copy.read64(8) == 100 + w;
+                good = good && !copy.sharesDirectoryWith(mine) &&
+                       mine.read64(8) == w + 1 &&
+                       copy.read64(8) == 100 + w;
                 for (unsigned p = 0; p < pages; ++p) {
                     const Addr base = p * MemoryImage::pageBytes;
                     good = good && mine.read64(base) == p &&
@@ -500,11 +519,13 @@ TEST(MemoryImageCow, ConcurrentCopiesOfOnePopulatedImage)
         threads.emplace_back([&source, &bases, &ok, w]() {
             for (unsigned round = 0; round < 4; ++round) {
                 MemoryImage mine = source;
+                bool good = mine.sharesDirectoryWith(source);
                 // Every thread writes every other page, offset by its id,
-                // so pairs of threads race on the same leaves and pages.
+                // so pairs of threads race on the directory, leaves and
+                // pages.
                 for (std::size_t i = w % 2; i < bases.size(); i += 2)
                     mine.write64(bases[i] + 8 * (w + 1), 100 * (w + 1) + i);
-                bool good = true;
+                good = good && !mine.sharesDirectoryWith(source);
                 for (std::size_t i = 0; i < bases.size(); ++i) {
                     const bool mine_page = i % 2 == w % 2;
                     good = good && mine.read64(bases[i]) == i;

@@ -84,9 +84,14 @@ reportRun(FullSystem &system, const RunResult &r, const BenchOptions &id,
         std::cout << formatCheckReport(CheckRow{scheme, kind, r, *r.check});
         ok = ok && r.check->pass();
     }
+    // The structural invariants hold only for a drained run; an
+    // unfinished one gets no verdict, least of all "OK".
     if (invariants) {
         std::cout << "invariants:         "
-                  << (invariants->empty() ? "OK" : *invariants) << "\n";
+                  << (!r.finished           ? "not checked (unfinished)"
+                      : invariants->empty() ? "OK"
+                                            : *invariants)
+                  << "\n";
         ok = ok && invariants->empty();
     }
     if (extras.json)
