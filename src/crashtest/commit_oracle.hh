@@ -84,8 +84,10 @@ struct OracleReport
 };
 
 /**
- * Records durable-commit points and per-byte expected values while
- * traces are generated; attach via FullSystem's trace_observer hook.
+ * Records durable-commit points and per-byte expected values from the
+ * trace-generation write stream: fill it by replaying a bundle's
+ * WriteHistory (TraceBundle::history), or attach it to the builders
+ * with TraceBuilder::setWriteObserver while the traces are recorded.
  */
 class CommitOracle : public TraceWriteObserver
 {

@@ -154,7 +154,6 @@ crashTestOptionsFor(const BenchOptions &bench)
     ct.initScale = bench.initScale;
     ct.seed = bench.seed;
     ct.jobs = bench.jobs;
-    ct.useTraceCache = bench.traceCache;
     ct.cycleSkip = bench.cycleSkip;
     ct.faults = bench.faults;
     return ct;
@@ -354,27 +353,22 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
 
     // The end-to-end serialize check replays each crash point's
     // committed prefix on a copy of the post-setup state, populated
-    // once per pair (once per workload with the cache on). It needs a
-    // single thread — a multi-threaded prefix is not replayable
-    // without the schedule — and a failure-safe scheme.
+    // once per workload. It needs a single thread — a multi-threaded
+    // prefix is not replayable without the schedule — and a
+    // failure-safe scheme.
     std::shared_ptr<const PopulatedState> populated;
     if (opts.threads == 1 && scheme != LogScheme::PMEMNoLog &&
-        opts.checkSerialization) {
-        populated = opts.useTraceCache
-                        ? TraceCache::global().populated(key)
-                        : PopulatedState::build(key);
-    }
+        opts.checkSerialization)
+        populated = TraceCache::global().populated(key);
 
-    // With the cache on, one functional execution serves both the
-    // reference run and the crash-injected run; the oracle is rebuilt
-    // from the bundle's recorded write history, which is equivalent to
-    // live attachment during trace generation.
-    std::shared_ptr<const TraceBundle> bundle;
+    // One functional execution serves both the reference run and the
+    // crash-injected run; the oracle is rebuilt from the bundle's
+    // recorded write history, which is equivalent to live attachment
+    // during trace generation.
+    const std::shared_ptr<const TraceBundle> bundle =
+        TraceCache::global().get(key, /*want_history=*/true);
     CommitOracle oracle;
-    if (opts.useTraceCache) {
-        bundle = TraceCache::global().get(key, /*want_history=*/true);
-        bundle->history->replayTo(oracle);
-    }
+    bundle->history->replayTo(oracle);
 
     // Reference run: the pair's total cycle count anchors the stride
     // and the fuzz range (and validates the configuration end to end).
@@ -392,13 +386,8 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
                   << opts.initScale;
             ref_cfg.analysis.repro = repro.str();
         }
-        std::unique_ptr<FullSystem> reference;
-        if (bundle)
-            reference = std::make_unique<FullSystem>(ref_cfg, bundle);
-        else
-            reference = std::make_unique<FullSystem>(
-                ref_cfg, kind, params, WorkloadExtras{{}, opts.gen});
-        const RunResult full = reference->run(runCycleLimit);
+        FullSystem reference(ref_cfg, bundle);
+        const RunResult full = reference.run(runCycleLimit);
         if (!full.finished)
             fatal("crashtest: reference run hit the cycle limit");
         pair.totalCycles = full.cycles;
@@ -417,15 +406,7 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     const std::vector<Tick> cycles =
         crashCycles(opts, scheme, kind, pair.totalCycles);
 
-    std::unique_ptr<FullSystem> sys_holder;
-    if (bundle)
-        sys_holder = std::make_unique<FullSystem>(cfg, bundle);
-    else
-        sys_holder =
-            std::make_unique<FullSystem>(cfg, kind, params,
-                                         WorkloadExtras{{}, opts.gen},
-                                         &oracle);
-    FullSystem &sys = *sys_holder;
+    FullSystem sys(cfg, bundle);
     pair.totalTxs = oracle.txCount();
 
     for (const Tick at : cycles) {

@@ -11,6 +11,12 @@
  * single-threaded runs — an end-to-end serialize comparison against a
  * functional replay of exactly the committed prefix.
  *
+ * Each pair takes its trace state from the process-global TraceCache:
+ * the reference run and the crash-injected run are wired from one
+ * bundle, and the oracle is filled by replaying the bundle's recorded
+ * WriteHistory, so repeated campaigns in one process skip trace
+ * generation entirely.
+ *
  * Crash points come from a fixed list (--crash-at), a cycle stride
  * (--crash-stride / --sweep), or a seeded fuzzer (--fuzz); every mode
  * is deterministic given the seed, and results are bit-identical at
@@ -74,15 +80,6 @@ struct CrashTestOptions
     /** Arm the persistency-order checker (src/analysis) on each pair's
      *  reference run; ordering violations count against the pair. */
     bool check = false;
-    /**
-     * Share TraceBundles through the process-global TraceCache: the
-     * reference run and the crash-injected run of each pair reuse one
-     * functional execution (the oracle is rebuilt by replaying the
-     * bundle's WriteHistory), and repeated campaigns in one process
-     * skip trace generation entirely. Results are bit-identical with
-     * the cache on or off.
-     */
-    bool useTraceCache = true;
     /** Quiescence-driven cycle skipping (see SystemConfig::cycleSkip).
      *  Crash points are cycle numbers; skipping clamps to them via
      *  run()'s limit, so sweeps are bit-identical either way. */
@@ -170,8 +167,8 @@ CrashTestSummary runCrashTests(const CrashTestOptions &opts,
                                std::ostream &os);
 
 /** A campaign at @p bench's workload size, seed, host settings and
- *  machine switches (scale, init-scale, seed, jobs, trace cache, cycle
- *  skip, faults); the caller picks schemes, workloads and the mode.
+ *  machine switches (scale, init-scale, seed, jobs, cycle skip,
+ *  faults); the caller picks schemes, workloads and the mode.
  *  Threads stay 1, which the byte-exact oracle requires. */
 CrashTestOptions crashTestOptionsFor(const BenchOptions &bench);
 

@@ -60,12 +60,8 @@ runCheckImpl(LogScheme scheme, WorkloadKind kind,
     // The write history distinguishes undo-logged stores from
     // fresh-allocation stores, arming LogBeforeData for the software
     // schemes; always record it on the checking path.
-    std::shared_ptr<const TraceBundle> bundle = opts.traceCache
-        ? TraceCache::global().get(key, /*want_history=*/true)
-        : std::shared_ptr<const TraceBundle>(
-              TraceBundle::build(key, nullptr, /*want_history=*/true));
-
-    FullSystem system(cfg, bundle);
+    FullSystem system(cfg,
+                      TraceCache::global().get(key, /*want_history=*/true));
     CheckRow row;
     row.scheme = scheme;
     row.kind = kind;

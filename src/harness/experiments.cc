@@ -18,7 +18,7 @@ BenchOptions::optionGroups()
     return {cli::sizeOptions(scale, initScale, threads, seed),
             cli::configOptions(*this),
             cli::machineOptions(cycleSkip, faults),
-            cli::batchOptions(jobs, jsonPath, traceCache),
+            cli::batchOptions(jobs, jsonPath),
             {cli::checkOption(check)},
             cli::traceOptions(*this),
             cli::txStatsOptions(*this)};
@@ -112,24 +112,18 @@ runExperiment(SystemConfig cfg, LogScheme scheme, WorkloadKind kind,
     params.seed = opts.seed;
     params.logAreaBytes = cfg.logging.logAreaBytes;
 
-    RunResult result;
-    if (opts.traceCache) {
-        TraceBundleKey key;
-        key.kind = kind;
-        key.scheme = scheme;
-        key.params = params;
-        key.llOpts = extras.ll;
-        key.gen = extras.gen;
-        // Checked runs need the write history so the software schemes
-        // arm LogBeforeData too (undo-logged vs. storeInit stores).
-        FullSystem system(
-            cfg, TraceCache::global().get(key,
-                                          /*want_history=*/opts.check));
-        result = system.run();
-    } else {
-        FullSystem system(cfg, kind, params, extras);
-        result = system.run();
-    }
+    TraceBundleKey key;
+    key.kind = kind;
+    key.scheme = scheme;
+    key.params = params;
+    key.llOpts = extras.ll;
+    key.gen = extras.gen;
+    // Checked runs need the write history so the software schemes arm
+    // LogBeforeData too (undo-logged vs. storeInit stores).
+    const RunResult result =
+        FullSystem(cfg,
+                   TraceCache::global().get(key, /*want_history=*/opts.check))
+            .run();
     if (opts.check && result.check && !result.check->pass()) {
         CheckRow row;
         row.scheme = scheme;

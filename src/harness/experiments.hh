@@ -29,7 +29,6 @@ struct BenchOptions
     std::uint64_t seed = 1;
     bool dram = false;          ///< use the Section 7.2 DRAM config
     std::string jsonPath;       ///< write per-run JSON rows ("" = off)
-    bool traceCache = true;     ///< share TraceBundles across runs
     bool cycleSkip = true;      ///< --no-cycle-skip to force per-cycle
     std::vector<std::string> overrides;
 

@@ -281,14 +281,11 @@ machineOptions(bool &cycleSkip, faults::FaultConfig &faults)
 }
 
 std::vector<Option>
-batchOptions(unsigned &jobs, std::string &jsonPath, bool &traceCache)
+batchOptions(unsigned &jobs, std::string &jsonPath)
 {
     return {
         number("--jobs", "N", "host worker threads; 0 = all cores", jobs),
         text("--json", "FILE", "write the results as JSON", jsonPath),
-        flag("--no-trace-cache",
-             "rebuild traces per run instead of sharing cached bundles",
-             traceCache, false),
     };
 }
 

@@ -134,9 +134,8 @@ std::vector<Option> configOptions(BenchOptions &opts);
 /** --no-cycle-skip, --faults, --fault-seed */
 std::vector<Option> machineOptions(bool &cycleSkip,
                                    faults::FaultConfig &faults);
-/** --jobs, --json FILE, --no-trace-cache */
-std::vector<Option> batchOptions(unsigned &jobs, std::string &jsonPath,
-                                 bool &traceCache);
+/** --jobs, --json FILE */
+std::vector<Option> batchOptions(unsigned &jobs, std::string &jsonPath);
 /** --stats-interval, --stats-out, --trace-events, --trace-categories */
 std::vector<Option> traceOptions(BenchOptions &opts);
 /** --tx-stats, --tx-slowest */

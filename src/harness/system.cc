@@ -6,8 +6,7 @@ namespace proteus {
 
 FullSystem::FullSystem(const SystemConfig &cfg, WorkloadKind kind,
                        const WorkloadParams &params,
-                       const WorkloadExtras &extras,
-                       TraceWriteObserver *trace_observer)
+                       const WorkloadExtras &extras)
     : _cfg(cfg)
 {
     if (params.threads > cfg.cores)
@@ -22,8 +21,8 @@ FullSystem::FullSystem(const SystemConfig &cfg, WorkloadKind kind,
     key.gen = extras.gen;
     // The checker needs the write history to classify store kinds for
     // the software schemes' LogBeforeData rule.
-    auto bundle = TraceBundle::build(key, trace_observer,
-                                     /*want_history=*/cfg.analysis.check);
+    auto bundle =
+        TraceBundle::build(key, /*want_history=*/cfg.analysis.check);
 
     // The bundle is private to this system, so its heap can be mutated
     // in place — exactly the pre-bundle behavior, with no image copy.

@@ -5,12 +5,12 @@
  * This is the top-level object examples, tests, and benches drive.
  *
  * Trace state (per-thread micro-op streams, the initial heap image,
- * log-area bounds) lives in a TraceBundle. The classic constructor
- * builds a private bundle by executing the workload functionally; the
- * bundle constructor wires the machine from a prebuilt shared bundle
- * (TraceCache or a .ptrace file) without re-executing anything —
- * results are bit-identical either way because both paths run the same
- * wiring code over the same bundle contents.
+ * log-area bounds) lives in a TraceBundle. The bundle constructor
+ * wires the machine from a prebuilt shared bundle (TraceCache or a
+ * .ptrace file) without re-executing anything; the convenience
+ * constructor builds a private bundle first. Results are bit-identical
+ * either way because both run the same wiring code over the same
+ * bundle contents.
  */
 
 #ifndef PROTEUS_HARNESS_SYSTEM_HH
@@ -66,16 +66,14 @@ class FullSystem
 {
   public:
     /**
-     * Build the trace state privately and wire the machine (the
-     * classic path). @p trace_observer, when set, watches every
-     * transactional write as the workload's traces are recorded (the
-     * crash oracle hook); it must outlive trace generation but is not
-     * retained afterwards.
+     * Build a private bundle (TraceBundle::build) and wire the machine
+     * from it, using its heap in place. A convenience for tests,
+     * examples and one-off runs; the harness takes shared bundles
+     * from TraceCache instead.
      */
     FullSystem(const SystemConfig &cfg, WorkloadKind kind,
                const WorkloadParams &params,
-               const WorkloadExtras &extras = {},
-               TraceWriteObserver *trace_observer = nullptr);
+               const WorkloadExtras &extras = {});
 
     /**
      * Wire the machine from a prebuilt bundle (TraceCache::get or

@@ -96,16 +96,14 @@ PopulatedState::instantiate(LogScheme scheme) const
 }
 
 std::shared_ptr<TraceBundle>
-TraceBundle::build(const TraceBundleKey &key,
-                   TraceWriteObserver *extra_observer, bool want_history)
+TraceBundle::build(const TraceBundleKey &key, bool want_history)
 {
-    return record(*PopulatedState::build(key), key.scheme,
-                  extra_observer, want_history);
+    return record(*PopulatedState::build(key), key.scheme, want_history);
 }
 
 std::shared_ptr<TraceBundle>
 TraceBundle::record(const PopulatedState &state, LogScheme scheme,
-                    TraceWriteObserver *extra_observer, bool want_history)
+                    bool want_history)
 {
     auto bundle = std::make_shared<TraceBundle>();
     bundle->key = state.key;
@@ -116,15 +114,13 @@ TraceBundle::record(const PopulatedState &state, LogScheme scheme,
 
     auto history =
         want_history ? std::make_shared<WriteHistory>() : nullptr;
-    TeeWriteObserver tee(history.get(), extra_observer);
-    const bool observe = history || extra_observer;
     const unsigned threads = bundle->key.params.threads;
-    if (observe) {
+    if (history) {
         for (unsigned t = 0; t < threads; ++t)
-            bundle->workload->builder(t).setWriteObserver(&tee);
+            bundle->workload->builder(t).setWriteObserver(history.get());
     }
     bundle->workload->generateTraces();
-    if (observe) {
+    if (history) {
         for (unsigned t = 0; t < threads; ++t)
             bundle->workload->builder(t).setWriteObserver(nullptr);
     }

@@ -21,11 +21,13 @@
  * (MemoryImage), so it costs a pointer per page, not the page.
  *
  * Bundles come from three places:
- *  - FullSystem's classic constructor builds a private one (the
- *    uncached path, through a private PopulatedState — the same code
- *    as the cached path, so results are bit-identical),
  *  - TraceCache::get() records one per key from a PopulatedState it
- *    also caches, and shares both process-wide,
+ *    also caches, and shares both process-wide; every harness run
+ *    (bench figures, proteus-sim matrix, proteus-check, crashtest)
+ *    takes its bundle here,
+ *  - build() records a private one, through the same PopulatedState
+ *    and record() code: FullSystem's convenience constructor (tests,
+ *    examples, one-off runs) and tools/proteus-trace use it,
  *  - loadTraceBundle() deserializes one from a .ptrace file recorded
  *    by tools/proteus-trace (such bundles carry no Workload object, so
  *    they can run and be measured but not invariant-checked).
@@ -157,20 +159,15 @@ class TraceBundle
 
     /**
      * Populate a private PopulatedState for @p key and record from it.
-     * @p extra_observer, when set, watches the recording exactly as
-     * FullSystem's trace_observer hook used to; @p want_history
-     * additionally records the replayable WriteHistory.
+     * @p want_history also records the replayable WriteHistory.
      */
     static std::shared_ptr<TraceBundle>
-    build(const TraceBundleKey &key,
-          TraceWriteObserver *extra_observer = nullptr,
-          bool want_history = false);
+    build(const TraceBundleKey &key, bool want_history = false);
 
     /** Record @p scheme's traces from a copy of @p state; @p state is
-     *  left untouched. Observer and history as for build(). */
+     *  left untouched. History as for build(). */
     static std::shared_ptr<TraceBundle>
     record(const PopulatedState &state, LogScheme scheme,
-           TraceWriteObserver *extra_observer = nullptr,
            bool want_history = false);
 
     /** Recompute lockMap from the traces (build and load both use it). */

@@ -42,8 +42,7 @@ std::shared_ptr<const TraceBundle>
 TraceCache::get(const TraceBundleKey &key, bool want_history)
 {
     const auto record = [&](bool history) {
-        return TraceBundle::record(*populated(key), key.scheme, nullptr,
-                                   history);
+        return TraceBundle::record(*populated(key), key.scheme, history);
     };
     auto [bundle, built] =
         once(_bundles, key, _misses, [&] { return record(want_history); });

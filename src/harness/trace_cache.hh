@@ -11,10 +11,12 @@
  * the first requester builds while the others block on a shared
  * future — and hands out shared immutable references.
  *
- * Cached and uncached runs are bit-identical: both paths populate and
- * record through the same PopulatedState::build and TraceBundle::record
- * and wire FullSystems the same way; the only difference is how many
- * times the functional workload executes.
+ * The cache is the harness's only source of trace state. A cache hit
+ * and a fresh TraceBundle::build give the same bundle contents: both
+ * populate and record through PopulatedState::build and
+ * TraceBundle::record, and FullSystems are wired the same way from
+ * either; the only difference is how many times the functional
+ * workload executes.
  */
 
 #ifndef PROTEUS_HARNESS_TRACE_CACHE_HH

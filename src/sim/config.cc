@@ -99,6 +99,15 @@ SystemConfig::applyOverride(const std::string &spec)
         else
             field = parseUnsigned<T>(label, value);
     };
+    // Occupancy fractions: a negative one would wrap when scaled to a
+    // queue size, and one above 1 would switch draining off.
+    auto fraction = [&](double &field) {
+        const double v = parseDouble(label, value);
+        if (v < 0 || v > 1)
+            fatal(label, ": expected a fraction in [0, 1], got '", value,
+                  "'");
+        field = v;
+    };
     auto as_bool = [&]() -> bool {
         if (value == "true" || value == "1") return true;
         if (value == "false" || value == "0") return false;
@@ -120,9 +129,9 @@ SystemConfig::applyOverride(const std::string &spec)
     else if (key == "memCtrl.wpqEntries") num(memCtrl.wpqEntries);
     else if (key == "memCtrl.lpqEntries") num(memCtrl.lpqEntries);
     else if (key == "memCtrl.wpqDrainThreshold")
-        num(memCtrl.wpqDrainThreshold);
+        fraction(memCtrl.wpqDrainThreshold);
     else if (key == "memCtrl.lpqDrainThreshold")
-        num(memCtrl.lpqDrainThreshold);
+        fraction(memCtrl.lpqDrainThreshold);
     else if (key == "logging.scheme") logging.scheme = parseScheme(value);
     else if (key == "logging.logRegisters") num(logging.logRegisters);
     else if (key == "logging.logQEntries") num(logging.logQEntries);

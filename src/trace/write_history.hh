@@ -66,49 +66,6 @@ class WriteHistory : public TraceWriteObserver
     std::vector<WriteEvent> _events;
 };
 
-/** Fans one observer stream out to several observers (any may be null). */
-class TeeWriteObserver : public TraceWriteObserver
-{
-  public:
-    TeeWriteObserver(TraceWriteObserver *a, TraceWriteObserver *b)
-        : _a(a), _b(b)
-    {
-    }
-
-    void
-    onTxBegin(CoreId thread, TxId tx) override
-    {
-        if (_a)
-            _a->onTxBegin(thread, tx);
-        if (_b)
-            _b->onTxBegin(thread, tx);
-    }
-
-    void
-    onTxEnd(CoreId thread, TxId tx) override
-    {
-        if (_a)
-            _a->onTxEnd(thread, tx);
-        if (_b)
-            _b->onTxEnd(thread, tx);
-    }
-
-    void
-    onStore(CoreId thread, TxId tx, Addr addr, unsigned size,
-            std::uint64_t before, std::uint64_t after,
-            ObservedWrite kind) override
-    {
-        if (_a)
-            _a->onStore(thread, tx, addr, size, before, after, kind);
-        if (_b)
-            _b->onStore(thread, tx, addr, size, before, after, kind);
-    }
-
-  private:
-    TraceWriteObserver *_a;
-    TraceWriteObserver *_b;
-};
-
 } // namespace proteus
 
 #endif // PROTEUS_TRACE_WRITE_HISTORY_HH

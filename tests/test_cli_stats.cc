@@ -107,7 +107,7 @@ TEST(BenchOptionsParse, RecognizesAllFlags)
         "--seed", "9",
         "--dram", "--set", "memCtrl.adr=false",
         "--no-cycle-skip", "--faults", "torn=0.01", "--fault-seed", "7",
-        "--jobs", "3", "--json", "rows.json", "--no-trace-cache",
+        "--jobs", "3", "--json", "rows.json",
         "--check",
         "--stats-interval", "1000", "--stats-out", "iv.json",
         "--trace-events", "trace.json", "--trace-categories", "cpu,log",
@@ -135,7 +135,6 @@ TEST(BenchOptionsParse, RecognizesAllFlags)
     EXPECT_EQ(opts.faults.seed, 7u);
     EXPECT_EQ(opts.jobs, 3u);
     EXPECT_EQ(opts.jsonPath, "rows.json");
-    EXPECT_FALSE(opts.traceCache);
     EXPECT_TRUE(opts.check);
     EXPECT_EQ(opts.statsInterval, 1000u);
     EXPECT_EQ(opts.statsOut, "iv.json");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/config.hh"
 #include "sim/logging.hh"
 
@@ -56,6 +58,11 @@ TEST(Config, OverridesApply)
     EXPECT_EQ(cfg.logging.scheme, LogScheme::ATOM);
     cfg.applyOverride("mem.nvmWriteTRCD=240");
     EXPECT_EQ(cfg.mem.nvmWriteTRCD, 240u);
+    // Drain thresholds take both ends of [0, 1].
+    cfg.applyOverride("memCtrl.wpqDrainThreshold=0");
+    EXPECT_EQ(cfg.memCtrl.wpqDrainThreshold, 0.0);
+    cfg.applyOverride("memCtrl.lpqDrainThreshold=1");
+    EXPECT_EQ(cfg.memCtrl.lpqDrainThreshold, 1.0);
 }
 
 TEST(Config, BadOverridesFatal)
@@ -75,6 +82,26 @@ TEST(Config, BadOverridesFatal)
                  FatalError);
     EXPECT_THROW(cfg.applyOverride("faults.tornWriteRate=nan"),
                  FatalError);
+    // Drain thresholds are occupancy fractions: a negative one would
+    // wrap when scaled to a queue size, one above 1 never drains.
+    for (const char *key :
+         {"memCtrl.wpqDrainThreshold", "memCtrl.lpqDrainThreshold"}) {
+        for (const char *bad : {"-1", "5"}) {
+            const std::string spec = std::string(key) + "=" + bad;
+            try {
+                cfg.applyOverride(spec);
+                ADD_FAILURE() << spec << " was accepted";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(key),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    EXPECT_EQ(cfg.memCtrl.wpqDrainThreshold,
+              baselineConfig().memCtrl.wpqDrainThreshold);
+    EXPECT_EQ(cfg.memCtrl.lpqDrainThreshold,
+              baselineConfig().memCtrl.lpqDrainThreshold);
     EXPECT_EQ(cfg.logging.logQEntries, baselineConfig().logging.logQEntries);
 }
 

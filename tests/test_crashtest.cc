@@ -60,7 +60,6 @@ TEST(CrashTestOptionsFor, ForwardsTheBenchRunsSizeSeedAndHost)
     bench.threads = 4;
     bench.seed = 9;
     bench.jobs = 3;
-    bench.traceCache = false;
     bench.cycleSkip = false;
     bench.faults = faults::parseFaultSpec("torn=0.01");
     const CrashTestOptions ct = crashTestOptionsFor(bench);
@@ -69,7 +68,6 @@ TEST(CrashTestOptionsFor, ForwardsTheBenchRunsSizeSeedAndHost)
     EXPECT_EQ(ct.threads, 1u);  // the byte-exact oracle needs one core
     EXPECT_EQ(ct.seed, 9u);
     EXPECT_EQ(ct.jobs, 3u);
-    EXPECT_FALSE(ct.useTraceCache);
     EXPECT_FALSE(ct.cycleSkip);
     EXPECT_EQ(ct.faults.tornWriteRate, 0.01);
 }

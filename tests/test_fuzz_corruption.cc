@@ -39,7 +39,7 @@ recordSeedFile()
     key.params.scale = 2000;
     key.params.initScale = 200;
     key.params.seed = 1;
-    const auto bundle = TraceBundle::build(key, nullptr, true);
+    const auto bundle = TraceBundle::build(key, true);
 
     const std::string path = testing::TempDir() + "fuzz_seed.ptrace";
     saveTraceBundle(*bundle, path);

@@ -4,9 +4,10 @@
  * schemes, history upgrade, concurrent lookups), the population /
  * recording split (a bundle recorded from a shared PopulatedState
  * equals one built from scratch, for every workload and scheme), and
- * the cache's core guarantee: cached and uncached execution paths
- * produce bit-identical results, from single experiments up to whole
- * crashtest campaigns (JSON byte-for-byte).
+ * the guarantees of the harness's one trace path: a cached run equals
+ * a private-bundle run, a crashtest campaign's JSON is byte-identical
+ * from a cold and a warm cache, and an oracle replayed from a bundle's
+ * write history judges crash images exactly as a live one does.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bundle_compare.hh"
@@ -178,7 +180,7 @@ TEST(TraceCache, ConcurrentLookupsBuildOnce)
     EXPECT_EQ(cache.hits(), results.size() - 1);
 }
 
-TEST(TraceCache, CachedExperimentMatchesUncached)
+TEST(TraceCache, ExperimentMatchesAPrivateBundleRun)
 {
     BenchOptions opts;
     opts.scale = 2000;
@@ -188,26 +190,39 @@ TEST(TraceCache, CachedExperimentMatchesUncached)
     for (const LogScheme scheme :
          {LogScheme::PMEM, LogScheme::ATOM, LogScheme::Proteus}) {
         SCOPED_TRACE(toString(scheme));
-        opts.traceCache = true;
         const RunResult cached = runExperiment(
             baselineConfig(), scheme, WorkloadKind::Queue, opts);
-        opts.traceCache = false;
-        const RunResult uncached = runExperiment(
-            baselineConfig(), scheme, WorkloadKind::Queue, opts);
 
-        EXPECT_EQ(cached.cycles, uncached.cycles);
-        EXPECT_EQ(cached.retiredOps, uncached.retiredOps);
-        EXPECT_EQ(cached.nvmWrites, uncached.nvmWrites);
-        EXPECT_EQ(cached.nvmReads, uncached.nvmReads);
-        EXPECT_EQ(cached.committedTxs, uncached.committedTxs);
-        EXPECT_EQ(cached.logWritesDropped, uncached.logWritesDropped);
-        EXPECT_EQ(cached.frontendStallCycles,
-                  uncached.frontendStallCycles);
-        EXPECT_EQ(cached.lltMissRate, uncached.lltMissRate);
+        // The same run through FullSystem's convenience constructor,
+        // which records a private bundle and uses its heap in place.
+        SystemConfig cfg = baselineConfig();
+        cfg.logging.scheme = scheme;
+        WorkloadParams params;
+        params.threads = opts.threads;
+        params.scale = opts.scale;
+        params.initScale = opts.initScale;
+        params.seed = opts.seed;
+        params.logAreaBytes = cfg.logging.logAreaBytes;
+        const RunResult own =
+            FullSystem(cfg, WorkloadKind::Queue, params).run();
+
+        EXPECT_TRUE(cached.finished);
+        EXPECT_EQ(cached.finished, own.finished);
+        EXPECT_EQ(cached.cycles, own.cycles);
+        EXPECT_EQ(cached.retiredOps, own.retiredOps);
+        EXPECT_EQ(cached.nvmWrites, own.nvmWrites);
+        EXPECT_EQ(cached.nvmReads, own.nvmReads);
+        EXPECT_EQ(cached.committedTxs, own.committedTxs);
+        EXPECT_EQ(cached.logWritesDropped, own.logWritesDropped);
+        EXPECT_EQ(cached.frontendStallCycles, own.frontendStallCycles);
+        EXPECT_EQ(cached.lltMissRate, own.lltMissRate);
+        EXPECT_EQ(cached.cpi.base, own.cpi.base);
+        EXPECT_EQ(cached.cpi.persistStall, own.cpi.persistStall);
+        EXPECT_EQ(cached.cpi.wpqBackpressure, own.cpi.wpqBackpressure);
     }
 }
 
-TEST(TraceCache, CrashtestJsonBitIdenticalCachedVsUncached)
+TEST(TraceCache, CrashtestJsonBitIdenticalColdAndWarm)
 {
     CrashTestOptions opts;
     opts.schemes = {LogScheme::Proteus, LogScheme::PMEM,
@@ -217,30 +232,106 @@ TEST(TraceCache, CrashtestJsonBitIdenticalCachedVsUncached)
     opts.initScale = 200;
     opts.autoPoints = 6;
 
-    const std::string cached_path =
-        testing::TempDir() + "ct_cached.json";
-    const std::string uncached_path =
-        testing::TempDir() + "ct_uncached.json";
+    const std::string cold_path = testing::TempDir() + "ct_cold.json";
+    const std::string warm_path = testing::TempDir() + "ct_warm.json";
 
+    TraceCache &cache = TraceCache::global();
+    cache.clear();
     std::ostringstream sink;
-    opts.useTraceCache = true;
-    opts.jsonPath = cached_path;
-    const CrashTestSummary cached = runCrashTests(opts, sink);
-    opts.useTraceCache = false;
-    opts.jsonPath = uncached_path;
-    const CrashTestSummary uncached = runCrashTests(opts, sink);
+    opts.jsonPath = cold_path;
+    const CrashTestSummary cold = runCrashTests(opts, sink);
+    const std::uint64_t hits = cache.hits();
+    const std::uint64_t misses = cache.misses();
+    const std::uint64_t populations = cache.populations();
+    opts.jsonPath = warm_path;
+    const CrashTestSummary warm = runCrashTests(opts, sink);
 
-    EXPECT_TRUE(cached.ok);
-    EXPECT_TRUE(uncached.ok);
-    EXPECT_EQ(cached.crashPoints, uncached.crashPoints);
+    // The warm campaign records and populates nothing.
+    EXPECT_GT(cache.hits(), hits);
+    EXPECT_EQ(cache.misses(), misses);
+    EXPECT_EQ(cache.populations(), populations);
 
-    const std::string a = slurp(cached_path);
-    const std::string b = slurp(uncached_path);
+    EXPECT_TRUE(cold.ok);
+    EXPECT_TRUE(warm.ok);
+    EXPECT_EQ(cold.crashPoints, warm.crashPoints);
+    const std::string a = slurp(cold_path);
+    const std::string b = slurp(warm_path);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);    // byte-for-byte identical rows
 
-    std::remove(cached_path.c_str());
-    std::remove(uncached_path.c_str());
+    std::remove(cold_path.c_str());
+    std::remove(warm_path.c_str());
+}
+
+TEST(WriteHistory, ReplayedOracleMatchesLiveAttachment)
+{
+    // The crash tester fills its oracle by replaying a cached bundle's
+    // history. Attaching the oracle live to a fresh recording must
+    // give the same transactions and the same verdicts on every image.
+    bool some_check_failed = false;
+    for (const WorkloadKind kind :
+         {WorkloadKind::Queue, WorkloadKind::HashMap}) {
+        for (const LogScheme scheme :
+             {LogScheme::PMEM, LogScheme::ATOM, LogScheme::Proteus}) {
+            SCOPED_TRACE(std::string(toString(kind)) + "/" +
+                         toString(scheme));
+            TraceBundleKey key = smallKey(scheme);
+            key.kind = kind;
+            key.params.threads = 1;
+
+            const auto bundle = TraceCache::global().get(key, true);
+            CommitOracle replayed;
+            bundle->history->replayTo(replayed);
+
+            PopulatedState::Instance copy =
+                PopulatedState::build(key)->instantiate(scheme);
+            CommitOracle live;
+            copy.workload->builder(0).setWriteObserver(&live);
+            copy.workload->generateTraces();
+
+            ASSERT_GT(live.txCount(), 0u);
+            EXPECT_EQ(replayed.txCount(), live.txCount());
+            EXPECT_EQ(replayed.trackedBytes(), live.trackedBytes());
+            EXPECT_EQ(replayed.txOrder(0), live.txOrder(0));
+
+            SystemConfig cfg = baselineConfig();
+            cfg.logging.scheme = scheme;
+            const Tick total = FullSystem(cfg, bundle).run().cycles;
+            FullSystem sys(cfg, bundle);
+            for (unsigned i = 1; i <= 5; ++i) {
+                sys.runFor(total * i / 6 - sys.sim().now());
+                const std::vector<std::uint64_t> committed{
+                    sys.core(0).committedTxs().size()};
+                MemoryImage recovered = sys.crashImage();
+                const MemoryImage raw = recovered;
+                recoverAllThreads(sys, recovered);
+                // The recovered image at the true commit count, the raw
+                // one, and the recovered one judged as if nothing had
+                // committed: the last makes every surviving committed
+                // write a violation, so failing verdicts are compared
+                // too.
+                const std::pair<const MemoryImage *,
+                                std::vector<std::uint64_t>>
+                    cases[] = {{&recovered, committed},
+                               {&raw, committed},
+                               {&recovered, {0}}};
+                for (const auto &[image, claimed] : cases) {
+                    const OracleReport a = replayed.check(*image, claimed);
+                    const OracleReport b = live.check(*image, claimed);
+                    EXPECT_EQ(a.ok, b.ok);
+                    EXPECT_EQ(a.violationCount, b.violationCount);
+                    EXPECT_EQ(a.bytesChecked, b.bytesChecked);
+                    EXPECT_EQ(a.bytesSkipped, b.bytesSkipped);
+                    EXPECT_EQ(a.inDoubt, b.inDoubt);
+                    EXPECT_EQ(a.inDoubtTx, b.inDoubtTx);
+                    EXPECT_EQ(a.summary(), b.summary());
+                    some_check_failed = some_check_failed || !a.ok;
+                }
+                EXPECT_TRUE(replayed.check(recovered, committed).ok);
+            }
+        }
+    }
+    EXPECT_TRUE(some_check_failed);
 }
 
 TEST(PopulatedState, ClonedRecordingMatchesFreshBuildForEveryKindAndScheme)
@@ -261,9 +352,8 @@ TEST(PopulatedState, ClonedRecordingMatchesFreshBuildForEveryKindAndScheme)
             SCOPED_TRACE(toString(scheme));
             TraceBundleKey key = base;
             key.scheme = scheme;
-            const auto shared = TraceBundle::record(*state, scheme,
-                                                    nullptr, true);
-            const auto fresh = TraceBundle::build(key, nullptr, true);
+            const auto shared = TraceBundle::record(*state, scheme, true);
+            const auto fresh = TraceBundle::build(key, true);
             const auto unsplit = unsplitBundle(key);
             expectBundlesEqual(*shared, *fresh);
             expectBundlesEqual(*shared, *unsplit);

@@ -78,7 +78,7 @@ TEST(TraceIo, RoundTripPreservesEverything)
     for (const LogScheme scheme : allSchemes()) {
         SCOPED_TRACE(toString(scheme));
         const TraceBundleKey key = smallKey(scheme);
-        const auto built = TraceBundle::build(key, nullptr, true);
+        const auto built = TraceBundle::build(key, true);
         const std::string path =
             tempPath(std::string("rt_") + toString(key.kind) + "_" +
                      std::to_string(static_cast<int>(scheme)) +
@@ -149,7 +149,7 @@ TEST(TraceIo, LoadedBundleRunsBitIdentical)
 TEST(TraceIo, VerifyAcceptsSoundFile)
 {
     const auto bundle =
-        TraceBundle::build(smallKey(LogScheme::Proteus), nullptr, true);
+        TraceBundle::build(smallKey(LogScheme::Proteus), true);
     const std::string path = tempPath("sound.ptrace");
     saveTraceBundle(*bundle, path);
 

@@ -124,7 +124,7 @@ main(int argc, char **argv)
          {{schemeList, checkMutateOption(opts.checkMutate)},
           sizeOptions(opts.scale, opts.initScale, opts.threads, opts.seed),
           specOptions(opts.wlSpec, opts.wlSpecFile), config, machine,
-          batchOptions(opts.jobs, opts.jsonPath, opts.traceCache)},
+          batchOptions(opts.jobs, opts.jsonPath)},
          [&](const std::vector<std::string> &args) {
              const std::vector<WorkloadKind> kinds =
                  args[0] == "all"

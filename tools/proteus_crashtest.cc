@@ -103,7 +103,7 @@ main(int argc, char **argv)
             .add(sizeOptions(opts.scale, opts.initScale, opts.threads,
                              opts.seed))
             .add(specOptions(wlSpec, wlSpecFile))
-            .add(batchOptions(opts.jobs, opts.jsonPath, opts.useTraceCache))
+            .add(batchOptions(opts.jobs, opts.jsonPath))
             .add(checkOption(opts.check))
             .add(number("--max-violations", "N",
                         "report at most N bytes per crash point",

@@ -253,17 +253,21 @@ cmdCrash(WorkloadKind kind, const CliExtras &extras,
     if (extras.scheme == LogScheme::PMEMNoLog)
         fatal("pmem+nolog is not failure-safe; nothing to recover");
 
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
-
-    WorkloadExtras wlExtras;
-    wlExtras.gen = opts.genSpec();
+    TraceBundleKey key;
+    key.kind = kind;
+    key.scheme = extras.scheme;
+    key.params.threads = opts.threads;
+    key.params.scale = opts.scale;
+    key.params.initScale = opts.initScale;
+    key.params.seed = opts.seed;
+    key.gen = opts.genSpec();
+    // One functional execution wires both the measuring run and the
+    // crashed run.
+    const std::shared_ptr<const TraceBundle> bundle =
+        TraceBundle::build(key);
 
     std::cout << "measuring the full run...\n";
-    FullSystem full(cfg, kind, params, wlExtras);
+    FullSystem full(cfg, bundle);
     const RunResult complete = full.run();
     const Tick crash_at =
         complete.cycles * extras.crashPercent / 100;
@@ -271,7 +275,7 @@ cmdCrash(WorkloadKind kind, const CliExtras &extras,
     std::cout << "crashing at cycle " << crash_at << " ("
               << extras.crashPercent << "% of " << complete.cycles
               << ")...\n";
-    FullSystem sys(cfg, kind, params, wlExtras);
+    FullSystem sys(cfg, bundle);
     sys.runFor(crash_at);
     MemoryImage image = sys.crashImage();
 
@@ -344,7 +348,7 @@ main(int argc, char **argv)
          }},
         {"matrix", {}, "every scheme x workload, in parallel",
          {size, config, machine,
-          batchOptions(opts.jobs, opts.jsonPath, opts.traceCache), {check},
+          batchOptions(opts.jobs, opts.jsonPath), {check},
           trace, txStats},
          [&](const std::vector<std::string> &) { return cmdMatrix(opts); }},
         {"list", {}, "show workloads and schemes", {},

@@ -35,7 +35,7 @@ cmdRecord(const TraceBundleKey &key, const std::string &out,
     if (out.empty())
         fatal("record requires --out FILE");
     std::cout << "recording " << key.describe() << "...\n";
-    const auto bundle = TraceBundle::build(key, nullptr, withHistory);
+    const auto bundle = TraceBundle::build(key, withHistory);
     saveTraceBundle(*bundle, out);
 
     const PtraceFileInfo info = inspectTraceFile(out);
