@@ -111,8 +111,10 @@ main(int argc, char **argv)
                                          results[i].result,
                                          results[i].wallMs});
             if (!opts.txStats.empty()) {
+                const SimJob &job = jobs[i];
                 obs::TxStatsRow row = makeTxStatsRow(
-                    opts, jobs[i].scheme, jobs[i].kind, results[i].result);
+                    runKey(opts, job.cfg, job.kind, job.scheme, job.extras),
+                    results[i].result);
                 row.workload = c.name;
                 tx_rows.push_back(row);
             }

@@ -51,7 +51,7 @@ PersistChecker::PersistChecker(LogScheme scheme, bool adr,
                      scheme == LogScheme::PMEMPCommit),
       _repro(std::move(repro))
 {
-    _armed = rulesForScheme(scheme, adr, /*have_history=*/false);
+    _armed = rulesForScheme(scheme, /*have_history=*/false);
 }
 
 void
@@ -67,7 +67,7 @@ void
 PersistChecker::bindWriteHistory(const WriteHistory &history)
 {
     _haveHistory = true;
-    _armed = rulesForScheme(_scheme, _adr, /*have_history=*/true);
+    _armed = rulesForScheme(_scheme, /*have_history=*/true);
     for (const WriteEvent &ev : history.events()) {
         if (ev.kind != WriteEvent::Kind::Store || ev.tx == 0)
             continue;

@@ -46,9 +46,8 @@ describe(Rule rule)
 }
 
 std::array<bool, numRules>
-rulesForScheme(LogScheme scheme, bool adr, bool have_history)
+rulesForScheme(LogScheme scheme, bool have_history)
 {
-    (void)adr;  // DurableByCommit adapts its durability witness instead
     std::array<bool, numRules> armed{};
     const auto arm = [&armed](Rule r) {
         armed[static_cast<unsigned>(r)] = true;

@@ -56,13 +56,14 @@ const char *toString(Rule rule);
 const char *describe(Rule rule);
 
 /**
- * Which rules are armed for @p scheme (with @p adr persistency
- * semantics). @p have_history: a TraceWriteObserver write history is
- * bound, which lets the checker distinguish undo-logged stores from
- * fresh-allocation (storeInit) stores and arms LogBeforeData for the
- * software schemes too.
+ * Which rules are armed for @p scheme. @p have_history: a
+ * TraceWriteObserver write history is bound, which lets the checker
+ * distinguish undo-logged stores from fresh-allocation (storeInit)
+ * stores and arms LogBeforeData for the software schemes too. The
+ * persistency domain arms nothing: DurableByCommit adapts its
+ * durability witness to it instead.
  */
-std::array<bool, numRules> rulesForScheme(LogScheme scheme, bool adr,
+std::array<bool, numRules> rulesForScheme(LogScheme scheme,
                                           bool have_history);
 
 } // namespace analysis

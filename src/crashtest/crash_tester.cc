@@ -321,6 +321,23 @@ formatFailure(const CrashTestOptions &opts, FullSystem &sys,
     return os.str();
 }
 
+/** A bench run of @p opts' workload size, seed and machine switches
+ *  (cycle skip, faults) on the baseline config: the inverse of
+ *  crashTestOptionsFor. Each pair's key, config and check repro line
+ *  come from it. */
+BenchOptions
+benchOptionsFor(const CrashTestOptions &opts)
+{
+    BenchOptions bench;
+    bench.threads = opts.threads;
+    bench.scale = opts.scale;
+    bench.initScale = opts.initScale;
+    bench.seed = opts.seed;
+    bench.cycleSkip = opts.cycleSkip;
+    bench.faults = opts.faults;
+    return bench;
+}
+
 /** Run every crash point of one (scheme, workload) pair. */
 CrashPairResult
 runPair(const CrashTestOptions &opts, LogScheme scheme,
@@ -330,26 +347,10 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
     pair.scheme = scheme;
     pair.workload = kind;
 
-    SystemConfig cfg = baselineConfig();
-    cfg.logging.scheme = scheme;
-    cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
-    cfg.seed = opts.seed;
-    cfg.cycleSkip = opts.cycleSkip;
-    cfg.faults = opts.faults;
-    if (opts.threads > cfg.cores)
-        cfg.cores = opts.threads;
-
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
-
-    TraceBundleKey key;
-    key.kind = kind;
-    key.scheme = scheme;
-    key.params = params;
-    key.gen = opts.gen;
+    const BenchOptions bench = benchOptionsFor(opts);
+    const SystemConfig cfg = bench.makeConfig();
+    const TraceBundleKey key =
+        runKey(bench, cfg, kind, scheme, {LinkedListOptions{}, opts.gen});
 
     // The end-to-end serialize check replays each crash point's
     // committed prefix on a copy of the post-setup state, populated
@@ -378,13 +379,7 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
         SystemConfig ref_cfg = cfg;
         if (opts.check) {
             ref_cfg.analysis.check = true;
-            std::ostringstream repro;
-            repro << "proteus-check run " << toString(kind)
-                  << " --scheme " << toString(scheme) << " --seed "
-                  << opts.seed << " --threads " << opts.threads
-                  << " --scale " << opts.scale << " --init-scale "
-                  << opts.initScale;
-            ref_cfg.analysis.repro = repro.str();
+            ref_cfg.analysis.repro = checkReproLine(key, bench);
         }
         FullSystem reference(ref_cfg, bundle);
         const RunResult full = reference.run(runCycleLimit);

@@ -20,18 +20,6 @@ hex(Addr addr)
     return os.str();
 }
 
-WorkloadParams
-paramsFor(const BenchOptions &opts, const SystemConfig &cfg)
-{
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
-    params.logAreaBytes = cfg.logging.logAreaBytes;
-    return params;
-}
-
 /** Shared core of runCheck / the mutation campaign. @p mutations_out,
  *  when set, receives the mutator's applied-perturbation count. */
 CheckRow
@@ -41,21 +29,11 @@ runCheckImpl(LogScheme scheme, WorkloadKind kind,
              std::uint64_t *mutations_out)
 {
     SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = scheme;
-    // PMEM+pcommit models the pre-ADR persistency domain.
-    cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
+    const TraceBundleKey key = runKey(opts, cfg, kind, scheme, extras);
     cfg.analysis.check = true;
     cfg.analysis.mutateRule = mutate_rule;
     cfg.analysis.mutateSeed = mutate_seed;
-    cfg.analysis.repro = checkReproLine(scheme, kind, opts, extras.gen);
-
-    const WorkloadParams params = paramsFor(opts, cfg);
-    TraceBundleKey key;
-    key.kind = kind;
-    key.scheme = scheme;
-    key.params = params;
-    key.llOpts = extras.ll;
-    key.gen = extras.gen;
+    cfg.analysis.repro = checkReproLine(key, opts);
 
     // The write history distinguishes undo-logged stores from
     // fresh-allocation stores, arming LogBeforeData for the software
@@ -78,24 +56,42 @@ runCheckImpl(LogScheme scheme, WorkloadKind kind,
 } // namespace
 
 std::string
-checkReproLine(LogScheme scheme, WorkloadKind kind,
-               const BenchOptions &opts, const wlgen::GenSpec &gen)
+checkReproLine(const TraceBundleKey &key, const BenchOptions &opts)
 {
     std::ostringstream os;
-    os << "proteus-check run " << toString(kind)
-       << " --scheme " << toString(scheme)
-       << " --seed " << opts.seed
-       << " --threads " << opts.threads
-       << " --scale " << opts.scale
-       << " --init-scale " << opts.initScale;
-    if (kind == WorkloadKind::Generated)
-        os << " --wl-spec " << gen.canonical();
+    os << "proteus-check run " << toString(key.kind)
+       << " --scheme " << toString(key.scheme)
+       << " --seed " << key.params.seed
+       << " --threads " << key.params.threads
+       << " --scale " << key.params.scale
+       << " --init-scale " << key.params.initScale;
+    if (key.kind == WorkloadKind::Generated)
+        os << " --wl-spec " << key.gen.canonical();
     if (opts.dram)
         os << " --dram";
+    if (opts.faults.enabled())
+        os << " --faults " << faults::canonicalFaultSpec(opts.faults);
+    // makeConfig applies the faults first and then the overrides in
+    // order, wherever the flags stood on the original command line.
+    for (const std::string &o : opts.overrides)
+        os << " --set " << o;
     // Cycle skipping and --jobs are result-invariant by design, so the
     // repro line omits them — and check JSON stays byte-identical
     // across both settings.
     return os.str();
+}
+
+std::vector<std::vector<cli::Option>>
+checkRunOptions(BenchOptions &opts, std::vector<LogScheme> &schemes)
+{
+    return {{cli::schemesOption("--scheme", schemes),
+             cli::checkMutateOption(opts.checkMutate)},
+            cli::sizeOptions(opts.scale, opts.initScale, opts.threads,
+                             opts.seed),
+            cli::specOptions(opts.wlSpec, opts.wlSpecFile),
+            cli::configOptions(opts),
+            cli::machineOptions(opts.cycleSkip, opts.faults),
+            cli::batchOptions(opts.jobs, opts.jsonPath)};
 }
 
 CheckRow
@@ -113,8 +109,6 @@ runCheckOnBundle(std::shared_ptr<const TraceBundle> bundle,
     if (!bundle)
         fatal("runCheckOnBundle: null trace bundle");
     SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = bundle->key.scheme;
-    cfg.memCtrl.adr = bundle->key.scheme != LogScheme::PMEMPCommit;
     cfg.analysis.check = true;
     cfg.analysis.repro = std::move(repro);
 
@@ -166,9 +160,8 @@ runMutationCampaign(LogScheme scheme, WorkloadKind kind,
 {
     // The campaign always records the write history (runCheckImpl), so
     // arm the same rule set the checked run will see.
-    const bool adr = scheme != LogScheme::PMEMPCommit;
     const auto armed =
-        analysis::rulesForScheme(scheme, adr, /*have_history=*/true);
+        analysis::rulesForScheme(scheme, /*have_history=*/true);
     std::vector<unsigned> targets;
     for (unsigned r = 0; r < analysis::numRules; ++r) {
         if (armed[r])

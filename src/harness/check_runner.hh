@@ -43,11 +43,17 @@ struct MutationRow
     std::uint64_t mutations = 0;    ///< edges the mutator perturbed
 };
 
-/** The one-command repro line carried into every violation report;
- *  @p gen is the generated workload's spec. */
-std::string checkReproLine(LogScheme scheme, WorkloadKind kind,
-                           const BenchOptions &opts,
-                           const wlgen::GenSpec &gen);
+/** The one-command repro line carried into every violation report:
+ *  `proteus-check run` of @p key's workload, scheme and size, with
+ *  @p opts' --dram, --faults and --set overrides (in the order given),
+ *  so it rebuilds the same key and config. */
+std::string checkReproLine(const TraceBundleKey &key,
+                           const BenchOptions &opts);
+
+/** The flags of `proteus-check run`, bound to @p opts and to @p
+ *  schemes (--scheme); checkReproLine writes a line this table reads. */
+std::vector<std::vector<cli::Option>>
+checkRunOptions(BenchOptions &opts, std::vector<LogScheme> &schemes);
 
 /** Run one (scheme, workload) pair with the checker armed. Builds the
  *  trace bundle with the write history so the software schemes arm

@@ -69,17 +69,33 @@ BenchOptions::makeConfig() const
     return cfg;
 }
 
+TraceBundleKey
+runKey(const BenchOptions &opts, const SystemConfig &cfg, WorkloadKind kind,
+       LogScheme scheme, const WorkloadExtras &extras)
+{
+    TraceBundleKey key;
+    key.kind = kind;
+    key.scheme = scheme;
+    key.params.threads = opts.threads;
+    key.params.scale = opts.scale;
+    key.params.initScale = opts.initScale;
+    key.params.seed = opts.seed;
+    key.params.logAreaBytes = cfg.logging.logAreaBytes;
+    key.llOpts = extras.ll;
+    key.gen = extras.gen;
+    return key;
+}
+
 obs::TxStatsRow
-makeTxStatsRow(const BenchOptions &opts, LogScheme scheme,
-               WorkloadKind kind, const RunResult &result)
+makeTxStatsRow(const TraceBundleKey &key, const RunResult &result)
 {
     obs::TxStatsRow row;
-    row.scheme = toString(scheme);
-    row.workload = toString(kind);
-    row.threads = opts.threads;
-    row.scale = opts.scale;
-    row.initScale = opts.initScale;
-    row.seed = opts.seed;
+    row.scheme = toString(key.scheme);
+    row.workload = toString(key.kind);
+    row.threads = key.params.threads;
+    row.scale = key.params.scale;
+    row.initScale = key.params.initScale;
+    row.seed = key.params.seed;
     row.cycles = result.cycles;
     // Bucket order follows CommitBucket.
     row.cpi = {result.cpi.base,          result.cpi.robFull,
@@ -97,27 +113,11 @@ runExperiment(SystemConfig cfg, LogScheme scheme, WorkloadKind kind,
               const BenchOptions &opts,
               const WorkloadExtras &extras)
 {
-    cfg.logging.scheme = scheme;
-    // PMEM+pcommit models the pre-ADR persistency domain.
-    cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
+    const TraceBundleKey key = runKey(opts, cfg, kind, scheme, extras);
     if (opts.check) {
         cfg.analysis.check = true;
-        cfg.analysis.repro = checkReproLine(scheme, kind, opts, extras.gen);
+        cfg.analysis.repro = checkReproLine(key, opts);
     }
-
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
-    params.logAreaBytes = cfg.logging.logAreaBytes;
-
-    TraceBundleKey key;
-    key.kind = kind;
-    key.scheme = scheme;
-    key.params = params;
-    key.llOpts = extras.ll;
-    key.gen = extras.gen;
     // Checked runs need the write history so the software schemes arm
     // LogBeforeData too (undo-logged vs. storeInit stores).
     const RunResult result =
@@ -138,11 +138,9 @@ runExperiment(SystemConfig cfg, LogScheme scheme, WorkloadKind kind,
     // Single-run tx-stats file. Batches route through the parallel
     // runner, which clears the per-job path and lets runBatch combine
     // every row into one file in submission order.
-    if (!cfg.obs.txStats.empty() && result.txStats) {
-        obs::writeTxStatsFile(
-            cfg.obs.txStats,
-            {makeTxStatsRow(opts, scheme, kind, result)});
-    }
+    if (!cfg.obs.txStats.empty() && result.txStats)
+        obs::writeTxStatsFile(cfg.obs.txStats,
+                              {makeTxStatsRow(key, result)});
     return result;
 }
 

@@ -78,6 +78,17 @@ struct BenchOptions
     wlgen::GenSpec genSpec() const;
 };
 
+/**
+ * The trace-bundle key of one run: @p kind recorded under @p scheme at
+ * @p opts' threads, scale, init-scale and seed, with @p cfg's log-area
+ * size (opts.makeConfig(), so --set logging.logAreaBytes counts) and
+ * @p extras. Every front end builds its keys here; FullSystem takes the
+ * machine's scheme, persistency domain and core count from the key.
+ */
+TraceBundleKey runKey(const BenchOptions &opts, const SystemConfig &cfg,
+                      WorkloadKind kind, LogScheme scheme,
+                      const WorkloadExtras &extras = {});
+
 /** Run one (scheme, workload) pair to completion. When cfg.obs.txStats
  *  names a file and the run produced a flight-recorder summary, the
  *  single-run tx-stats file is written here; batches clear the per-job
@@ -86,11 +97,11 @@ RunResult runExperiment(SystemConfig cfg, LogScheme scheme,
                         WorkloadKind kind, const BenchOptions &opts,
                         const WorkloadExtras &extras = {});
 
-/** Bind a run's flight-recorder summary to its identity for
- *  serialization (no-op row with a default summary if the recorder
- *  did not run). */
-obs::TxStatsRow makeTxStatsRow(const BenchOptions &opts, LogScheme scheme,
-                               WorkloadKind kind, const RunResult &result);
+/** Bind a run's flight-recorder summary to its identity, the run's
+ *  bundle key, for serialization (no-op row with a default summary if
+ *  the recorder did not run). */
+obs::TxStatsRow makeTxStatsRow(const TraceBundleKey &key,
+                               const RunResult &result);
 
 /** Geometric mean of @p values (which must be positive). */
 double geomean(const std::vector<double> &values);

@@ -208,10 +208,12 @@ runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
         // The runner suppressed the per-job files (see run()).
         std::vector<obs::TxStatsRow> rows;
         rows.reserve(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            rows.push_back(makeTxStatsRow(opts, jobs[i].scheme,
-                                          jobs[i].kind,
-                                          results[i].result));
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const SimJob &job = jobs[i];
+            rows.push_back(makeTxStatsRow(
+                runKey(opts, job.cfg, job.kind, job.scheme, job.extras),
+                results[i].result));
+        }
         obs::writeTxStatsFile(opts.txStats, rows);
     }
     return results;

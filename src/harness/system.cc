@@ -9,10 +9,6 @@ FullSystem::FullSystem(const SystemConfig &cfg, WorkloadKind kind,
                        const WorkloadExtras &extras)
     : _cfg(cfg)
 {
-    if (params.threads > cfg.cores)
-        fatal("FullSystem: workload threads exceed core count");
-    _cfg.cores = params.threads;    // one trace per core
-
     TraceBundleKey key;
     key.kind = kind;
     key.scheme = _cfg.logging.scheme;
@@ -37,15 +33,6 @@ FullSystem::FullSystem(const SystemConfig &cfg,
 {
     if (!bundle)
         fatal("FullSystem: null trace bundle");
-    if (bundle->key.scheme != _cfg.logging.scheme)
-        fatal("FullSystem: bundle scheme ", toString(bundle->key.scheme),
-              " does not match config scheme ",
-              toString(_cfg.logging.scheme));
-    const unsigned threads = bundle->key.params.threads;
-    if (threads > _cfg.cores)
-        fatal("FullSystem: bundle threads exceed core count");
-    _cfg.cores = threads;           // one trace per core
-
     // Shared bundle: this machine needs its own mutable heap (timing
     // applies durable writes to the NVM image), so copy the bundle's;
     // the copy shares pages until this machine writes them.
@@ -57,6 +44,14 @@ FullSystem::FullSystem(const SystemConfig &cfg,
 void
 FullSystem::wire()
 {
+    // The bundle's key is the machine's identity: the scheme its traces
+    // were recorded under, that scheme's persistency domain (only
+    // PMEM+pcommit is the pre-ADR design), and one core per thread.
+    const TraceBundleKey &key = _bundle->key;
+    _cfg.logging.scheme = key.scheme;
+    _cfg.memCtrl.adr = key.scheme != LogScheme::PMEMPCommit;
+    _cfg.cores = key.params.threads;
+
     _sim = std::make_unique<Simulator>();
     _sim->setCycleSkip(_cfg.cycleSkip);
 

@@ -5,7 +5,10 @@
  * This is the top-level object examples, tests, and benches drive.
  *
  * Trace state (per-thread micro-op streams, the initial heap image,
- * log-area bounds) lives in a TraceBundle. The bundle constructor
+ * log-area bounds) lives in a TraceBundle, and the bundle's key is the
+ * machine's identity: the config's logging scheme, persistency domain
+ * (ADR unless PMEM+pcommit) and core count (one per thread) are taken
+ * from it, whatever the caller's config said. The bundle constructor
  * wires the machine from a prebuilt shared bundle (TraceCache or a
  * .ptrace file) without re-executing anything; the convenience
  * constructor builds a private bundle first. Results are bit-identical
@@ -66,10 +69,10 @@ class FullSystem
 {
   public:
     /**
-     * Build a private bundle (TraceBundle::build) and wire the machine
-     * from it, using its heap in place. A convenience for tests,
-     * examples and one-off runs; the harness takes shared bundles
-     * from TraceCache instead.
+     * Build a private bundle (TraceBundle::build) of @p kind under
+     * cfg.logging.scheme and wire the machine from it, using its heap
+     * in place. A convenience for tests, examples and
+     * micro-benchmarks; the front ends build a key with runKey.
      */
     FullSystem(const SystemConfig &cfg, WorkloadKind kind,
                const WorkloadParams &params,
@@ -80,8 +83,7 @@ class FullSystem
      * loadTraceBundle). The bundle stays immutable: this system gets a
      * private copy of the heap images, so any number of systems —
      * across schemes' timing configs, crash points, or parallel-runner
-     * workers — can share one bundle. cfg.logging.scheme must match
-     * the bundle's scheme.
+     * workers — can share one bundle.
      */
     FullSystem(const SystemConfig &cfg,
                std::shared_ptr<const TraceBundle> bundle);

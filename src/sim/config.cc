@@ -114,9 +114,9 @@ SystemConfig::applyOverride(const std::string &spec)
         fatal("bad boolean value in override: ", spec);
     };
 
-    if (key == "cores") num(cores);
-    else if (key == "seed") num(seed);
-    else if (key == "cpu.robEntries") num(cpu.robEntries);
+    // No key sets the scheme, the persistency domain or the core count:
+    // a run takes those from its trace bundle's key (FullSystem).
+    if (key == "cpu.robEntries") num(cpu.robEntries);
     else if (key == "cpu.issueQueueEntries") num(cpu.issueQueueEntries);
     else if (key == "cpu.loadQueueEntries") num(cpu.loadQueueEntries);
     else if (key == "cpu.storeQueueEntries") num(cpu.storeQueueEntries);
@@ -125,14 +125,12 @@ SystemConfig::applyOverride(const std::string &spec)
     else if (key == "mem.nvmReadTRCD") num(mem.nvmReadTRCD);
     else if (key == "mem.nvmWriteTRCD") num(mem.nvmWriteTRCD);
     else if (key == "mem.banks") num(mem.banks);
-    else if (key == "memCtrl.adr") memCtrl.adr = as_bool();
     else if (key == "memCtrl.wpqEntries") num(memCtrl.wpqEntries);
     else if (key == "memCtrl.lpqEntries") num(memCtrl.lpqEntries);
     else if (key == "memCtrl.wpqDrainThreshold")
         fraction(memCtrl.wpqDrainThreshold);
     else if (key == "memCtrl.lpqDrainThreshold")
         fraction(memCtrl.lpqDrainThreshold);
-    else if (key == "logging.scheme") logging.scheme = parseScheme(value);
     else if (key == "logging.logRegisters") num(logging.logRegisters);
     else if (key == "logging.logQEntries") num(logging.logQEntries);
     else if (key == "logging.lltEntries") num(logging.lltEntries);

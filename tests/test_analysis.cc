@@ -39,8 +39,7 @@ TEST(AnalysisRules, NamesAreStableAndKebabCase)
 TEST(AnalysisRules, ArmingTablePerScheme)
 {
     const auto armed = [](LogScheme s, bool history) {
-        return analysis::rulesForScheme(
-            s, /*adr=*/s != LogScheme::PMEMPCommit, history);
+        return analysis::rulesForScheme(s, history);
     };
     const auto idx = [](Rule r) { return static_cast<unsigned>(r); };
 

@@ -13,10 +13,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/check_runner.hh"
 #include "harness/experiments.hh"
 #include "harness/options.hh"
 #include "sim/logging.hh"
@@ -104,6 +106,16 @@ helpOf(const cli::OptionTable &table)
     for (std::string w; words >> w;)
         out += " " + w;
     return out + " ";
+}
+
+/** The number after the first "@p label" in @p text (0 if none). */
+std::uint64_t
+numberAfter(const std::string &text, const std::string &label)
+{
+    const std::size_t at = text.find(label);
+    if (at == std::string::npos)
+        return 0;
+    return std::stoull(text.substr(at + label.size()));
 }
 
 std::vector<std::string>
@@ -562,4 +574,140 @@ TEST(CliContract, CheckedNumbersInSetAndFaults)
         EXPECT_NE(out.output.find("fatal: "), std::string::npos)
             << out.output;
     }
+}
+
+TEST(CliContract, RunIdentityKeysAreRejected)
+{
+    // A run takes its scheme, persistency domain and core count from
+    // its trace bundle's key, and the config seed has no reader: each
+    // of these was accepted and changed nothing.
+    for (const char *spec :
+         {"cores=8", "seed=5", "logging.scheme=atom", "memCtrl.adr=false"}) {
+        SCOPED_TRACE(spec);
+        const Outcome out =
+            tool(std::string("proteus-sim run QE --set ") + spec);
+        EXPECT_EQ(out.status, 2) << out.output;
+        const std::string key(spec, std::strchr(spec, '='));
+        EXPECT_NE(out.output.find("fatal: unknown config override key: " +
+                                  key),
+                  std::string::npos)
+            << out.output;
+    }
+}
+
+TEST(CliContract, LogAreaOverrideReachesEveryRun)
+{
+    // proteus-sim run and crash built their keys with the default log
+    // area, so --set logging.logAreaBytes changed only the runs that
+    // went through runExperiment and runCheck.
+    BenchOptions opts;
+    opts.scale = 2000;
+    opts.initScale = 100;
+    opts.threads = 2;
+    opts.overrides = {"logging.logAreaBytes=256"};
+    const SystemConfig cfg = opts.makeConfig();
+    EXPECT_EQ(runKey(opts, cfg, WorkloadKind::Queue, LogScheme::PMEM)
+                  .params.logAreaBytes,
+              256u);
+    const Tick cycles =
+        runExperiment(cfg, LogScheme::PMEM, WorkloadKind::Queue, opts)
+            .cycles;
+    EXPECT_EQ(runCheck(LogScheme::PMEM, WorkloadKind::Queue, opts).run.cycles,
+              cycles);
+
+    const std::string args =
+        " QE --scheme pmem --scale 2000 --init-scale 100 --threads 2";
+    const std::string set = " --set logging.logAreaBytes=256";
+    const Outcome run = tool("proteus-sim run" + args + set);
+    EXPECT_EQ(run.status, 0) << run.output;
+    EXPECT_EQ(numberAfter(run.output, "cycles:"), cycles) << run.output;
+    const Outcome crash = tool("proteus-sim crash" + args + set);
+    EXPECT_EQ(crash.status, 0) << crash.output;
+    EXPECT_NE(crash.output.find("% of " + std::to_string(cycles) + ")"),
+              std::string::npos)
+        << crash.output;
+    // The override is visible: the default log area runs differently.
+    EXPECT_NE(numberAfter(tool("proteus-sim run" + args).output, "cycles:"),
+              cycles);
+}
+
+TEST(CliContract, EightThreadsRunEverywhere)
+{
+    // --threads takes 1 to 32, but above the baseline's four cores
+    // these died with "threads exceed core count": FullSystem now
+    // wires one core per thread of the bundle.
+    for (const char *line :
+         {"proteus-sim run QE --threads 8 --scale 2000 --init-scale 100",
+          "proteus-check run QE --scheme pmem,proteus --threads 8 "
+          "--scale 2000 --init-scale 100"}) {
+        SCOPED_TRACE(line);
+        const Outcome out = runBinary(toolsDir, line, "/dev/null");
+        EXPECT_EQ(out.status, 0) << out.output;
+    }
+    const Outcome fig = runBinary(
+        benchDir,
+        "proteus-bench table4 --threads 8 --scale 100000 --init-scale 1000",
+        "/dev/null");
+    EXPECT_EQ(fig.status, 0) << fig.output;
+}
+
+TEST(CheckRepro, LineParsesBackToTheSameRun)
+{
+    // The repro line dropped --set, --faults and --fault-seed, so a
+    // violation found under an override named a different machine.
+    BenchOptions opts;
+    opts.scale = 300;
+    opts.initScale = 7;
+    opts.threads = 3;
+    opts.seed = 9;
+    opts.dram = true;
+    opts.faults = faults::parseFaultSpec("torn=0.01,detect=8,correct=1",
+                                         opts.faults);
+    opts.faults.seed = 5;
+    opts.overrides = {"logging.logAreaBytes=4096", "memCtrl.wpqEntries=8",
+                      "memCtrl.wpqEntries=16", "faults.seed=6"};
+    opts.wlSpec = "keys=64";
+    const auto machine = [](const SystemConfig &cfg) {
+        std::ostringstream os;
+        os << cfg.mem.nvmMode << " " << cfg.logging.logAreaBytes << " "
+           << cfg.memCtrl.wpqEntries << " "
+           << faults::canonicalFaultSpec(cfg.faults);
+        return os.str();
+    };
+    for (const WorkloadKind kind :
+         {WorkloadKind::Queue, WorkloadKind::Generated}) {
+        SCOPED_TRACE(toString(kind));
+        const TraceBundleKey key =
+            runKey(opts, opts.makeConfig(), kind, LogScheme::ATOM,
+                   {LinkedListOptions{}, opts.genSpec()});
+        const std::string line = checkReproLine(key, opts);
+        const std::string head =
+            std::string("proteus-check run ") + toString(kind) + " ";
+        ASSERT_EQ(line.rfind(head, 0), 0u) << line;
+
+        BenchOptions back;
+        std::vector<LogScheme> schemes;
+        cli::OptionTable table("proteus-check run");
+        for (std::vector<cli::Option> &group :
+             checkRunOptions(back, schemes))
+            table.add(std::move(group));
+        Argv args(line.substr(head.size()));
+        table.parse(args.argc(), args.ptrs.data());
+
+        ASSERT_EQ(schemes, std::vector<LogScheme>{LogScheme::ATOM});
+        const SystemConfig cfg = back.makeConfig();
+        EXPECT_TRUE(runKey(back, cfg, parseWorkload(toString(kind)),
+                           schemes[0],
+                           {LinkedListOptions{}, back.genSpec()}) == key)
+            << line;
+        EXPECT_EQ(machine(cfg), machine(opts.makeConfig())) << line;
+        EXPECT_EQ(back.overrides, opts.overrides);
+    }
+
+    // Default options add nothing, so default check JSON is unchanged.
+    EXPECT_EQ(checkReproLine(runKey(BenchOptions{}, baselineConfig(),
+                                    WorkloadKind::Queue, LogScheme::PMEM),
+                             BenchOptions{}),
+              "proteus-check run QE --scheme PMEM --seed 1 --threads 4 "
+              "--scale 200 --init-scale 1");
 }

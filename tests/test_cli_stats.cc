@@ -105,7 +105,7 @@ TEST(BenchOptionsParse, RecognizesAllFlags)
         "prog",
         "--scale", "25", "--init-scale", "4", "--threads", "2",
         "--seed", "9",
-        "--dram", "--set", "memCtrl.adr=false",
+        "--dram", "--set", "cycleSkip=true",
         "--no-cycle-skip", "--faults", "torn=0.01", "--fault-seed", "7",
         "--jobs", "3", "--json", "rows.json",
         "--check",
@@ -151,8 +151,7 @@ TEST(BenchOptionsParse, RecognizesAllFlags)
 
     const SystemConfig cfg = opts.makeConfig();
     EXPECT_FALSE(cfg.mem.nvmMode);      // --dram
-    EXPECT_FALSE(cfg.memCtrl.adr);      // --set override
-    EXPECT_FALSE(cfg.cycleSkip);
+    EXPECT_TRUE(cfg.cycleSkip);         // --set applies after the flags
     EXPECT_EQ(cfg.seed, 9u);
     EXPECT_EQ(cfg.faults.seed, 7u);
     EXPECT_EQ(cfg.obs.txSlowest, 5u);

@@ -52,10 +52,8 @@ TEST(Config, OverridesApply)
     EXPECT_EQ(cfg.logging.logQEntries, 8u);
     cfg.applyOverride("memCtrl.lpqEntries=32");
     EXPECT_EQ(cfg.memCtrl.lpqEntries, 32u);
-    cfg.applyOverride("memCtrl.adr=false");
-    EXPECT_FALSE(cfg.memCtrl.adr);
-    cfg.applyOverride("logging.scheme=atom");
-    EXPECT_EQ(cfg.logging.scheme, LogScheme::ATOM);
+    cfg.applyOverride("mem.nvmMode=false");
+    EXPECT_FALSE(cfg.mem.nvmMode);
     cfg.applyOverride("mem.nvmWriteTRCD=240");
     EXPECT_EQ(cfg.mem.nvmWriteTRCD, 240u);
     // Drain thresholds take both ends of [0, 1].
@@ -70,14 +68,15 @@ TEST(Config, BadOverridesFatal)
     SystemConfig cfg = baselineConfig();
     EXPECT_THROW(cfg.applyOverride("nonsense"), FatalError);
     EXPECT_THROW(cfg.applyOverride("unknown.key=1"), FatalError);
-    EXPECT_THROW(cfg.applyOverride("cores=abc"), FatalError);
-    EXPECT_THROW(cfg.applyOverride("memCtrl.adr=maybe"), FatalError);
+    EXPECT_THROW(cfg.applyOverride("cpu.robEntries=abc"), FatalError);
+    EXPECT_THROW(cfg.applyOverride("mem.nvmMode=maybe"), FatalError);
     // Numbers are checked like flags: no trailing text, sign, wrap or
     // truncation to the field's width.
     EXPECT_THROW(cfg.applyOverride("logging.logQEntries=8x"), FatalError);
     EXPECT_THROW(cfg.applyOverride("logging.atomTruncationEntries=-1"),
                  FatalError);
-    EXPECT_THROW(cfg.applyOverride("cores=4294967296"), FatalError);
+    EXPECT_THROW(cfg.applyOverride("cpu.robEntries=4294967296"),
+                 FatalError);
     EXPECT_THROW(cfg.applyOverride("memCtrl.wpqDrainThreshold=0.5x"),
                  FatalError);
     EXPECT_THROW(cfg.applyOverride("faults.tornWriteRate=nan"),

@@ -115,7 +115,6 @@ runWith(LogScheme scheme, unsigned consumers, int mutate = -1)
 {
     const BenchOptions opts = options();
     SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = scheme;
     // ctest runs each test in its own process, concurrently: the
     // file name carries the test's name to keep the runs apart.
     std::string test = testing::UnitTest::GetInstance()
@@ -142,23 +141,19 @@ runWith(LogScheme scheme, unsigned consumers, int mutate = -1)
         cfg.obs.traceCategories = TraceCatAll;
     }
 
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
+    const TraceBundleKey key =
+        runKey(opts, cfg, WorkloadKind::Queue, scheme);
 
     Outputs out;
     RunResult r;
     {
-        FullSystem system(cfg, WorkloadKind::Queue, params);
+        FullSystem system(cfg, TraceBundle::build(key, cfg.analysis.check));
         r = system.run();
         EXPECT_TRUE(r.finished);
     }
     if (r.txStats) {
         std::ostringstream os;
-        obs::writeTxStatsJson(
-            os, {makeTxStatsRow(opts, scheme, WorkloadKind::Queue, r)});
+        obs::writeTxStatsJson(os, {makeTxStatsRow(key, r)});
         out.txStats = os.str();
     }
     if (r.check) {

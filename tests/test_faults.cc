@@ -762,9 +762,10 @@ TEST(FaultDeterminism, RunResultsIdenticalAcrossJobsAndCycleSkip)
             rows.push_back(JsonResultRow{toString(jobsv[i].scheme),
                                          toString(jobsv[i].kind),
                                          results[i].result, 0.0});
-            txRows.push_back(makeTxStatsRow(o, jobsv[i].scheme,
-                                            jobsv[i].kind,
-                                            results[i].result));
+            const SimJob &job = jobsv[i];
+            txRows.push_back(makeTxStatsRow(
+                runKey(o, job.cfg, job.kind, job.scheme, job.extras),
+                results[i].result));
         }
         const std::string path = ::testing::TempDir() + "faults_rr.json";
         writeJsonResults(path, rows);

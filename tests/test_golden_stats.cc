@@ -250,7 +250,6 @@ registryDump(const RegistryCell &cell)
     opts.overrides = cell.overrides;
     SystemConfig cfg = opts.makeConfig();
     cfg.logging.scheme = cell.scheme;
-    cfg.memCtrl.adr = cell.scheme != LogScheme::PMEMPCommit;
     WorkloadParams params;
     params.threads = cell.threads;
     params.scale = 2000;

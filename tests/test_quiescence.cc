@@ -266,9 +266,6 @@ TEST(Quiescence, AllSchemesBitIdenticalWithAndWithoutSkipping)
             const auto bundle = TraceCache::global().get(key);
 
             SystemConfig cfg = baselineConfig();
-            cfg.logging.scheme = scheme;
-            cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
-
             cfg.cycleSkip = true;
             FullSystem skipping(cfg, bundle);
             const RunResult rs = skipping.run();

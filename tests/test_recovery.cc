@@ -79,7 +79,6 @@ TEST_P(CrashRecovery, RecoversToAConsistentCommittedPrefix)
     const auto [scheme, kind, crash_percent] = GetParam();
     SystemConfig cfg = baselineConfig();
     cfg.logging.scheme = scheme;
-    cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
 
     const WorkloadParams params = crashParams(1);
     FullSystem system(cfg, kind, params);

@@ -45,7 +45,6 @@ TEST_P(SystemIntegration, RunsToDurableCompletion)
     const auto [scheme, kind] = GetParam();
     SystemConfig cfg = baselineConfig();
     cfg.logging.scheme = scheme;
-    cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
 
     FullSystem system(cfg, kind, tinyParams());
     const RunResult result = system.run(500'000'000ull);
@@ -93,7 +92,6 @@ TEST(SystemIntegration2, CpiStackSumsToCoreCyclesUnderEveryScheme)
           LogScheme::ProteusNoLWR}) {
         SystemConfig cfg = baselineConfig();
         cfg.logging.scheme = scheme;
-        cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
         FullSystem system(cfg, WorkloadKind::Queue, tinyParams());
         const RunResult result = system.run(500'000'000ull);
         ASSERT_TRUE(result.finished) << toString(scheme);
@@ -153,11 +151,38 @@ TEST(SystemIntegration2, SlowNvmIsSlower)
     EXPECT_GT(slow_result.cycles, fast_result.cycles);
 }
 
-TEST(SystemIntegration2, ThreadCountAboveCoresIsFatal)
+TEST(SystemIntegration2, EightThreadsWireEightCores)
 {
+    // The bundle's key is the machine's identity: one core per thread
+    // (more than the baseline's four), the key's scheme, and ADR unless
+    // the scheme is PMEM+pcommit — whatever the config said.
+    const auto bundle = [](LogScheme scheme) {
+        TraceBundleKey key;
+        key.kind = WorkloadKind::Queue;
+        key.scheme = scheme;
+        key.params = tinyParams();
+        key.params.threads = 8;
+        return TraceBundle::build(key);
+    };
     SystemConfig cfg = baselineConfig();
     cfg.cores = 1;
-    WorkloadParams p = tinyParams();
-    p.threads = 2;
-    EXPECT_THROW(FullSystem(cfg, WorkloadKind::Queue, p), FatalError);
+    cfg.logging.scheme = LogScheme::ATOM;
+    cfg.memCtrl.adr = false;
+
+    FullSystem system(cfg, bundle(LogScheme::Proteus));
+    EXPECT_EQ(system.coreCount(), 8u);
+    EXPECT_EQ(system.config().cores, 8u);
+    EXPECT_EQ(system.config().logging.scheme, LogScheme::Proteus);
+    EXPECT_TRUE(system.config().memCtrl.adr);
+    const RunResult result = system.run(500'000'000ull);
+    ASSERT_TRUE(result.finished);
+    for (unsigned t = 0; t < system.coreCount(); ++t)
+        EXPECT_GT(system.core(t).retiredOps(), 0u) << "core " << t;
+    EXPECT_TRUE(system.workload()
+                    .checkInvariants(system.heap().volatileImage())
+                    .empty());
+
+    EXPECT_FALSE(FullSystem(cfg, bundle(LogScheme::PMEMPCommit))
+                     .config()
+                     .memCtrl.adr);
 }

@@ -294,8 +294,7 @@ TEST(WriteHistory, ReplayedOracleMatchesLiveAttachment)
             EXPECT_EQ(replayed.trackedBytes(), live.trackedBytes());
             EXPECT_EQ(replayed.txOrder(0), live.txOrder(0));
 
-            SystemConfig cfg = baselineConfig();
-            cfg.logging.scheme = scheme;
+            const SystemConfig cfg = baselineConfig();
             const Tick total = FullSystem(cfg, bundle).run().cycles;
             FullSystem sys(cfg, bundle);
             for (unsigned i = 1; i <= 5; ++i) {

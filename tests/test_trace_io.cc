@@ -124,7 +124,6 @@ TEST(TraceIo, LoadedBundleRunsBitIdentical)
 
         SystemConfig cfg = baselineConfig();
         cfg.logging.scheme = scheme;
-        cfg.memCtrl.adr = scheme != LogScheme::PMEMPCommit;
 
         // Classic path: build the traces in-process.
         FullSystem direct(cfg, key.kind, key.params);

@@ -393,8 +393,9 @@ TEST(ParallelRunner, TxStatsDeterminism)
         std::size_t i = 0;
         for (LogScheme s : schemes)
             for (WorkloadKind w : workloads)
-                rows.push_back(
-                    makeTxStatsRow(opts, s, w, results[i++].result));
+                rows.push_back(makeTxStatsRow(
+                    runKey(opts, opts.makeConfig(), w, s),
+                    results[i++].result));
         obs::writeTxStatsFile(path, rows);
     };
     const std::string path_1 =

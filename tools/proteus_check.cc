@@ -40,8 +40,7 @@ cmdRules(const std::vector<LogScheme> &schemes)
     }
     std::cout << "\narmed per scheme (with a recorded write history):\n";
     for (LogScheme s : schemes) {
-        const bool adr = s != LogScheme::PMEMPCommit;
-        const auto armed = analysis::rulesForScheme(s, adr, true);
+        const auto armed = analysis::rulesForScheme(s, true);
         std::cout << "  " << toString(s) << ":";
         for (unsigned r = 0; r < analysis::numRules; ++r) {
             if (armed[r]) {
@@ -113,7 +112,6 @@ main(int argc, char **argv)
     BenchOptions opts;
     std::vector<LogScheme> schemes = allSchemes();
     using namespace cli;
-    const Option schemeList = schemesOption("--scheme", schemes);
     const std::vector<Option> config = configOptions(opts);
     const std::vector<Option> machine =
         machineOptions(opts.cycleSkip, opts.faults);
@@ -121,10 +119,7 @@ main(int argc, char **argv)
     return dispatch(argc, argv, {
         {"run", {"<workload|all>"},
          "check one workload, or every paper workload",
-         {{schemeList, checkMutateOption(opts.checkMutate)},
-          sizeOptions(opts.scale, opts.initScale, opts.threads, opts.seed),
-          specOptions(opts.wlSpec, opts.wlSpecFile), config, machine,
-          batchOptions(opts.jobs, opts.jsonPath)},
+         checkRunOptions(opts, schemes),
          [&](const std::vector<std::string> &args) {
              const std::vector<WorkloadKind> kinds =
                  args[0] == "all"
@@ -139,7 +134,8 @@ main(int argc, char **argv)
          [&](const std::vector<std::string> &args) {
              return cmdReplay(args[0], opts);
          }},
-        {"rules", {}, "print the rule set per scheme", {{schemeList}},
+        {"rules", {}, "print the rule set per scheme",
+         {{schemesOption("--scheme", schemes)}},
          [&](const std::vector<std::string> &) {
              return cmdRules(schemes);
          }},

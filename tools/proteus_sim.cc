@@ -38,15 +38,15 @@ struct CliExtras
 };
 
 /** Print @p system's finished run @p r, write its tx-stats row under
- *  @p id's identity, and print the check report and the statistics
- *  dump that @p id and @p extras ask for. @p invariants (if set) is the
+ *  its bundle key, and print the check report and the statistics dump
+ *  that @p opts and @p extras ask for. @p invariants (if set) is the
  *  workload's verdict, printed before the dump. @return the exit
  *  status: 0 if the run finished and passed. */
 int
-reportRun(FullSystem &system, const RunResult &r, const BenchOptions &id,
-          LogScheme scheme, WorkloadKind kind, const CliExtras &extras,
-          const std::string *invariants)
+reportRun(FullSystem &system, const RunResult &r, const BenchOptions &opts,
+          const CliExtras &extras, const std::string *invariants)
 {
+    const TraceBundleKey &key = system.bundle().key;
     std::cout << "finished:           "
               << (r.finished ? "yes" : "NO (cycle limit)") << "\n"
               << "cycles:             " << r.cycles << "\n"
@@ -75,13 +75,12 @@ reportRun(FullSystem &system, const RunResult &r, const BenchOptions &id,
     std::cout << "kernel steps:       " << system.sim().kernelSteps()
               << " (" << system.sim().skippedCycles()
               << " cycles skipped)\n";
-    if (!id.txStats.empty() && r.txStats) {
-        obs::writeTxStatsFile(id.txStats,
-                              {makeTxStatsRow(id, scheme, kind, r)});
-    }
+    if (!opts.txStats.empty() && r.txStats)
+        obs::writeTxStatsFile(opts.txStats, {makeTxStatsRow(key, r)});
     bool ok = r.finished;
-    if (id.check && r.check) {
-        std::cout << formatCheckReport(CheckRow{scheme, kind, r, *r.check});
+    if (opts.check && r.check) {
+        std::cout << formatCheckReport(
+            CheckRow{key.scheme, key.kind, r, *r.check});
         ok = ok && r.check->pass();
     }
     // The structural invariants hold only for a drained run; an
@@ -144,32 +143,24 @@ cmdRun(WorkloadKind kind, const CliExtras &extras,
         return allFired(rows) ? 0 : 1;
     }
 
-    WorkloadExtras wlExtras;
-    wlExtras.gen = opts.genSpec();
-
     SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = extras.scheme;
-    cfg.memCtrl.adr = extras.scheme != LogScheme::PMEMPCommit;
+    const TraceBundleKey key = runKey(opts, cfg, kind, extras.scheme,
+                                      {LinkedListOptions{}, opts.genSpec()});
     if (opts.check) {
         cfg.analysis.check = true;
-        cfg.analysis.repro =
-            checkReproLine(extras.scheme, kind, opts, wlExtras.gen);
+        cfg.analysis.repro = checkReproLine(key, opts);
     }
 
-    WorkloadParams params;
-    params.threads = opts.threads;
-    params.scale = opts.scale;
-    params.initScale = opts.initScale;
-    params.seed = opts.seed;
-
     std::cout << "running " << toString(kind) << " under "
-              << toString(extras.scheme) << " (" << params.threads
+              << toString(extras.scheme) << " (" << opts.threads
               << " cores)...\n";
-    FullSystem system(cfg, kind, params, wlExtras);
+    // The checker's LogBeforeData rule needs the write history for the
+    // software schemes.
+    FullSystem system(cfg, TraceBundle::build(key, cfg.analysis.check));
     const RunResult r = system.run();
     const std::string err = system.workload().checkInvariants(
         system.heap().volatileImage());
-    return reportRun(system, r, opts, extras.scheme, kind, extras, &err);
+    return reportRun(system, r, opts, extras, &err);
 }
 
 int
@@ -178,10 +169,6 @@ cmdReplay(const std::string &path, const CliExtras &extras,
 {
     const auto bundle = loadTraceBundle(path);
     SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = bundle->key.scheme;
-    cfg.memCtrl.adr = bundle->key.scheme != LogScheme::PMEMPCommit;
-    if (cfg.cores < bundle->key.params.threads)
-        cfg.cores = bundle->key.params.threads;
     if (opts.check) {
         cfg.analysis.check = true;
         cfg.analysis.repro = "proteus-check replay " + path;
@@ -191,17 +178,10 @@ cmdReplay(const std::string &path, const CliExtras &extras,
               << bundle->key.describe() << ")...\n";
     FullSystem system(cfg, bundle);
     const RunResult r = system.run();
-    // The tx-stats row's identity is the recorded run's. No workload
-    // object travels with a snapshot, so structural invariants cannot
-    // be checked here; proteus-trace verify covers the file instead.
-    const WorkloadParams &p = bundle->key.params;
-    BenchOptions id = opts;
-    id.threads = p.threads;
-    id.scale = p.scale;
-    id.initScale = p.initScale;
-    id.seed = p.seed;
-    return reportRun(system, r, id, bundle->key.scheme, bundle->key.kind,
-                     extras, nullptr);
+    // No workload object travels with a snapshot, so structural
+    // invariants cannot be checked here; proteus-trace verify covers
+    // the file instead.
+    return reportRun(system, r, opts, extras, nullptr);
 }
 
 int
@@ -247,24 +227,14 @@ int
 cmdCrash(WorkloadKind kind, const CliExtras &extras,
          const BenchOptions &opts)
 {
-    SystemConfig cfg = opts.makeConfig();
-    cfg.logging.scheme = extras.scheme;
-    cfg.memCtrl.adr = extras.scheme != LogScheme::PMEMPCommit;
     if (extras.scheme == LogScheme::PMEMNoLog)
         fatal("pmem+nolog is not failure-safe; nothing to recover");
-
-    TraceBundleKey key;
-    key.kind = kind;
-    key.scheme = extras.scheme;
-    key.params.threads = opts.threads;
-    key.params.scale = opts.scale;
-    key.params.initScale = opts.initScale;
-    key.params.seed = opts.seed;
-    key.gen = opts.genSpec();
+    const SystemConfig cfg = opts.makeConfig();
     // One functional execution wires both the measuring run and the
     // crashed run.
-    const std::shared_ptr<const TraceBundle> bundle =
-        TraceBundle::build(key);
+    const std::shared_ptr<const TraceBundle> bundle = TraceBundle::build(
+        runKey(opts, cfg, kind, extras.scheme,
+               {LinkedListOptions{}, opts.genSpec()}));
 
     std::cout << "measuring the full run...\n";
     FullSystem full(cfg, bundle);

@@ -16,11 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "harness/options.hh"
-#include "harness/trace_bundle.hh"
+#include "harness/experiments.hh"
 #include "harness/trace_io.hh"
 #include "sim/logging.hh"
-#include "workloads/workload.hh"
 
 using namespace proteus;
 
@@ -90,11 +88,11 @@ cmdVerify(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    TraceBundleKey key;
-    key.params.scale = 200;     // the bench binaries' default size
+    BenchOptions size;          // the bench binaries' default size
+    SystemConfig cfg = baselineConfig();
+    LogScheme scheme = LogScheme::Proteus;
+    WorkloadExtras extras;
     std::string out;
-    std::string wlSpec;
-    std::string wlSpecFile;
     bool withHistory = false;
 
     using namespace cli;
@@ -102,23 +100,23 @@ main(int argc, char **argv)
         {"record", {"<workload>"},
          "execute the workload functionally and save its traces",
          {{text("--out", "FILE", "output path (required)", out),
-           schemeOption(key.scheme),
+           schemeOption(scheme),
            flag("--with-history",
                 "also record the replayable write history (crash oracle)",
                 withHistory),
            number("--log-area-bytes", "N",
                   "per-thread log area size in bytes",
-                  key.params.logAreaBytes),
+                  cfg.logging.logAreaBytes),
            number("--elements-per-node", "N",
                   "linked-list elements per node (LL only)",
-                  key.llOpts.elementsPerNode)},
-          sizeOptions(key.params.scale, key.params.initScale,
-                      key.params.threads, key.params.seed),
-          specOptions(wlSpec, wlSpecFile)},
+                  extras.ll.elementsPerNode)},
+          sizeOptions(size.scale, size.initScale, size.threads, size.seed),
+          specOptions(size.wlSpec, size.wlSpecFile)},
          [&](const std::vector<std::string> &args) {
-             key.kind = parseWorkload(args[0]);
-             key.gen = genSpecFrom(wlSpec, wlSpecFile);
-             return cmdRecord(key, out, withHistory);
+             extras.gen = size.genSpec();
+             return cmdRecord(runKey(size, cfg, parseWorkload(args[0]),
+                                     scheme, extras),
+                              out, withHistory);
          }},
         {"info", {"<file>"},
          "print a snapshot's header, sections, and counters", {},
