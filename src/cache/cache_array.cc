@@ -13,8 +13,6 @@ CacheArray::CacheArray(const CacheConfig &cfg,
       _misses(stats, name + ".misses", "cache misses"),
       _writebacks(stats, name + ".writebacks", "dirty evictions")
 {
-    if (_sets == 0 || (_sets & (_sets - 1)) != 0)
-        fatal("CacheArray ", name, ": set count must be a power of two");
     _lines.resize(_sets * _ways);
 }
 

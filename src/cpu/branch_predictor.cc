@@ -1,25 +1,11 @@
 #include "branch_predictor.hh"
 
-#include "sim/logging.hh"
-
 namespace proteus {
-
-namespace {
-
-std::size_t
-checkedTableSize(unsigned index_bits)
-{
-    if (index_bits == 0 || index_bits > 24)
-        fatal("BranchPredictor: index bits must be in [1, 24]");
-    return std::size_t{1} << index_bits;
-}
-
-} // namespace
 
 BranchPredictor::BranchPredictor(unsigned index_bits,
                                  stats::StatRegistry &stats,
                                  const std::string &name)
-    : _counters(checkedTableSize(index_bits), 1),
+    : _counters(std::size_t{1} << index_bits, 1),
       _historyMask((std::size_t{1} << index_bits) - 1),
       _predictions(stats, name + ".predictions", "branches predicted"),
       _mispredictions(stats, name + ".mispredictions",

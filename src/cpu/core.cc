@@ -96,24 +96,7 @@ Core::Core(Simulator &sim, const SystemConfig &cfg, CoreId id,
                       &_cpiWpqBackpressure,
                       &_cpiLockWait};
 
-    // A zero width or queue would stall dispatch forever, and the run
-    // would only end at the cycle limit.
-    for (const auto &[field, value] :
-         {std::pair{"cpu.fetchWidth", cfg.cpu.fetchWidth},
-          {"cpu.robEntries", cfg.cpu.robEntries},
-          {"cpu.issueQueueEntries", cfg.cpu.issueQueueEntries},
-          {"cpu.loadQueueEntries", cfg.cpu.loadQueueEntries},
-          {"cpu.storeQueueEntries", cfg.cpu.storeQueueEntries}}) {
-        if (value == 0)
-            fatal("Core: ", field, " must be at least 1");
-    }
-    // Every Proteus log-load holds a log register until its log-flush.
-    if (_isProteus && cfg.logging.logRegisters == 0)
-        fatal("Core: logging.logRegisters must be at least 1 under ",
-              toString(cfg.logging.scheme));
     const unsigned phys = cfg.cpu.physIntRegs;
-    if (phys <= numArchRegs)
-        fatal("Core: physIntRegs must exceed ", numArchRegs);
     _renameMap.resize(numArchRegs);
     _physReady.assign(phys, false);
     for (unsigned i = 0; i < numArchRegs; ++i) {

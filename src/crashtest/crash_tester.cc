@@ -156,6 +156,8 @@ crashTestOptionsFor(const BenchOptions &bench)
     ct.jobs = bench.jobs;
     ct.cycleSkip = bench.cycleSkip;
     ct.faults = bench.faults;
+    ct.dram = bench.dram;
+    ct.overrides = bench.overrides;
     return ct;
 }
 
@@ -187,8 +189,13 @@ replayCommand(const CrashTestOptions &opts, const CrashPairResult &pair)
     }
     if (opts.breakRecovery)
         os << " --break-recovery";
+    if (opts.dram)
+        os << " --dram";
     if (opts.faults.enabled())
         os << " --faults " << faults::canonicalFaultSpec(opts.faults);
+    // Overrides apply after the faults, in the order given.
+    for (const std::string &o : opts.overrides)
+        os << " --set " << o;
     return os.str();
 }
 
@@ -321,8 +328,8 @@ formatFailure(const CrashTestOptions &opts, FullSystem &sys,
     return os.str();
 }
 
-/** A bench run of @p opts' workload size, seed and machine switches
- *  (cycle skip, faults) on the baseline config: the inverse of
+/** A bench run of @p opts' workload size, seed, machine switches
+ *  (cycle skip, faults) and config (--dram, --set): the inverse of
  *  crashTestOptionsFor. Each pair's key, config and check repro line
  *  come from it. */
 BenchOptions
@@ -335,6 +342,8 @@ benchOptionsFor(const CrashTestOptions &opts)
     bench.seed = opts.seed;
     bench.cycleSkip = opts.cycleSkip;
     bench.faults = opts.faults;
+    bench.dram = opts.dram;
+    bench.overrides = opts.overrides;
     return bench;
 }
 
@@ -512,6 +521,10 @@ runCrashTests(const CrashTestOptions &opts, std::ostream &os)
         fatal("crashtest: need at least one scheme and one workload");
     if (opts.threads == 0)
         fatal("crashtest: need at least one thread");
+    // Reject a bad config before the first pair starts.
+    const SystemConfig cfg = benchOptionsFor(opts).makeConfig();
+    for (LogScheme scheme : opts.schemes)
+        cfg.validate(scheme);
 
     CrashTestSummary summary;
     summary.pairs.resize(opts.schemes.size() * opts.workloads.size());

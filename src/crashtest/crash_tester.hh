@@ -92,6 +92,10 @@ struct CrashTestOptions
      * was flagged by ECC/poison; silent corruption is always a failure.
      */
     faults::FaultConfig faults;
+    /** Config group (--dram, --set): the machine every pair runs on,
+     *  built the way BenchOptions::makeConfig builds it. */
+    bool dram = false;
+    std::vector<std::string> overrides;
 };
 
 /** Outcome of one crash point. */
@@ -166,9 +170,10 @@ std::vector<RecoveryResult> recoverAllThreads(FullSystem &system,
 CrashTestSummary runCrashTests(const CrashTestOptions &opts,
                                std::ostream &os);
 
-/** A campaign at @p bench's workload size, seed, host settings and
- *  machine switches (scale, init-scale, seed, jobs, cycle skip,
- *  faults); the caller picks schemes, workloads and the mode.
+/** A campaign at @p bench's workload size, seed, host settings,
+ *  machine switches and config (scale, init-scale, seed, jobs, cycle
+ *  skip, faults, --dram, --set); the caller picks schemes, workloads
+ *  and the mode.
  *  Threads stay 1, which the byte-exact oracle requires. */
 CrashTestOptions crashTestOptionsFor(const BenchOptions &bench);
 

@@ -16,10 +16,6 @@ NvmTiming::NvmTiming(const MemTimingConfig &cfg,
       _rowMisses(stats, name + ".rowMisses", "accesses to closed rows"),
       _rowConflicts(stats, name + ".rowConflicts", "row buffer conflicts")
 {
-    if (cfg.banks == 0)
-        fatal("NvmTiming: need at least one bank");
-    if (cfg.cpuPerMemCycle <= 0)
-        fatal("NvmTiming: cpuPerMemCycle must be positive");
     const auto ticks = [&](unsigned mem_cycles) {
         return static_cast<Tick>(
             std::llround(mem_cycles * cfg.cpuPerMemCycle));

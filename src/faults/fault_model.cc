@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "fault_rules.hh"
 #include "sim/logging.hh"
 #include "sim/parse_number.hh"
 
@@ -84,16 +85,7 @@ parseFaultSpec(const std::string &spec, const FaultConfig &base)
         else
             fatal("--faults: unknown key '", key, "'");
     }
-    if (cfg.tornWriteRate < 0.0 || cfg.tornWriteRate > 1.0 ||
-        cfg.readFlipRate < 0.0 || cfg.readFlipRate > 1.0) {
-        fatal("--faults: rates must lie in [0, 1]");
-    }
-    if (cfg.readFlipBitsMax == 0)
-        fatal("--faults: bits must be >= 1");
-    if (cfg.eccCorrectBits > cfg.eccDetectBits) {
-        fatal("--faults: correct (", cfg.eccCorrectBits,
-              ") must not exceed detect (", cfg.eccDetectBits, ")");
-    }
+    checkFaultRules(cfg, FaultSpelling::Spec);
     return cfg;
 }
 

@@ -89,7 +89,7 @@ checkRunOptions(BenchOptions &opts, std::vector<LogScheme> &schemes)
             cli::sizeOptions(opts.scale, opts.initScale, opts.threads,
                              opts.seed),
             cli::specOptions(opts.wlSpec, opts.wlSpecFile),
-            cli::configOptions(opts),
+            cli::configOptions(opts.dram, opts.overrides),
             cli::machineOptions(opts.cycleSkip, opts.faults),
             cli::batchOptions(opts.jobs, opts.jsonPath)};
 }

@@ -16,7 +16,7 @@ std::vector<std::vector<cli::Option>>
 BenchOptions::optionGroups()
 {
     return {cli::sizeOptions(scale, initScale, threads, seed),
-            cli::configOptions(*this),
+            cli::configOptions(dram, overrides),
             cli::machineOptions(cycleSkip, faults),
             cli::batchOptions(jobs, jsonPath),
             {cli::checkOption(check)},
@@ -73,6 +73,8 @@ TraceBundleKey
 runKey(const BenchOptions &opts, const SystemConfig &cfg, WorkloadKind kind,
        LogScheme scheme, const WorkloadExtras &extras)
 {
+    // Reject a bad config before anything is populated or recorded.
+    cfg.validate(scheme);
     TraceBundleKey key;
     key.kind = kind;
     key.scheme = scheme;

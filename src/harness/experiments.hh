@@ -83,7 +83,9 @@ struct BenchOptions
  * @p opts' threads, scale, init-scale and seed, with @p cfg's log-area
  * size (opts.makeConfig(), so --set logging.logAreaBytes counts) and
  * @p extras. Every front end builds its keys here; FullSystem takes the
- * machine's scheme, persistency domain and core count from the key.
+ * machine's scheme, persistency domain, core count and log-area size
+ * from the key. Throws FatalError if @p cfg fails
+ * SystemConfig::validate under @p scheme.
  */
 TraceBundleKey runKey(const BenchOptions &opts, const SystemConfig &cfg,
                       WorkloadKind kind, LogScheme scheme,

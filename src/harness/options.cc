@@ -248,15 +248,15 @@ specOptions(std::string &spec, std::string &specFile)
 }
 
 std::vector<Option>
-configOptions(BenchOptions &opts)
+configOptions(bool &dram, std::vector<std::string> &overrides)
 {
     return {
-        flag("--dram", "DRAM timing (Section 7.2)", opts.dram),
+        flag("--dram", "DRAM timing (Section 7.2)", dram),
         {"--set", "k=v",
          "config override, e.g. logging.logQEntries=8 (repeatable)", "",
-         [&opts](const std::string &v) {
+         [&overrides](const std::string &v) {
              baselineConfig().applyOverride(v);     // reject it here
-             opts.overrides.push_back(v);
+             overrides.push_back(v);
          }},
     };
 }

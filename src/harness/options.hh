@@ -129,8 +129,10 @@ std::vector<Option> sizeOptions(unsigned &scale, unsigned &initScale,
                                 unsigned &threads, std::uint64_t &seed);
 /** --wl-spec, --wl-spec-file (see genSpecFrom) */
 std::vector<Option> specOptions(std::string &spec, std::string &specFile);
-/** --dram, --set */
-std::vector<Option> configOptions(BenchOptions &opts);
+/** --dram, --set (each override's key and number are checked here;
+ *  its value rules are SystemConfig::validate's, applied per run) */
+std::vector<Option> configOptions(bool &dram,
+                                  std::vector<std::string> &overrides);
 /** --no-cycle-skip, --faults, --fault-seed */
 std::vector<Option> machineOptions(bool &cycleSkip,
                                    faults::FaultConfig &faults);

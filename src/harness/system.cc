@@ -46,11 +46,14 @@ FullSystem::wire()
 {
     // The bundle's key is the machine's identity: the scheme its traces
     // were recorded under, that scheme's persistency domain (only
-    // PMEM+pcommit is the pre-ADR design), and one core per thread.
+    // PMEM+pcommit is the pre-ADR design), one core per thread, and the
+    // log-area size the threads recorded with (ATOM's areas match it).
     const TraceBundleKey &key = _bundle->key;
     _cfg.logging.scheme = key.scheme;
     _cfg.memCtrl.adr = key.scheme != LogScheme::PMEMPCommit;
     _cfg.cores = key.params.threads;
+    _cfg.logging.logAreaBytes = key.params.logAreaBytes;
+    _cfg.validate(key.scheme);
 
     _sim = std::make_unique<Simulator>();
     _sim->setCycleSkip(_cfg.cycleSkip);

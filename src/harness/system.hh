@@ -7,13 +7,14 @@
  * Trace state (per-thread micro-op streams, the initial heap image,
  * log-area bounds) lives in a TraceBundle, and the bundle's key is the
  * machine's identity: the config's logging scheme, persistency domain
- * (ADR unless PMEM+pcommit) and core count (one per thread) are taken
- * from it, whatever the caller's config said. The bundle constructor
- * wires the machine from a prebuilt shared bundle (TraceCache or a
- * .ptrace file) without re-executing anything; the convenience
- * constructor builds a private bundle first. Results are bit-identical
- * either way because both run the same wiring code over the same
- * bundle contents.
+ * (ADR unless PMEM+pcommit), core count (one per thread) and log-area
+ * size are taken from it, whatever the caller's config said, and the
+ * result must pass SystemConfig::validate before anything is wired.
+ * The bundle constructor wires the machine from a prebuilt shared
+ * bundle (TraceCache or a .ptrace file) without re-executing anything;
+ * the convenience constructor builds a private bundle first. Results
+ * are bit-identical either way because both run the same wiring code
+ * over the same bundle contents.
  */
 
 #ifndef PROTEUS_HARNESS_SYSTEM_HH

@@ -1,7 +1,5 @@
 #include "llt.hh"
 
-#include "sim/logging.hh"
-
 namespace proteus {
 
 LogLookupTable::LogLookupTable(unsigned entries, unsigned ways,
@@ -12,8 +10,6 @@ LogLookupTable::LogLookupTable(unsigned entries, unsigned ways,
       _misses(stats, name + ".misses", "LLT misses"),
       _clears(stats, name + ".clears", "LLT clears (tx-end/ctx switch)")
 {
-    if (entries == 0 || ways == 0 || entries % ways != 0)
-        fatal("LogLookupTable: entries must be a multiple of ways");
     _table.resize(static_cast<std::size_t>(_sets) * _ways);
 }
 

@@ -24,6 +24,9 @@ namespace proteus {
 class LogLookupTable
 {
   public:
+    /** Only the Proteus schemes use the table, so only they need
+     *  @p entries to be a positive multiple of @p ways
+     *  (SystemConfig::validate); the others may build it empty. */
     LogLookupTable(unsigned entries, unsigned ways,
                    stats::StatRegistry &stats, const std::string &name);
 

@@ -10,8 +10,6 @@ LogQueue::LogQueue(unsigned entries, stats::StatRegistry &stats,
       _allocations(stats, name + ".allocations", "LogQ entries allocated"),
       _peak(stats, name + ".peakOccupancy", "max simultaneous entries")
 {
-    if (entries == 0)
-        fatal("LogQueue: need at least one entry");
     _freeList.reserve(entries);
     for (unsigned i = entries; i-- > 0;)
         _freeList.push_back(i);

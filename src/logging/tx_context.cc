@@ -7,9 +7,6 @@ namespace proteus {
 void
 TxContext::bindLogArea(Addr start, Addr end)
 {
-    if (end <= start || (end - start) % logEntrySize != 0)
-        fatal("TxContext: log area must be a multiple of ", logEntrySize,
-              " bytes");
     _logStart = start;
     _logEnd = end;
     _curlog = start;
@@ -42,8 +39,9 @@ TxContext::nextLogTo()
         panic("TxContext: log area not bound");
     const std::uint64_t capacity = (_logEnd - _logStart) / logEntrySize;
     if (_entriesThisTx >= capacity)
-        fatal("TxContext: transaction overflowed the log area (",
-              capacity, " entries); the processor raises an exception");
+        fatal("a transaction overflowed its ", capacity,
+              "-entry log area (logging.logAreaBytes); the processor "
+              "raises an exception");
     const Addr slot = _curlog;
     _curlog += logEntrySize;
     if (_curlog >= _logEnd)

@@ -63,12 +63,6 @@ MemCtrl::MemCtrl(Simulator &sim, const SystemConfig &cfg, MemoryImage &nvm)
     _useLpq = scheme == LogScheme::Proteus ||
               scheme == LogScheme::ProteusNoLWR;
     _logWriteRemoval = scheme == LogScheme::Proteus;
-    // An empty queue would refuse every write forever.
-    if (cfg.memCtrl.wpqEntries == 0)
-        fatal("MemCtrl: memCtrl.wpqEntries must be at least 1");
-    if (_useLpq && cfg.memCtrl.lpqEntries == 0)
-        fatal("MemCtrl: memCtrl.lpqEntries must be at least 1 under ",
-              toString(scheme));
     ensureCore(cfg.cores ? cfg.cores - 1 : 0);
 
     // The fault model (and its faults.* stats) exists only when fault
@@ -395,8 +389,6 @@ MemCtrl::txEnd(CoreId core, TxId tx)
 void
 MemCtrl::bindAtomLogArea(CoreId core, Addr start, Addr end)
 {
-    if (end <= start + logEntrySize)
-        fatal("MemCtrl: ATOM log area too small");
     ensureCore(core);
     // Block 0 holds the commit record; entries start one block in.
     _atomLogArea[core] = AtomLogArea{start, end, start + logEntrySize};

@@ -5,6 +5,8 @@
 #include <map>
 #include <type_traits>
 
+#include "faults/fault_rules.hh"
+#include "isa/micro_op.hh"
 #include "logging.hh"
 #include "parse_number.hh"
 
@@ -99,15 +101,6 @@ SystemConfig::applyOverride(const std::string &spec)
         else
             field = parseUnsigned<T>(label, value);
     };
-    // Occupancy fractions: a negative one would wrap when scaled to a
-    // queue size, and one above 1 would switch draining off.
-    auto fraction = [&](double &field) {
-        const double v = parseDouble(label, value);
-        if (v < 0 || v > 1)
-            fatal(label, ": expected a fraction in [0, 1], got '", value,
-                  "'");
-        field = v;
-    };
     auto as_bool = [&]() -> bool {
         if (value == "true" || value == "1") return true;
         if (value == "false" || value == "0") return false;
@@ -128,9 +121,9 @@ SystemConfig::applyOverride(const std::string &spec)
     else if (key == "memCtrl.wpqEntries") num(memCtrl.wpqEntries);
     else if (key == "memCtrl.lpqEntries") num(memCtrl.lpqEntries);
     else if (key == "memCtrl.wpqDrainThreshold")
-        fraction(memCtrl.wpqDrainThreshold);
+        num(memCtrl.wpqDrainThreshold);
     else if (key == "memCtrl.lpqDrainThreshold")
-        fraction(memCtrl.lpqDrainThreshold);
+        num(memCtrl.lpqDrainThreshold);
     else if (key == "logging.logRegisters") num(logging.logRegisters);
     else if (key == "logging.logQEntries") num(logging.logQEntries);
     else if (key == "logging.lltEntries") num(logging.lltEntries);
@@ -151,6 +144,96 @@ SystemConfig::applyOverride(const std::string &spec)
     else if (key == "cycleSkip") cycleSkip = as_bool();
     else
         fatal("unknown config override key: ", key);
+}
+
+namespace {
+
+/** Caches index sets with a mask, so the set count is a power of two. */
+void
+checkCache(const char *level, const CacheConfig &cache)
+{
+    const std::uint64_t sets =
+        cache.ways ? cache.sizeBytes /
+                         (std::uint64_t{blockSize} * cache.ways)
+                   : 0;
+    if (sets == 0 || (sets & (sets - 1)) != 0)
+        fatal("caches.", level, ".sizeBytes (", cache.sizeBytes,
+              ") over caches.", level, ".ways (", cache.ways, ") of ",
+              blockSize, " B lines must give a power-of-two set count");
+}
+
+} // namespace
+
+void
+SystemConfig::validate(LogScheme scheme) const
+{
+    // A zero width or queue would stall dispatch forever, and the run
+    // would only end at the cycle limit.
+    for (const auto &[key, value] :
+         {std::pair{"cpu.fetchWidth", cpu.fetchWidth},
+          {"cpu.robEntries", cpu.robEntries},
+          {"cpu.issueQueueEntries", cpu.issueQueueEntries},
+          {"cpu.loadQueueEntries", cpu.loadQueueEntries},
+          {"cpu.storeQueueEntries", cpu.storeQueueEntries}}) {
+        if (value == 0)
+            fatal(key, " must be at least 1");
+    }
+    if (cpu.physIntRegs <= numArchRegs)
+        fatal("cpu.physIntRegs (", cpu.physIntRegs, ") must exceed the ",
+              numArchRegs, " architectural registers");
+    if (cpu.branchPredictorBits == 0 || cpu.branchPredictorBits > 24)
+        fatal("cpu.branchPredictorBits must be in [1, 24], got ",
+              cpu.branchPredictorBits);
+    checkCache("l1d", caches.l1d);
+    checkCache("l2", caches.l2);
+    checkCache("l3", caches.l3);
+
+    if (mem.banks == 0)
+        fatal("mem.banks must be at least 1");
+    if (!(mem.cpuPerMemCycle > 0))
+        fatal("mem.cpuPerMemCycle must be positive");
+
+    // An empty queue would refuse every write forever.
+    if (memCtrl.wpqEntries == 0)
+        fatal("memCtrl.wpqEntries must be at least 1");
+    // Occupancy fractions: a negative one would wrap when scaled to a
+    // queue size, and one above 1 would switch draining off.
+    for (const auto &[key, value] :
+         {std::pair{"memCtrl.wpqDrainThreshold", memCtrl.wpqDrainThreshold},
+          {"memCtrl.lpqDrainThreshold", memCtrl.lpqDrainThreshold}}) {
+        if (!(value >= 0 && value <= 1))
+            fatal(key, ": expected a fraction in [0, 1], got ", value);
+    }
+
+    // Every scheme records each thread's log area in whole entries.
+    if (logging.logAreaBytes == 0 || logging.logAreaBytes % logEntrySize)
+        fatal("logging.logAreaBytes must be a positive multiple of ",
+              logEntrySize, ", got ", logging.logAreaBytes);
+    // ATOM's area starts with its commit-record block.
+    if (scheme == LogScheme::ATOM && logging.logAreaBytes < 2 * logEntrySize)
+        fatal("logging.logAreaBytes must be at least ", 2 * logEntrySize,
+              " under ATOM (a commit record and one entry), got ",
+              logging.logAreaBytes);
+
+    // Table 1's "Proteus" row: only the Proteus schemes use the log
+    // registers, the LogQ, the LPQ and the LLT.
+    if (scheme == LogScheme::Proteus || scheme == LogScheme::ProteusNoLWR) {
+        const char *name = toString(scheme);
+        // Every log-load holds a log register until its log-flush.
+        if (logging.logRegisters == 0)
+            fatal("logging.logRegisters must be at least 1 under ", name);
+        if (logging.logQEntries == 0)
+            fatal("logging.logQEntries must be at least 1 under ", name);
+        if (memCtrl.lpqEntries == 0)
+            fatal("memCtrl.lpqEntries must be at least 1 under ", name);
+        if (logging.lltEntries == 0 || logging.lltWays == 0 ||
+            logging.lltEntries % logging.lltWays != 0)
+            fatal("logging.lltEntries (", logging.lltEntries,
+                  ") must be a positive multiple of logging.lltWays (",
+                  logging.lltWays, ") under ", name);
+    }
+
+    faults::checkFaultRules(faults, faults::FaultSpelling::Set);
 }
 
 SystemConfig

@@ -229,6 +229,16 @@ struct SystemConfig
      * "mem.nvmWriteTRCD=218". Throws FatalError on unknown keys.
      */
     void applyOverride(const std::string &spec);
+
+    /**
+     * The config gate: throw FatalError, naming the `--set` key (and
+     * the scheme where the rule is scheme-specific), unless this config
+     * can run under @p scheme. The LLT, LogQ, LPQ and log-register
+     * rules bind only the Proteus schemes; the others build those parts
+     * but never use them. runKey and FullSystem's wiring call it, so no
+     * component re-checks a config value.
+     */
+    void validate(LogScheme scheme) const;
 };
 
 /** @return the Table 1 baseline configuration (fast NVM). */

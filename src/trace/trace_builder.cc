@@ -317,7 +317,8 @@ TraceBuilder::swNextLogSlot()
         fatal("TraceBuilder: software logging requires a log area");
     const std::uint64_t capacity = (_logEnd - _logStart) / logEntrySize;
     if (_swSeqInTx >= capacity)
-        fatal("TraceBuilder: transaction overflowed the software log");
+        fatal("a transaction overflowed its ", capacity,
+              "-entry software log area (logging.logAreaBytes)");
     const Addr slot = _logCursor;
     _logCursor += logEntrySize;
     if (_logCursor >= _logEnd)

@@ -347,9 +347,8 @@ frontEnds()
                    cat({{"--sweep", "--sweep-points", "--crash-stride",
                          "--crash-at", "--fuzz", "--schemes", "--workloads",
                          "--check", "--max-violations", "--no-serialize",
-                         "--no-cycle-skip", "--faults", "--fault-seed",
                          "--break-recovery"},
-                        sizeFlags, specFlags, batchFlags})});
+                        sizeFlags, specFlags, machineFlags, batchFlags})});
     out.push_back({toolsDir, "proteus-trace", {"record", "info", "verify"}});
     out.push_back({toolsDir, "proteus-trace record",
                    cat({{"--out", "--scheme", "--with-history",
@@ -485,7 +484,8 @@ TEST(CliContract, ZeroSizedQueuesAreRejectedBeforeRunning)
          {"memCtrl.wpqEntries", "memCtrl.lpqEntries", "cpu.fetchWidth",
           "cpu.robEntries", "cpu.issueQueueEntries",
           "cpu.loadQueueEntries", "cpu.storeQueueEntries",
-          "logging.logRegisters"}) {
+          "logging.logRegisters", "logging.logQEntries",
+          "logging.lltEntries"}) {
         SCOPED_TRACE(field);
         const Outcome out =
             tool(std::string("proteus-sim run QE --scale 2000 "
@@ -498,16 +498,19 @@ TEST(CliContract, ZeroSizedQueuesAreRejectedBeforeRunning)
         EXPECT_EQ(out.output.find("cycles:"), std::string::npos)
             << out.output;
     }
-    // Only the Proteus schemes use the LPQ and log registers; the
-    // others ran to a verdict without them and still do.
+    // Only the Proteus schemes use the LPQ, the log registers, the LogQ
+    // and the LLT; the others run exactly as with the default sizes.
+    // PMEM once rejected an empty LogQ or LLT.
+    const std::string pmem_run =
+        "proteus-sim run QE --scale 2000 --init-scale 100 --scheme pmem";
+    const Outcome pmem_base = tool(pmem_run);
     for (const char *field :
-         {"memCtrl.lpqEntries", "logging.logRegisters"}) {
+         {"memCtrl.lpqEntries", "logging.logRegisters",
+          "logging.logQEntries", "logging.lltEntries", "logging.lltWays"}) {
         SCOPED_TRACE(field);
-        const Outcome pmem =
-            tool(std::string("proteus-sim run QE --scale 2000 "
-                             "--init-scale 100 --scheme pmem --set ") +
-                 field + "=0");
+        const Outcome pmem = tool(pmem_run + " --set " + field + "=0");
         EXPECT_EQ(pmem.status, 0) << pmem.output;
+        EXPECT_EQ(pmem.output, pmem_base.output);
     }
     // Proteus+NoLWR issues log-loads too: logRegisters=0 ran to the
     // cycle limit there as well.
@@ -567,11 +570,16 @@ TEST(CliContract, CheckedNumbersInSetAndFaults)
          {"proteus-sim run QE --set logging.logQEntries=8x",
           "proteus-sim run QE --set logging.atomTruncationEntries=-1",
           "proteus-sim run QE --set memCtrl.lpqDrainThreshold=-1",
-          "proteus-sim run QE --faults torn=0.01x,detect=8x,correct=1"}) {
+          "proteus-sim run QE --faults torn=0.01x,detect=8x,correct=1",
+          "proteus-sim run QE --faults torn=5",
+          "proteus-sim run QE --set faults.tornWriteRate=5",
+          "proteus-sim run QE --set faults.eccCorrectBits=9"}) {
         SCOPED_TRACE(args);
         const Outcome out = tool(args);
         EXPECT_EQ(out.status, 2) << out.output;
         EXPECT_NE(out.output.find("fatal: "), std::string::npos)
+            << out.output;
+        EXPECT_EQ(out.output.find("cycles:"), std::string::npos)
             << out.output;
     }
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/config.hh"
 #include "sim/logging.hh"
@@ -81,27 +84,113 @@ TEST(Config, BadOverridesFatal)
                  FatalError);
     EXPECT_THROW(cfg.applyOverride("faults.tornWriteRate=nan"),
                  FatalError);
-    // Drain thresholds are occupancy fractions: a negative one would
-    // wrap when scaled to a queue size, one above 1 never drains.
-    for (const char *key :
-         {"memCtrl.wpqDrainThreshold", "memCtrl.lpqDrainThreshold"}) {
-        for (const char *bad : {"-1", "5"}) {
-            const std::string spec = std::string(key) + "=" + bad;
+    EXPECT_EQ(cfg.logging.logQEntries, baselineConfig().logging.logQEntries);
+}
+
+TEST(Config, ValidateNamesTheKey)
+{
+    const std::vector<LogScheme> every = allSchemes();
+    const std::vector<LogScheme> proteusOnly = {LogScheme::Proteus,
+                                                LogScheme::ProteusNoLWR};
+    struct Case
+    {
+        const char *key;        ///< must appear in the fatal
+        std::function<void(SystemConfig &)> set;
+        std::vector<LogScheme> rejecting;
+    };
+    const std::vector<Case> cases = {
+        {"cpu.fetchWidth", [](SystemConfig &c) { c.cpu.fetchWidth = 0; },
+         every},
+        {"cpu.robEntries", [](SystemConfig &c) { c.cpu.robEntries = 0; },
+         every},
+        {"cpu.issueQueueEntries",
+         [](SystemConfig &c) { c.cpu.issueQueueEntries = 0; }, every},
+        {"cpu.loadQueueEntries",
+         [](SystemConfig &c) { c.cpu.loadQueueEntries = 0; }, every},
+        {"cpu.storeQueueEntries",
+         [](SystemConfig &c) { c.cpu.storeQueueEntries = 0; }, every},
+        {"cpu.physIntRegs", [](SystemConfig &c) { c.cpu.physIntRegs = 32; },
+         every},
+        {"cpu.branchPredictorBits",
+         [](SystemConfig &c) { c.cpu.branchPredictorBits = 0; }, every},
+        {"cpu.branchPredictorBits",
+         [](SystemConfig &c) { c.cpu.branchPredictorBits = 30; }, every},
+        {"caches.l1d",
+         [](SystemConfig &c) { c.caches.l1d = {3 * 64, 1, 4, 8, 8}; }, every},
+        {"caches.l2", [](SystemConfig &c) { c.caches.l2.ways = 0; }, every},
+        {"caches.l3",
+         [](SystemConfig &c) { c.caches.l3.sizeBytes = 3u << 20; }, every},
+        {"mem.banks", [](SystemConfig &c) { c.mem.banks = 0; }, every},
+        {"mem.cpuPerMemCycle",
+         [](SystemConfig &c) { c.mem.cpuPerMemCycle = 0; }, every},
+        {"memCtrl.wpqEntries",
+         [](SystemConfig &c) { c.memCtrl.wpqEntries = 0; }, every},
+        {"memCtrl.wpqDrainThreshold",
+         [](SystemConfig &c) { c.memCtrl.wpqDrainThreshold = -1; }, every},
+        {"memCtrl.lpqDrainThreshold",
+         [](SystemConfig &c) { c.memCtrl.lpqDrainThreshold = 5; }, every},
+        {"logging.logAreaBytes",
+         [](SystemConfig &c) { c.logging.logAreaBytes = 0; }, every},
+        {"logging.logAreaBytes",
+         [](SystemConfig &c) { c.logging.logAreaBytes = 1; }, every},
+        {"logging.logAreaBytes",
+         [](SystemConfig &c) { c.logging.logAreaBytes = 64; },
+         {LogScheme::ATOM}},
+        {"logging.logRegisters",
+         [](SystemConfig &c) { c.logging.logRegisters = 0; }, proteusOnly},
+        {"logging.logQEntries",
+         [](SystemConfig &c) { c.logging.logQEntries = 0; }, proteusOnly},
+        {"memCtrl.lpqEntries",
+         [](SystemConfig &c) { c.memCtrl.lpqEntries = 0; }, proteusOnly},
+        {"logging.lltEntries",
+         [](SystemConfig &c) { c.logging.lltEntries = 0; }, proteusOnly},
+        {"logging.lltWays",
+         [](SystemConfig &c) { c.logging.lltWays = 0; }, proteusOnly},
+        {"logging.lltWays",
+         [](SystemConfig &c) {
+             c.logging.lltEntries = 9;
+             c.logging.lltWays = 2;
+         },
+         proteusOnly},
+        {"faults.tornWriteRate",
+         [](SystemConfig &c) { c.faults.tornWriteRate = 5; }, every},
+        {"faults.readFlipRate",
+         [](SystemConfig &c) { c.faults.readFlipRate = -0.1; }, every},
+        {"faults.readFlipBitsMax",
+         [](SystemConfig &c) { c.faults.readFlipBitsMax = 0; }, every},
+        {"faults.eccCorrectBits",
+         [](SystemConfig &c) { c.faults.eccCorrectBits = 9; }, every},
+    };
+
+    for (LogScheme scheme : allSchemes())
+        EXPECT_NO_THROW(baselineConfig().validate(scheme));
+    for (const Case &c : cases) {
+        SystemConfig cfg = baselineConfig();
+        c.set(cfg);
+        for (LogScheme scheme : allSchemes()) {
+            SCOPED_TRACE(std::string(c.key) + " under " + toString(scheme));
+            if (std::find(c.rejecting.begin(), c.rejecting.end(), scheme) ==
+                c.rejecting.end()) {
+                // The scheme builds the part but never uses it.
+                EXPECT_NO_THROW(cfg.validate(scheme));
+                continue;
+            }
             try {
-                cfg.applyOverride(spec);
-                ADD_FAILURE() << spec << " was accepted";
+                cfg.validate(scheme);
+                ADD_FAILURE() << "accepted";
             } catch (const FatalError &e) {
-                EXPECT_NE(std::string(e.what()).find(key),
-                          std::string::npos)
-                    << e.what();
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find(c.key), std::string::npos) << msg;
+                // A scheme-specific rule names the scheme too.
+                if (c.rejecting != every) {
+                    EXPECT_NE(msg.find(std::string("under ") +
+                                       toString(scheme)),
+                              std::string::npos)
+                        << msg;
+                }
             }
         }
     }
-    EXPECT_EQ(cfg.memCtrl.wpqDrainThreshold,
-              baselineConfig().memCtrl.wpqDrainThreshold);
-    EXPECT_EQ(cfg.memCtrl.lpqDrainThreshold,
-              baselineConfig().memCtrl.lpqDrainThreshold);
-    EXPECT_EQ(cfg.logging.logQEntries, baselineConfig().logging.logQEntries);
 }
 
 TEST(Config, SchemeNames)

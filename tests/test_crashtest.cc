@@ -18,6 +18,7 @@
 #include "crashtest/crash_tester.hh"
 #include "harness/system.hh"
 #include "heap/persistent_heap.hh"
+#include "sim/logging.hh"
 
 using namespace proteus;
 
@@ -62,6 +63,8 @@ TEST(CrashTestOptionsFor, ForwardsTheBenchRunsSizeSeedAndHost)
     bench.jobs = 3;
     bench.cycleSkip = false;
     bench.faults = faults::parseFaultSpec("torn=0.01");
+    bench.dram = true;
+    bench.overrides = {"memCtrl.wpqEntries=8", "logging.logQEntries=4"};
     const CrashTestOptions ct = crashTestOptionsFor(bench);
     EXPECT_EQ(ct.scale, 2000u);
     EXPECT_EQ(ct.initScale, 50u);
@@ -70,6 +73,8 @@ TEST(CrashTestOptionsFor, ForwardsTheBenchRunsSizeSeedAndHost)
     EXPECT_EQ(ct.jobs, 3u);
     EXPECT_FALSE(ct.cycleSkip);
     EXPECT_EQ(ct.faults.tornWriteRate, 0.01);
+    EXPECT_TRUE(ct.dram);
+    EXPECT_EQ(ct.overrides, bench.overrides);
 }
 
 // ---------------------------------------------------------------------
@@ -262,6 +267,46 @@ TEST(CrashCampaign, SmallSweepFindsNoViolations)
         EXPECT_GT(pair.totalTxs, 0u);
         EXPECT_FALSE(pair.points.empty());
     }
+}
+
+TEST(CrashCampaign, ConfigOverridesReachEveryPair)
+{
+    // The campaign once ran every pair on the baseline config, so
+    // fault_sweep --set changed its timing runs but not its crash runs.
+    CrashTestOptions opts = smallCampaign();
+    opts.schemes = {LogScheme::ATOM};
+    opts.autoPoints = 4;
+    std::ostringstream base_log;
+    const CrashTestSummary base = runCrashTests(opts, base_log);
+
+    opts.overrides = {"logging.logAreaBytes=4096", "memCtrl.wpqEntries=8"};
+    std::ostringstream log;
+    const CrashTestSummary small = runCrashTests(opts, log);
+    EXPECT_TRUE(small.ok) << log.str();
+    ASSERT_EQ(small.pairs.size(), 1u);
+    ASSERT_EQ(base.pairs.size(), 1u);
+    EXPECT_NE(small.pairs[0].totalCycles, base.pairs[0].totalCycles);
+
+    // The replay line rebuilds the same machine.
+    opts.dram = true;
+    const std::string replay = replayCommand(opts, small.pairs[0]);
+    EXPECT_NE(replay.find(" --dram --set logging.logAreaBytes=4096 --set "
+                          "memCtrl.wpqEntries=8"),
+              std::string::npos)
+        << replay;
+
+    // A bad value is rejected before any pair runs, naming the key.
+    opts.overrides = {"logging.logAreaBytes=64"};
+    std::ostringstream bad_log;
+    try {
+        runCrashTests(opts, bad_log);
+        ADD_FAILURE() << "accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("logging.logAreaBytes"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(bad_log.str(), "");
 }
 
 TEST(CrashCampaign, BrokenRecoveryIsCaughtWithAReplayableSeed)

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "logging/log_queue.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 
 using namespace proteus;
@@ -125,5 +126,13 @@ TEST(LogQueue, TracksPeakOccupancy)
 
 TEST(LogQueue, ZeroEntriesIsFatal)
 {
-    EXPECT_THROW(LogQueue(0, reg(), "zero"), FatalError);
+    // Only the Proteus schemes use the LogQ. The config gate rejects an
+    // empty one there; the other schemes build it empty and never
+    // allocate from it.
+    SystemConfig cfg = baselineConfig();
+    cfg.logging.logQEntries = 0;
+    EXPECT_THROW(cfg.validate(LogScheme::Proteus), FatalError);
+    EXPECT_THROW(cfg.validate(LogScheme::ProteusNoLWR), FatalError);
+    EXPECT_NO_THROW(cfg.validate(LogScheme::PMEM));
+    EXPECT_TRUE(LogQueue(0, reg(), "zero").full());
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "logging/tx_context.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 
 using namespace proteus;
@@ -77,9 +78,14 @@ TEST(TxContext, SeqIsPerTransaction)
 
 TEST(TxContext, BadLogAreaIsFatal)
 {
-    TxContext ctx;
-    EXPECT_THROW(ctx.bindLogArea(0x1000, 0x1000), FatalError);
-    EXPECT_THROW(ctx.bindLogArea(0x1000, 0x1001), FatalError);
+    // The config gate owns the log-area rule: a positive number of
+    // whole entries, under every scheme.
+    SystemConfig cfg = baselineConfig();
+    for (std::uint64_t bytes : {0u, 1u, 65u}) {
+        cfg.logging.logAreaBytes = bytes;
+        for (LogScheme scheme : allSchemes())
+            EXPECT_THROW(cfg.validate(scheme), FatalError) << bytes;
+    }
 }
 
 TEST(TxContext, UnboundLogToPanics)

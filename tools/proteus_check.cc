@@ -112,7 +112,7 @@ main(int argc, char **argv)
     BenchOptions opts;
     std::vector<LogScheme> schemes = allSchemes();
     using namespace cli;
-    const std::vector<Option> config = configOptions(opts);
+    const std::vector<Option> config = configOptions(opts.dram, opts.overrides);
     const std::vector<Option> machine =
         machineOptions(opts.cycleSkip, opts.faults);
 

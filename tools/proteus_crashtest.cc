@@ -111,6 +111,7 @@ main(int argc, char **argv)
             .add(flag("--no-serialize",
                       "skip the committed-prefix replay check",
                       opts.checkSerialization, false))
+            .add(configOptions(opts.dram, opts.overrides))
             .add(machineOptions(opts.cycleSkip, opts.faults))
             .add(flag("--break-recovery",
                       "testing hook: skip recovery (expect violations)",

@@ -286,7 +286,7 @@ main(int argc, char **argv)
         sizeOptions(opts.scale, opts.initScale, opts.threads, opts.seed);
     const std::vector<Option> spec =
         specOptions(opts.wlSpec, opts.wlSpecFile);
-    const std::vector<Option> config = configOptions(opts);
+    const std::vector<Option> config = configOptions(opts.dram, opts.overrides);
     const std::vector<Option> machine =
         machineOptions(opts.cycleSkip, opts.faults);
     const std::vector<Option> trace = traceOptions(opts);
