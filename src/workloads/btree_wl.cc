@@ -284,11 +284,11 @@ BTreeWorkload::deleteRec(TraceBuilder &tb, Addr a, std::uint64_t key,
             writeNode(tb, n);
             deleteRec(tb, succ_child.a, succ, freed);
         } else {
-            // Merge both children around the key, then delete within.
-            fillChild(tb, n, i + 1, freed);     // forces the merge path
-            n = readNode(tb, a);
-            deleteRec(tb, n.child[std::min<unsigned>(i, n.count)], key,
-                      freed);
+            // Refill the right child, then delete again here: after a
+            // borrow the successor branch applies, after a merge the key
+            // moved down into the merged child.
+            fillChild(tb, n, i + 1, freed);
+            deleteRec(tb, a, key, freed);
         }
         return;
     }
