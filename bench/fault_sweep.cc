@@ -107,7 +107,7 @@ main(int argc, char **argv)
         for (const FaultTier &tier : tiers) {
             if (!*tier.spec)
                 continue;
-            CrashTestOptions ct = crashTestOptionsFor(opts);
+            CrashTestOptions ct(opts);
             ct.schemes = schemes;
             ct.workloads = workloads;
             ct.autoPoints = 5;

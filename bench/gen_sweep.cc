@@ -110,7 +110,7 @@ main(int argc, char **argv)
             rows.push_back(JsonResultRow{toString(jobs[i].scheme), c.name,
                                          results[i].result,
                                          results[i].wallMs});
-            if (!opts.txStats.empty()) {
+            if (!opts.obs.txStats.empty()) {
                 const SimJob &job = jobs[i];
                 obs::TxStatsRow row = makeTxStatsRow(
                     runKey(opts, job.cfg, job.kind, job.scheme, job.extras),
@@ -120,8 +120,8 @@ main(int argc, char **argv)
             }
         }
         writeJsonResults(opts.jsonPath, rows);
-        if (!opts.txStats.empty())
-            obs::writeTxStatsFile(opts.txStats, tx_rows);
+        if (!opts.obs.txStats.empty())
+            obs::writeTxStatsFile(opts.obs.txStats, tx_rows);
 
         std::vector<std::string> cols{"combo"};
         for (LogScheme s : schemes)

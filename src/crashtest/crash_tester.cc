@@ -146,57 +146,47 @@ recoverAllThreads(FullSystem &system, MemoryImage &image)
     return results;
 }
 
-CrashTestOptions
-crashTestOptionsFor(const BenchOptions &bench)
+CrashTestOptions::CrashTestOptions()
 {
-    CrashTestOptions ct;
-    ct.scale = bench.scale;
-    ct.initScale = bench.initScale;
-    ct.seed = bench.seed;
-    ct.jobs = bench.jobs;
-    ct.cycleSkip = bench.cycleSkip;
-    ct.faults = bench.faults;
-    ct.dram = bench.dram;
-    ct.overrides = bench.overrides;
-    return ct;
+    threads = 1;
+    scale = 250;
+    initScale = 100;
+    seed = 11;
+    jobs = 1;
+}
+
+CrashTestOptions::CrashTestOptions(const BenchOptions &run)
+    : BenchOptions(run), gen(run.genSpec())
+{
+    threads = 1;
+    jsonPath.clear();
 }
 
 std::string
 replayCommand(const CrashTestOptions &opts, const CrashPairResult &pair)
 {
-    std::ostringstream os;
-    os << "proteus-crashtest --schemes " << toString(pair.scheme)
-       << " --workloads " << toString(pair.workload) << " --seed "
-       << opts.seed << " --threads " << opts.threads << " --scale "
-       << opts.scale << " --init-scale " << opts.initScale;
-    if (pair.workload == WorkloadKind::Generated)
-        os << " --wl-spec " << opts.gen.canonical();
+    std::ostringstream mode;
     switch (opts.mode) {
       case CrashMode::Stride:
-        os << " --crash-stride "
-           << (opts.stride ? opts.stride : Tick{0});
+        mode << " --crash-stride " << opts.stride;
         if (opts.stride == 0)
-            os << " --sweep-points " << opts.autoPoints;
+            mode << " --sweep-points " << opts.autoPoints;
         break;
       case CrashMode::Points:
-        os << " --crash-at ";
+        mode << " --crash-at ";
         for (std::size_t i = 0; i < opts.points.size(); ++i)
-            os << (i ? "," : "") << opts.points[i];
+            mode << (i ? "," : "") << opts.points[i];
         break;
       case CrashMode::Fuzz:
-        os << " --fuzz " << opts.fuzzCount;
+        mode << " --fuzz " << opts.fuzzCount;
         break;
     }
     if (opts.breakRecovery)
-        os << " --break-recovery";
-    if (opts.dram)
-        os << " --dram";
-    if (opts.faults.enabled())
-        os << " --faults " << faults::canonicalFaultSpec(opts.faults);
-    // Overrides apply after the faults, in the order given.
-    for (const std::string &o : opts.overrides)
-        os << " --set " << o;
-    return os.str();
+        mode << " --break-recovery";
+    return std::string("proteus-crashtest --schemes ") +
+           toString(pair.scheme) + " --workloads " +
+           toString(pair.workload) +
+           runFlags(opts, pair.workload, opts.gen, mode.str());
 }
 
 namespace {
@@ -328,38 +318,17 @@ formatFailure(const CrashTestOptions &opts, FullSystem &sys,
     return os.str();
 }
 
-/** A bench run of @p opts' workload size, seed, machine switches
- *  (cycle skip, faults) and config (--dram, --set): the inverse of
- *  crashTestOptionsFor. Each pair's key, config and check repro line
- *  come from it. */
-BenchOptions
-benchOptionsFor(const CrashTestOptions &opts)
-{
-    BenchOptions bench;
-    bench.threads = opts.threads;
-    bench.scale = opts.scale;
-    bench.initScale = opts.initScale;
-    bench.seed = opts.seed;
-    bench.cycleSkip = opts.cycleSkip;
-    bench.faults = opts.faults;
-    bench.dram = opts.dram;
-    bench.overrides = opts.overrides;
-    return bench;
-}
-
-/** Run every crash point of one (scheme, workload) pair. */
+/** Run every crash point of @p key's (scheme, workload) pair on
+ *  @p cfg. */
 CrashPairResult
-runPair(const CrashTestOptions &opts, LogScheme scheme,
-        WorkloadKind kind)
+runPair(const CrashTestOptions &opts, const SystemConfig &cfg,
+        const TraceBundleKey &key)
 {
+    const LogScheme scheme = key.scheme;
+    const WorkloadKind kind = key.kind;
     CrashPairResult pair;
     pair.scheme = scheme;
     pair.workload = kind;
-
-    const BenchOptions bench = benchOptionsFor(opts);
-    const SystemConfig cfg = bench.makeConfig();
-    const TraceBundleKey key =
-        runKey(bench, cfg, kind, scheme, {LinkedListOptions{}, opts.gen});
 
     // The end-to-end serialize check replays each crash point's
     // committed prefix on a copy of the post-setup state, populated
@@ -388,7 +357,7 @@ runPair(const CrashTestOptions &opts, LogScheme scheme,
         SystemConfig ref_cfg = cfg;
         if (opts.check) {
             ref_cfg.analysis.check = true;
-            ref_cfg.analysis.repro = checkReproLine(key, bench);
+            ref_cfg.analysis.repro = checkReproLine(key, opts);
         }
         FullSystem reference(ref_cfg, bundle);
         const RunResult full = reference.run(runCycleLimit);
@@ -521,25 +490,26 @@ runCrashTests(const CrashTestOptions &opts, std::ostream &os)
         fatal("crashtest: need at least one scheme and one workload");
     if (opts.threads == 0)
         fatal("crashtest: need at least one thread");
-    // Reject a bad config before the first pair starts.
-    const SystemConfig cfg = benchOptionsFor(opts).makeConfig();
-    for (LogScheme scheme : opts.schemes)
-        cfg.validate(scheme);
+    // Pairs run side by side, so they write no observability files.
+    SystemConfig cfg = opts.makeConfig();
+    cfg.obs = {};
 
     CrashTestSummary summary;
     summary.pairs.resize(opts.schemes.size() * opts.workloads.size());
 
     ProgressReporter progress(os);
     std::vector<ParallelRunner::Task> tasks;
-    std::size_t slot = 0;
     for (const LogScheme scheme : opts.schemes) {
         for (const WorkloadKind kind : opts.workloads) {
-            const std::size_t i = slot++;
+            // runKey rejects a bad config before the first pair starts.
+            const TraceBundleKey key = runKey(
+                opts, cfg, kind, scheme, {LinkedListOptions{}, opts.gen});
+            const std::size_t i = tasks.size();
             std::string label = std::string(toString(scheme)) + " / " +
                                 toString(kind);
             tasks.push_back(ParallelRunner::Task{
-                std::move(label), [&opts, &summary, scheme, kind, i]() {
-                    summary.pairs[i] = runPair(opts, scheme, kind);
+                std::move(label), [&opts, &cfg, &summary, key, i]() {
+                    summary.pairs[i] = runPair(opts, cfg, key);
                 }});
         }
     }

@@ -50,25 +50,40 @@ enum class CrashMode
 
 const char *toString(CrashMode mode);
 
-/** Options of one crash-testing campaign. */
-struct CrashTestOptions
+/**
+ * Options of one crash-testing campaign: a bench run's settings (size,
+ * seed, machine, config, --check, --jobs, --json) plus the crash
+ * points. Every pair runs on the machine BenchOptions::makeConfig
+ * builds, with no observability outputs.
+ *
+ * With faults active (--faults) a crash point may legitimately lose
+ * data the media destroyed: such points are verdicted
+ * detectedUnrecoverable (acceptable) as long as the loss was flagged by
+ * ECC/poison; silent corruption is always a failure. With --check the
+ * persistency-order checker rides on each pair's reference run, and
+ * its violations count against the pair. Crash points are cycle
+ * numbers and cycle skipping clamps to them, so sweeps are
+ * bit-identical either way.
+ */
+struct CrashTestOptions : BenchOptions
 {
+    /** The campaign defaults: 1 thread (the byte-exact oracle needs
+     *  it), scale 250, init-scale 100, seed 11 and 1 job. */
+    CrashTestOptions();
+    /** A campaign on every setting of @p run (fault_sweep's), at 1
+     *  thread and without --json; the generated-workload spec is
+     *  @p run's genSpec(). */
+    explicit CrashTestOptions(const BenchOptions &run);
+
     std::vector<LogScheme> schemes;
     std::vector<WorkloadKind> workloads;
-    unsigned threads = 1;
-    unsigned scale = 250;
-    unsigned initScale = 100;
     /** Spec for WorkloadKind::Generated entries in `workloads`. */
     wlgen::GenSpec gen;
-    /** Workload seed and fuzz base seed; echoed in every report. */
-    std::uint64_t seed = 11;
     CrashMode mode = CrashMode::Stride;
     Tick stride = 0;                ///< Stride mode; 0 = auto
     unsigned autoPoints = 50;       ///< target points for auto stride
     std::vector<Tick> points;       ///< Points mode, cycles
     unsigned fuzzCount = 50;        ///< Fuzz mode draws per pair
-    unsigned jobs = 1;              ///< host workers over pairs
-    std::string jsonPath;           ///< "" = no JSON output
     std::size_t maxViolations = 8;  ///< materialized per crash point
     /**
      * Test-only hook: skip recovery so in-flight state survives into
@@ -77,25 +92,6 @@ struct CrashTestOptions
      */
     bool breakRecovery = false;
     bool checkSerialization = true; ///< committed-prefix replay compare
-    /** Arm the persistency-order checker (src/analysis) on each pair's
-     *  reference run; ordering violations count against the pair. */
-    bool check = false;
-    /** Quiescence-driven cycle skipping (see SystemConfig::cycleSkip).
-     *  Crash points are cycle numbers; skipping clamps to them via
-     *  run()'s limit, so sweeps are bit-identical either way. */
-    bool cycleSkip = true;
-    /**
-     * NVM media fault injection composed with the crash campaign
-     * (--faults / --fault-seed). With faults active a crash point may
-     * legitimately lose data the media destroyed — such points are
-     * verdicted detectedUnrecoverable (acceptable) as long as the loss
-     * was flagged by ECC/poison; silent corruption is always a failure.
-     */
-    faults::FaultConfig faults;
-    /** Config group (--dram, --set): the machine every pair runs on,
-     *  built the way BenchOptions::makeConfig builds it. */
-    bool dram = false;
-    std::vector<std::string> overrides;
 };
 
 /** Outcome of one crash point. */
@@ -169,13 +165,6 @@ std::vector<RecoveryResult> recoverAllThreads(FullSystem &system,
  */
 CrashTestSummary runCrashTests(const CrashTestOptions &opts,
                                std::ostream &os);
-
-/** A campaign at @p bench's workload size, seed, host settings,
- *  machine switches and config (scale, init-scale, seed, jobs, cycle
- *  skip, faults, --dram, --set); the caller picks schemes, workloads
- *  and the mode.
- *  Threads stay 1, which the byte-exact oracle requires. */
-CrashTestOptions crashTestOptionsFor(const BenchOptions &bench);
 
 /** The single command line that reproduces @p pair's campaign cell. */
 std::string replayCommand(const CrashTestOptions &opts,

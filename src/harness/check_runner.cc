@@ -58,27 +58,12 @@ runCheckImpl(LogScheme scheme, WorkloadKind kind,
 std::string
 checkReproLine(const TraceBundleKey &key, const BenchOptions &opts)
 {
-    std::ostringstream os;
-    os << "proteus-check run " << toString(key.kind)
-       << " --scheme " << toString(key.scheme)
-       << " --seed " << key.params.seed
-       << " --threads " << key.params.threads
-       << " --scale " << key.params.scale
-       << " --init-scale " << key.params.initScale;
-    if (key.kind == WorkloadKind::Generated)
-        os << " --wl-spec " << key.gen.canonical();
-    if (opts.dram)
-        os << " --dram";
-    if (opts.faults.enabled())
-        os << " --faults " << faults::canonicalFaultSpec(opts.faults);
-    // makeConfig applies the faults first and then the overrides in
-    // order, wherever the flags stood on the original command line.
-    for (const std::string &o : opts.overrides)
-        os << " --set " << o;
     // Cycle skipping and --jobs are result-invariant by design, so the
     // repro line omits them — and check JSON stays byte-identical
     // across both settings.
-    return os.str();
+    return std::string("proteus-check run ") + toString(key.kind) +
+           " --scheme " + toString(key.scheme) +
+           runFlags(opts, key.kind, key.gen);
 }
 
 std::vector<std::vector<cli::Option>>

@@ -44,9 +44,9 @@ struct MutationRow
 };
 
 /** The one-command repro line carried into every violation report:
- *  `proteus-check run` of @p key's workload, scheme and size, with
- *  @p opts' --dram, --faults and --set overrides (in the order given),
- *  so it rebuilds the same key and config. */
+ *  `proteus-check run` of @p key's workload and scheme with @p opts'
+ *  runFlags (@p key must come from runKey(opts, ...)), so it rebuilds
+ *  the same key and config. */
 std::string checkReproLine(const TraceBundleKey &key,
                            const BenchOptions &opts);
 

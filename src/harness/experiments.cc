@@ -8,6 +8,7 @@
 
 #include "harness/check_runner.hh"
 #include "harness/trace_cache.hh"
+#include "heap/persistent_heap.hh"
 #include "sim/logging.hh"
 
 namespace proteus {
@@ -20,8 +21,8 @@ BenchOptions::optionGroups()
             cli::machineOptions(cycleSkip, faults),
             cli::batchOptions(jobs, jsonPath),
             {cli::checkOption(check)},
-            cli::traceOptions(*this),
-            cli::txStatsOptions(*this)};
+            cli::traceOptions(obs),
+            cli::txStatsOptions(obs)};
 }
 
 cli::OptionTable
@@ -51,18 +52,10 @@ SystemConfig
 BenchOptions::makeConfig() const
 {
     SystemConfig cfg = dram ? dramConfig() : baselineConfig();
-    cfg.seed = seed;
     cfg.cycleSkip = cycleSkip;
-    if (statsInterval > 0 && statsOut.empty())
+    if (obs.statsInterval > 0 && obs.statsOut.empty())
         fatal("--stats-interval requires --stats-out FILE");
-    cfg.obs.statsInterval = statsInterval;
-    cfg.obs.statsOut = statsOut;
-    cfg.obs.traceEvents = traceEvents;
-    if (!traceEvents.empty())
-        cfg.obs.traceCategories =
-            TraceEventSink::parseCategories(traceCategories);
-    cfg.obs.txStats = txStats;
-    cfg.obs.txSlowest = txSlowest;
+    cfg.obs = obs;
     cfg.faults = faults;
     for (const std::string &o : overrides)
         cfg.applyOverride(o);
@@ -75,6 +68,16 @@ runKey(const BenchOptions &opts, const SystemConfig &cfg, WorkloadKind kind,
 {
     // Reject a bad config before anything is populated or recorded.
     cfg.validate(scheme);
+    // Each thread's log area comes out of the heap's log region, and
+    // ATOM's wiring carves a second one per core.
+    const unsigned areas = opts.threads * (scheme == LogScheme::ATOM ? 2 : 1);
+    const std::uint64_t region =
+        PersistentHeap::logLimit - PersistentHeap::logBase;
+    if (cfg.logging.logAreaBytes > region / areas)
+        fatal("logging.logAreaBytes (", cfg.logging.logAreaBytes,
+              ") x --threads (", opts.threads, ")",
+              scheme == LogScheme::ATOM ? " x 2 under ATOM" : "",
+              " exceeds the ", region >> 30, " GiB log region");
     TraceBundleKey key;
     key.kind = kind;
     key.scheme = scheme;
@@ -86,6 +89,27 @@ runKey(const BenchOptions &opts, const SystemConfig &cfg, WorkloadKind kind,
     key.llOpts = extras.ll;
     key.gen = extras.gen;
     return key;
+}
+
+std::string
+runFlags(const BenchOptions &opts, WorkloadKind kind,
+         const wlgen::GenSpec &gen, const std::string &mid)
+{
+    std::ostringstream os;
+    os << " --seed " << opts.seed << " --threads " << opts.threads
+       << " --scale " << opts.scale << " --init-scale " << opts.initScale;
+    if (kind == WorkloadKind::Generated)
+        os << " --wl-spec " << gen.canonical();
+    os << mid;
+    if (opts.dram)
+        os << " --dram";
+    if (opts.faults.enabled())
+        os << " --faults " << faults::canonicalFaultSpec(opts.faults);
+    // makeConfig applies the faults first and then the overrides in
+    // order, wherever the flags stood on the original command line.
+    for (const std::string &o : opts.overrides)
+        os << " --set " << o;
+    return os.str();
 }
 
 obs::TxStatsRow

@@ -32,15 +32,10 @@ struct BenchOptions
     bool cycleSkip = true;      ///< --no-cycle-skip to force per-cycle
     std::vector<std::string> overrides;
 
-    /// @name Observability (see ObservabilityConfig)
-    /// @{
-    Tick statsInterval = 0;     ///< --stats-interval N (0 = off)
-    std::string statsOut;       ///< --stats-out FILE
-    std::string traceEvents;    ///< --trace-events FILE
-    std::string traceCategories = "all";    ///< --trace-categories spec
-    std::string txStats;        ///< --tx-stats FILE (flight recorder)
-    std::uint64_t txSlowest = 8;    ///< --tx-slowest K timelines
-    /// @}
+    /** The trace and tx-stats flags (--stats-interval, --stats-out,
+     *  --trace-events, --trace-categories, --tx-stats, --tx-slowest);
+     *  makeConfig copies them into the run's config. */
+    ObservabilityConfig obs;
 
     /// @name Generated workload (WorkloadKind::Generated)
     /// @{
@@ -85,11 +80,22 @@ struct BenchOptions
  * @p extras. Every front end builds its keys here; FullSystem takes the
  * machine's scheme, persistency domain, core count and log-area size
  * from the key. Throws FatalError if @p cfg fails
- * SystemConfig::validate under @p scheme.
+ * SystemConfig::validate under @p scheme, or if the threads' log areas
+ * (two per thread under ATOM) outgrow PersistentHeap's log region.
  */
 TraceBundleKey runKey(const BenchOptions &opts, const SystemConfig &cfg,
                       WorkloadKind kind, LogScheme scheme,
                       const WorkloadExtras &extras = {});
+
+/**
+ * The flags that rebuild a run of @p opts on @p kind, as both repro
+ * lines print them (checkReproLine, replayCommand): --seed, --threads,
+ * --scale and --init-scale, --wl-spec @p gen for a generated workload,
+ * then @p mid (the caller's own flags), then --dram, --faults and every
+ * --set in the order given. Each flag comes with a leading space.
+ */
+std::string runFlags(const BenchOptions &opts, WorkloadKind kind,
+                     const wlgen::GenSpec &gen, const std::string &mid = "");
 
 /** Run one (scheme, workload) pair to completion. When cfg.obs.txStats
  *  names a file and the run produced a flight-recorder summary, the

@@ -4,7 +4,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "harness/experiments.hh"
 #include "sim/trace_events.hh"
 
 namespace proteus {
@@ -310,39 +309,37 @@ checkMutateOption(long &seed)
 }
 
 std::vector<Option>
-traceOptions(BenchOptions &opts)
+traceOptions(ObservabilityConfig &obs)
 {
     return {
         number("--stats-interval", "N",
                "sample scalar-stat deltas every N cycles into --stats-out; "
                "0 = off",
-               opts.statsInterval),
+               obs.statsInterval),
         text("--stats-out", "FILE", "interval time series (.json or .csv)",
-             opts.statsOut),
+             obs.statsOut),
         text("--trace-events", "FILE",
              "Chrome Trace Event JSON (load in ui.perfetto.dev)",
-             opts.traceEvents),
+             obs.traceEvents),
         {"--trace-categories", "LIST",
-         "comma list of cpu,memctrl,log,lock,faults,all",
-         opts.traceCategories,
-         [&opts](const std::string &v) {
-             TraceEventSink::parseCategories(v);    // reject it here
-             opts.traceCategories = v;
+         "comma list of cpu,memctrl,log,lock,faults,all", "all",
+         [&obs](const std::string &v) {
+             obs.traceCategories = TraceEventSink::parseCategories(v);
          }},
     };
 }
 
 std::vector<Option>
-txStatsOptions(BenchOptions &opts)
+txStatsOptions(ObservabilityConfig &obs)
 {
     return {
         text("--tx-stats", "FILE",
              "transaction flight-recorder summary (.json or .csv; see "
              "proteus-txstats)",
-             opts.txStats),
+             obs.txStats),
         number("--tx-slowest", "K",
                "keep full timelines for the K slowest transactions",
-               opts.txSlowest),
+               obs.txSlowest),
     };
 }
 

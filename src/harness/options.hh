@@ -25,9 +25,6 @@
 #include "wlgen/spec.hh"
 
 namespace proteus {
-
-struct BenchOptions;
-
 namespace cli {
 
 /** One command-line flag. */
@@ -139,9 +136,9 @@ std::vector<Option> machineOptions(bool &cycleSkip,
 /** --jobs, --json FILE */
 std::vector<Option> batchOptions(unsigned &jobs, std::string &jsonPath);
 /** --stats-interval, --stats-out, --trace-events, --trace-categories */
-std::vector<Option> traceOptions(BenchOptions &opts);
+std::vector<Option> traceOptions(ObservabilityConfig &obs);
 /** --tx-stats, --tx-slowest */
-std::vector<Option> txStatsOptions(BenchOptions &opts);
+std::vector<Option> txStatsOptions(ObservabilityConfig &obs);
 Option checkOption(bool &check);
 /** --check-mutate N: the mutation campaign's seed (-1 = off) */
 Option checkMutateOption(long &seed);

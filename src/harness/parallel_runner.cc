@@ -204,7 +204,7 @@ runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
                                          results[i].wallMs});
         writeJsonResults(opts.jsonPath, rows);
     }
-    if (!opts.txStats.empty()) {
+    if (!opts.obs.txStats.empty()) {
         // The runner suppressed the per-job files (see run()).
         std::vector<obs::TxStatsRow> rows;
         rows.reserve(jobs.size());
@@ -214,7 +214,7 @@ runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
                 runKey(opts, job.cfg, job.kind, job.scheme, job.extras),
                 results[i].result));
         }
-        obs::writeTxStatsFile(opts.txStats, rows);
+        obs::writeTxStatsFile(opts.obs.txStats, rows);
     }
     return results;
 }

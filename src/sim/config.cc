@@ -108,7 +108,9 @@ SystemConfig::applyOverride(const std::string &spec)
     };
 
     // No key sets the scheme, the persistency domain or the core count:
-    // a run takes those from its trace bundle's key (FullSystem).
+    // a run takes those from its trace bundle's key (FullSystem). Cycle
+    // skipping and the tx-stats timelines have their own flags
+    // (--no-cycle-skip, --tx-slowest) and no key.
     if (key == "cpu.robEntries") num(cpu.robEntries);
     else if (key == "cpu.issueQueueEntries") num(cpu.issueQueueEntries);
     else if (key == "cpu.loadQueueEntries") num(cpu.loadQueueEntries);
@@ -140,8 +142,6 @@ SystemConfig::applyOverride(const std::string &spec)
     else if (key == "faults.retryBackoffBase") num(faults.retryBackoffBase);
     else if (key == "faults.seed") num(faults.seed);
     else if (key == "obs.traceRingEntries") num(obs.traceRingEntries);
-    else if (key == "obs.txSlowest") num(obs.txSlowest);
-    else if (key == "cycleSkip") cycleSkip = as_bool();
     else
         fatal("unknown config override key: ", key);
 }

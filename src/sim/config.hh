@@ -215,6 +215,8 @@ struct SystemConfig
     faults::FaultConfig faults;
     /** Persistency-order checker wiring (src/analysis/). */
     AnalysisConfig analysis;
+    /** Read by nothing: a run's seed lives in its trace bundle's key.
+     *  Kept while perfbench's driver still assigns it. */
     std::uint64_t seed = 1;
     /**
      * Quiescence-driven cycle skipping in the simulation kernel. On by

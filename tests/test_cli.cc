@@ -603,6 +603,73 @@ TEST(CliContract, RunIdentityKeysAreRejected)
     }
 }
 
+TEST(CliContract, FlagSpelledSettingsHaveNoSetKey)
+{
+    // Cycle skipping and the tx-stats timelines are --no-cycle-skip and
+    // --tx-slowest; a second spelling under --set is gone.
+    for (const char *spec : {"cycleSkip=false", "obs.txSlowest=4"}) {
+        SCOPED_TRACE(spec);
+        const Outcome out =
+            tool(std::string("proteus-sim run QE --set ") + spec);
+        EXPECT_EQ(out.status, 2) << out.output;
+        const std::string key(spec, std::strchr(spec, '='));
+        EXPECT_NE(out.output.find("fatal: unknown config override key: " +
+                                  key),
+                  std::string::npos)
+            << out.output;
+    }
+}
+
+TEST(CliContract, LogAreasMustFitTheLogRegion)
+{
+    // threads x logging.logAreaBytes (twice that under ATOM, whose
+    // wiring adds an area per core) must fit PersistentHeap's 1 GiB
+    // log region. Too much died mid-run, after the "running" banner,
+    // with a fatal that named the heap rather than the key.
+    constexpr std::uint64_t region = 1ull << 30;
+    for (const LogScheme scheme : {LogScheme::PMEM, LogScheme::ATOM}) {
+        SCOPED_TRACE(toString(scheme));
+        BenchOptions opts;
+        opts.threads = 32;
+        const std::uint64_t fits =
+            region / (opts.threads * (scheme == LogScheme::ATOM ? 2 : 1));
+        SystemConfig cfg = baselineConfig();
+        cfg.logging.logAreaBytes = fits;
+        EXPECT_EQ(runKey(opts, cfg, WorkloadKind::Queue, scheme)
+                      .params.logAreaBytes,
+                  fits);
+        cfg.logging.logAreaBytes = fits + 64;
+        try {
+            runKey(opts, cfg, WorkloadKind::Queue, scheme);
+            ADD_FAILURE() << "accepted " << fits + 64;
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("logging.logAreaBytes"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("--threads"), std::string::npos) << what;
+        }
+    }
+
+    // The bound is exact: ATOM at two threads fills the region.
+    BenchOptions opts;
+    opts.scale = 2000;
+    opts.initScale = 100;
+    opts.threads = 2;
+    opts.overrides = {"logging.logAreaBytes=" + std::to_string(region / 4)};
+    EXPECT_TRUE(runExperiment(opts.makeConfig(), LogScheme::ATOM,
+                              WorkloadKind::Queue, opts)
+                    .finished);
+
+    const Outcome out = tool(
+        "proteus-sim run QE --threads 32 --set logging.logAreaBytes=67108864");
+    EXPECT_EQ(out.status, 2) << out.output;
+    EXPECT_NE(out.output.find("fatal: logging.logAreaBytes (67108864) x "
+                              "--threads (32)"),
+              std::string::npos)
+        << out.output;
+    EXPECT_EQ(out.output.find("running"), std::string::npos) << out.output;
+}
+
 TEST(CliContract, LogAreaOverrideReachesEveryRun)
 {
     // proteus-sim run and crash built their keys with the default log

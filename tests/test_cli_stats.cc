@@ -105,7 +105,7 @@ TEST(BenchOptionsParse, RecognizesAllFlags)
         "prog",
         "--scale", "25", "--init-scale", "4", "--threads", "2",
         "--seed", "9",
-        "--dram", "--set", "cycleSkip=true",
+        "--dram", "--set", "obs.traceRingEntries=1024",
         "--no-cycle-skip", "--faults", "torn=0.01", "--fault-seed", "7",
         "--jobs", "3", "--json", "rows.json",
         "--check",
@@ -136,12 +136,12 @@ TEST(BenchOptionsParse, RecognizesAllFlags)
     EXPECT_EQ(opts.jobs, 3u);
     EXPECT_EQ(opts.jsonPath, "rows.json");
     EXPECT_TRUE(opts.check);
-    EXPECT_EQ(opts.statsInterval, 1000u);
-    EXPECT_EQ(opts.statsOut, "iv.json");
-    EXPECT_EQ(opts.traceEvents, "trace.json");
-    EXPECT_EQ(opts.traceCategories, "cpu,log");
-    EXPECT_EQ(opts.txStats, "tx.json");
-    EXPECT_EQ(opts.txSlowest, 5u);
+    EXPECT_EQ(opts.obs.statsInterval, 1000u);
+    EXPECT_EQ(opts.obs.statsOut, "iv.json");
+    EXPECT_EQ(opts.obs.traceEvents, "trace.json");
+    EXPECT_EQ(opts.obs.traceCategories, unsigned{TraceCatCpu | TraceCatLog});
+    EXPECT_EQ(opts.obs.txStats, "tx.json");
+    EXPECT_EQ(opts.obs.txSlowest, 5u);
     EXPECT_EQ(opts.wlSpec, "keys=4");
     EXPECT_EQ(opts.wlSpecFile, "base.spec");
     EXPECT_EQ(opts.checkMutate, 6);
@@ -151,10 +151,12 @@ TEST(BenchOptionsParse, RecognizesAllFlags)
 
     const SystemConfig cfg = opts.makeConfig();
     EXPECT_FALSE(cfg.mem.nvmMode);      // --dram
-    EXPECT_TRUE(cfg.cycleSkip);         // --set applies after the flags
-    EXPECT_EQ(cfg.seed, 9u);
+    EXPECT_FALSE(cfg.cycleSkip);
     EXPECT_EQ(cfg.faults.seed, 7u);
     EXPECT_EQ(cfg.obs.txSlowest, 5u);
+    // --set applies after the flags' obs block.
+    EXPECT_EQ(cfg.obs.traceRingEntries, 1024u);
+    EXPECT_EQ(cfg.obs.traceEvents, "trace.json");
 }
 
 TEST(BenchOptionsParse, ObservabilityFlags)

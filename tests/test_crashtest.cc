@@ -53,28 +53,71 @@ slurp(const std::string &path)
 
 } // namespace
 
-TEST(CrashTestOptionsFor, ForwardsTheBenchRunsSizeSeedAndHost)
+TEST(FaultSweepCampaign, CarriesEveryRunSettingAtOneThreadWithoutJson)
 {
+    // fault_sweep builds its campaigns this way. A field-by-field copy
+    // once dropped --init-scale, and later --set and --dram.
     BenchOptions bench;
     bench.scale = 2000;
-    bench.initScale = 50;   // fault_sweep once dropped this one
+    bench.initScale = 50;
     bench.threads = 4;
     bench.seed = 9;
     bench.jobs = 3;
+    bench.jsonPath = "rows.json";
     bench.cycleSkip = false;
+    bench.check = true;
+    bench.checkMutate = 2;
     bench.faults = faults::parseFaultSpec("torn=0.01");
     bench.dram = true;
     bench.overrides = {"memCtrl.wpqEntries=8", "logging.logQEntries=4"};
-    const CrashTestOptions ct = crashTestOptionsFor(bench);
+    bench.wlSpec = "keys=4";
+    bench.obs.traceEvents = "trace.json";
+    bench.obs.txStats = "tx.json";
+    const CrashTestOptions ct(bench);
+    EXPECT_EQ(ct.threads, 1u);  // the byte-exact oracle needs one core
+    EXPECT_EQ(ct.jsonPath, "");
     EXPECT_EQ(ct.scale, 2000u);
     EXPECT_EQ(ct.initScale, 50u);
-    EXPECT_EQ(ct.threads, 1u);  // the byte-exact oracle needs one core
     EXPECT_EQ(ct.seed, 9u);
     EXPECT_EQ(ct.jobs, 3u);
     EXPECT_FALSE(ct.cycleSkip);
+    EXPECT_TRUE(ct.check);
+    EXPECT_EQ(ct.checkMutate, 2);
     EXPECT_EQ(ct.faults.tornWriteRate, 0.01);
     EXPECT_TRUE(ct.dram);
     EXPECT_EQ(ct.overrides, bench.overrides);
+    EXPECT_EQ(ct.wlSpec, "keys=4");
+    EXPECT_EQ(ct.gen.canonical(), bench.genSpec().canonical());
+    EXPECT_EQ(ct.obs.traceEvents, "trace.json");
+    EXPECT_EQ(ct.obs.txStats, "tx.json");
+    // The campaign defaults stay those of a fresh campaign.
+    const CrashTestOptions fresh;
+    EXPECT_EQ(ct.mode, fresh.mode);
+    EXPECT_EQ(ct.autoPoints, fresh.autoPoints);
+    EXPECT_TRUE(ct.checkSerialization);
+}
+
+TEST(CrashCampaign, WritesNoObservabilityFiles)
+{
+    // Pairs run side by side on one config, so a trace, interval or
+    // tx-stats file would be written by every pair to one path.
+    const std::string dir = ::testing::TempDir();
+    const std::string files[] = {dir + "campaign_trace.json",
+                                 dir + "campaign_iv.json",
+                                 dir + "campaign_tx.json"};
+    for (const std::string &f : files)
+        std::remove(f.c_str());
+    CrashTestOptions opts = smallCampaign();
+    opts.schemes = {LogScheme::Proteus};
+    opts.autoPoints = 2;
+    opts.obs.traceEvents = files[0];
+    opts.obs.statsInterval = 1000;
+    opts.obs.statsOut = files[1];
+    opts.obs.txStats = files[2];
+    std::ostringstream log;
+    EXPECT_TRUE(runCrashTests(opts, log).ok) << log.str();
+    for (const std::string &f : files)
+        EXPECT_FALSE(std::ifstream(f).good()) << f;
 }
 
 // ---------------------------------------------------------------------

@@ -55,9 +55,8 @@ const std::vector<std::string> numberKeys = {
     "faults.retryBackoffBase",
     "faults.seed",
     "obs.traceRingEntries",
-    "obs.txSlowest",
 };
-const std::vector<std::string> boolKeys = {"mem.nvmMode", "cycleSkip"};
+const std::vector<std::string> boolKeys = {"mem.nvmMode"};
 const std::vector<std::string> edgeValues = {"0",  "1",   "3",   "63",
                                              "64", "100", "4096"};
 

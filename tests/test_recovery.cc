@@ -17,6 +17,7 @@
 #include <memory>
 #include <tuple>
 
+#include "crashtest/crash_tester.hh"
 #include "harness/system.hh"
 #include "recovery/recovery.hh"
 #include "sim/logging.hh"
@@ -34,36 +35,6 @@ crashParams(unsigned threads)
     p.initScale = 100;
     p.seed = 11;
     return p;
-}
-
-/** Run recovery for every thread of @p system against @p image. */
-void
-recoverAll(FullSystem &system, MemoryImage &image)
-{
-    const LogScheme scheme = system.config().logging.scheme;
-    for (unsigned t = 0; t < system.coreCount(); ++t) {
-        TraceBuilder &tb = system.workload().builder(t);
-        switch (scheme) {
-          case LogScheme::PMEM:
-          case LogScheme::PMEMPCommit:
-            Recovery::recoverSoftware(image, tb.logAreaStart(),
-                                      tb.logAreaEnd(),
-                                      tb.logFlagAddr());
-            break;
-          case LogScheme::Proteus:
-          case LogScheme::ProteusNoLWR:
-            Recovery::recoverProteus(image, tb.logAreaStart(),
-                                     tb.logAreaEnd());
-            break;
-          case LogScheme::ATOM: {
-            const auto [start, end] = system.atomLogArea(t);
-            Recovery::recoverAtom(image, start, end);
-            break;
-          }
-          case LogScheme::PMEMNoLog:
-            break;      // not failure-safe by design
-        }
-    }
 }
 
 using CrashCase = std::tuple<LogScheme, WorkloadKind, unsigned>;
@@ -91,7 +62,7 @@ TEST_P(CrashRecovery, RecoversToAConsistentCommittedPrefix)
     FullSystem crashed(cfg, kind, params);
     crashed.runFor(crash_at);
     MemoryImage image = crashed.crashImage();
-    recoverAll(crashed, image);
+    recoverAllThreads(crashed, image);
 
     // (1) No torn transactions.
     const std::string err =
@@ -153,7 +124,7 @@ TEST_P(CrashRecoveryMulti, InvariantsHoldAfterMultiThreadCrash)
     FullSystem crashed(cfg, WorkloadKind::AvlTree, params);
     crashed.runFor(full.cycles * crash_percent / 100);
     MemoryImage image = crashed.crashImage();
-    recoverAll(crashed, image);
+    recoverAllThreads(crashed, image);
     const std::string err =
         crashed.workload().checkInvariants(image);
     EXPECT_TRUE(err.empty()) << err;
@@ -478,7 +449,7 @@ TEST(CrashAtCommitPoint, DurableCommitCycleKeepsTheTransaction)
     EXPECT_GE(committed, k + 1);
 
     MemoryImage image = crashed.crashImage();
-    recoverAll(crashed, image);
+    recoverAllThreads(crashed, image);
     EXPECT_TRUE(crashed.workload().checkInvariants(image).empty());
 
     PersistentHeap replay_heap;

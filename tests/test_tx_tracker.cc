@@ -329,12 +329,12 @@ TEST(TxStats, FileBitIdenticalAcrossCycleSkip)
         testing::TempDir() + "/proteus_txstats_noskip.json";
 
     BenchOptions opts = tinyOptions();
-    opts.txStats = path_skip;
+    opts.obs.txStats = path_skip;
     SystemConfig cfg = opts.makeConfig();
     runExperiment(cfg, LogScheme::Proteus, WorkloadKind::Queue, opts);
 
     opts.cycleSkip = false;
-    opts.txStats = path_noskip;
+    opts.obs.txStats = path_noskip;
     cfg = opts.makeConfig();
     runExperiment(cfg, LogScheme::Proteus, WorkloadKind::Queue, opts);
 

@@ -56,8 +56,6 @@ main(int argc, char **argv)
         CrashTestOptions opts;
         opts.schemes = allSchemes();
         opts.workloads = parseWorkloads("all");
-        std::string wlSpec;
-        std::string wlSpecFile;
 
         using namespace cli;
         OptionTable(programName(argv[0]) + " [options]",
@@ -102,7 +100,7 @@ main(int argc, char **argv)
                   }})
             .add(sizeOptions(opts.scale, opts.initScale, opts.threads,
                              opts.seed))
-            .add(specOptions(wlSpec, wlSpecFile))
+            .add(specOptions(opts.wlSpec, opts.wlSpecFile))
             .add(batchOptions(opts.jobs, opts.jsonPath))
             .add(checkOption(opts.check))
             .add(number("--max-violations", "N",
@@ -117,7 +115,7 @@ main(int argc, char **argv)
                       "testing hook: skip recovery (expect violations)",
                       opts.breakRecovery))
             .parse(argc, argv);
-        opts.gen = genSpecFrom(wlSpec, wlSpecFile);
+        opts.gen = opts.genSpec();
 
         std::cout << "crash-testing " << opts.schemes.size()
                   << " schemes x " << opts.workloads.size()

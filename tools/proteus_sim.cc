@@ -75,8 +75,8 @@ reportRun(FullSystem &system, const RunResult &r, const BenchOptions &opts,
     std::cout << "kernel steps:       " << system.sim().kernelSteps()
               << " (" << system.sim().skippedCycles()
               << " cycles skipped)\n";
-    if (!opts.txStats.empty() && r.txStats)
-        obs::writeTxStatsFile(opts.txStats, {makeTxStatsRow(key, r)});
+    if (!opts.obs.txStats.empty() && r.txStats)
+        obs::writeTxStatsFile(opts.obs.txStats, {makeTxStatsRow(key, r)});
     bool ok = r.finished;
     if (opts.check && r.check) {
         std::cout << formatCheckReport(
@@ -131,8 +131,8 @@ cmdRun(WorkloadKind kind, const CliExtras &extras,
         // Seeded mutation campaign: every armed rule must catch its
         // own injected violation (see tools/proteus-check). It runs one
         // simulation per rule, in parallel, so no per-run output applies.
-        if (extras.stats || extras.json || !opts.statsOut.empty() ||
-            !opts.traceEvents.empty() || !opts.txStats.empty())
+        if (extras.stats || extras.json || !opts.obs.statsOut.empty() ||
+            !opts.obs.traceEvents.empty() || !opts.obs.txStats.empty())
             fatal("--check-mutate: the campaign takes no --stats, --json, "
                   "--stats-out, --trace-events or --tx-stats");
         ProgressReporter progress(std::cerr);
@@ -289,8 +289,8 @@ main(int argc, char **argv)
     const std::vector<Option> config = configOptions(opts.dram, opts.overrides);
     const std::vector<Option> machine =
         machineOptions(opts.cycleSkip, opts.faults);
-    const std::vector<Option> trace = traceOptions(opts);
-    const std::vector<Option> txStats = txStatsOptions(opts);
+    const std::vector<Option> trace = traceOptions(opts.obs);
+    const std::vector<Option> txStats = txStatsOptions(opts.obs);
     const Option check = checkOption(opts.check);
 
     return dispatch(argc, argv, {
