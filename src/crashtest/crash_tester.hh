@@ -51,19 +51,14 @@ enum class CrashMode
 const char *toString(CrashMode mode);
 
 /**
- * Options of one crash-testing campaign: a bench run's settings (size,
- * seed, machine, config, --check, --jobs, --json) plus the crash
- * points. Every pair runs on the machine BenchOptions::makeConfig
- * builds, with no observability outputs.
- *
- * With faults active (--faults) a crash point may legitimately lose
- * data the media destroyed: such points are verdicted
- * detectedUnrecoverable (acceptable) as long as the loss was flagged by
- * ECC/poison; silent corruption is always a failure. With --check the
- * persistency-order checker rides on each pair's reference run, and
- * its violations count against the pair. Crash points are cycle
- * numbers and cycle skipping clamps to them, so sweeps are
- * bit-identical either way.
+ * Options of one crash-testing campaign: a bench run's settings plus
+ * its crash points. Every pair runs on the machine makeConfig builds,
+ * without observability outputs. With --faults a crash point may lose
+ * data the media destroyed: it is verdicted detectedUnrecoverable
+ * (acceptable) when ECC/poison flagged the loss; silent corruption
+ * always fails. --check arms the persistency-order checker on each
+ * pair's reference run. Cycle skipping clamps to the crash points, so
+ * sweeps are bit-identical either way.
  */
 struct CrashTestOptions : BenchOptions
 {
