@@ -1,29 +1,41 @@
 /**
  * @file
- * proteus-bench: the paper's evaluation, one command per figure, table
- * or ablation.
+ * proteus-bench: the paper's evaluation and the sweeps beyond it, one
+ * command per batch.
  *
  *   proteus-bench fig06 .. fig12 [options]     Figures 6-12
  *   proteus-bench table3 | table4 [options]    Tables 3 and 4
  *   proteus-bench ablation-lwr | ablation-llt [options]
  *   proteus-bench all [options]                every one, in table order
+ *   proteus-bench gen-sweep [options]          skew x tx size, generated
+ *   proteus-bench fault-sweep [options]        media faults x crashes
  *
- * `all` runs the commands in one process, so each workload is populated
- * and each trace recorded once for the whole suite (TraceCache). Its
- * stdout is the commands' stdouts concatenated. Every command runs on
- * its own copy of the parsed options, so one figure's config change
- * (fig09's slow NVM writes, fig10's DRAM timing) never reaches the next.
+ * `all` runs the figures, tables and ablations in one process, so each
+ * workload is populated and each trace recorded once for the whole
+ * suite (TraceCache). Its stdout is the commands' stdouts concatenated.
+ * Every command runs on its own copy of the parsed options, so one
+ * figure's config change (fig09's slow NVM writes, fig10's DRAM timing)
+ * never reaches the next. Every batch goes through runBatch, which
+ * names each --json and --tx-stats row after its job: a batch that
+ * repeats a (scheme, workload) pair names what it varies ("QE LogQ=4").
  */
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
+#include <iomanip>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "crashtest/crash_tester.hh"
+#include "faults/fault_config.hh"
 #include "harness/experiments.hh"
 #include "harness/parallel_runner.hh"
+#include "sim/json_util.hh"
+#include "wlgen/spec.hh"
 
 using namespace proteus;
 
@@ -52,8 +64,7 @@ runMatrix(const BenchOptions &opts, const std::vector<LogScheme> &schemes)
     jobs.reserve(schemes.size() * workloads.size());
     for (LogScheme s : schemes) {
         for (WorkloadKind w : workloads)
-            jobs.push_back(SimJob{opts.makeConfig(), s, w, {},
-                                  jobLabel(s, w)});
+            jobs.push_back(SimJob{opts.makeConfig(), s, w});
     }
     const auto outcomes = runBatch(opts, jobs);
 
@@ -150,18 +161,15 @@ printKnobSweep(const BenchOptions &opts, const std::string &knob,
 {
     const auto workloads = allPaperWorkloads();
     std::vector<SimJob> jobs;
-    for (WorkloadKind w : workloads) {
-        jobs.push_back(SimJob{opts.makeConfig(), LogScheme::PMEM, w, {},
-                              std::string("baseline PMEM / ") +
-                                  toString(w)});
-    }
+    for (WorkloadKind w : workloads)
+        jobs.push_back(SimJob{opts.makeConfig(), LogScheme::PMEM, w});
     for (unsigned v : values) {
         for (WorkloadKind w : workloads) {
             SystemConfig cfg = opts.makeConfig();
             apply(cfg, v);
             jobs.push_back(SimJob{cfg, LogScheme::Proteus, w, {},
-                                  knob + "=" + std::to_string(v) + " / " +
-                                      toString(w)});
+                                  std::string(toString(w)) + " " + knob +
+                                      "=" + std::to_string(v)});
         }
     }
     const auto results = runBatch(opts, jobs);
@@ -442,8 +450,10 @@ table3(const BenchOptions &opts)
         for (LogScheme s : schemes) {
             jobs.push_back(SimJob{opts.makeConfig(), s,
                                   WorkloadKind::LinkedList, extras,
-                                  "elements=" + std::to_string(elements) +
-                                      " " + toString(s)});
+                                  std::string(toString(
+                                      WorkloadKind::LinkedList)) +
+                                      " elements=" +
+                                      std::to_string(elements)});
         }
     }
     const auto results = runBatch(opts, jobs);
@@ -482,10 +492,8 @@ table4(const BenchOptions &opts)
 
     const auto workloads = allPaperWorkloads();
     std::vector<SimJob> jobs;
-    for (WorkloadKind w : workloads) {
-        jobs.push_back(SimJob{opts.makeConfig(), LogScheme::Proteus, w, {},
-                              toString(w)});
-    }
+    for (WorkloadKind w : workloads)
+        jobs.push_back(SimJob{opts.makeConfig(), LogScheme::Proteus, w});
     const auto results = runBatch(opts, jobs);
 
     TablePrinter table({"benchmark", "miss rate", "paper"});
@@ -515,8 +523,7 @@ ablationLwr(const BenchOptions &opts)
     std::vector<SimJob> jobs;
     for (WorkloadKind w : workloads) {
         for (LogScheme s : {LogScheme::Proteus, LogScheme::ProteusNoLWR})
-            jobs.push_back(SimJob{opts.makeConfig(), s, w, {},
-                                  jobLabel(s, w)});
+            jobs.push_back(SimJob{opts.makeConfig(), s, w});
     }
     const auto results = runBatch(opts, jobs);
 
@@ -556,11 +563,10 @@ ablationLlt(const BenchOptions &opts)
         SystemConfig cfg = opts.makeConfig();
         cfg.logging.lltEntries = entries;
         cfg.logging.lltWays = std::min(entries, 8u);
-        const std::string llt = "LLT=" + std::to_string(entries);
-        jobs.push_back(SimJob{cfg, LogScheme::Proteus, WorkloadKind::Queue,
-                              {}, llt + " QE"});
-        jobs.push_back(SimJob{cfg, LogScheme::Proteus, WorkloadKind::RbTree,
-                              {}, llt + " RT"});
+        for (WorkloadKind w : {WorkloadKind::Queue, WorkloadKind::RbTree})
+            jobs.push_back(SimJob{cfg, LogScheme::Proteus, w, {},
+                                  std::string(toString(w)) + " LLT=" +
+                                      std::to_string(entries)});
     }
     const auto results = runBatch(opts, jobs);
 
@@ -605,6 +611,288 @@ const Experiment experiments[] = {
     {"ablation-llt", "LLT size sweep", ablationLlt},
 };
 
+/**
+ * Generated-workload sweep: skew (Zipfian theta) x transaction size
+ * (keys per transaction) x every logging scheme, over one GenSpec base
+ * (--wl-spec/--wl-spec-file). This is the missing axis of the paper's
+ * evaluation: Table 2 fixes both the contention profile and the
+ * transaction footprint per workload; here each one is a knob. Each
+ * combo's rows carry its name, e.g. "gen(t0.9,k4)".
+ */
+void
+genSweep(const BenchOptions &opts, const std::vector<std::string> &thetas,
+         const std::vector<std::string> &txKeys)
+{
+    const wlgen::GenSpec base = opts.genSpec();
+    const std::vector<LogScheme> schemes = allSchemes();
+
+    // One combo per (theta, keys-per-tx); each parses on top of the base
+    // spec so --wl-spec still controls mix/value size/key space.
+    std::vector<std::string> combos;
+    std::vector<SimJob> jobs;
+    for (const std::string &theta : thetas) {
+        for (const std::string &keys : txKeys) {
+            combos.push_back("gen(t" + theta + ",k" + keys + ")");
+            WorkloadExtras extras;
+            extras.gen = wlgen::GenSpec::parse(
+                "dist=zipf,theta=" + theta + ",keys=" + keys, base);
+            for (LogScheme s : schemes)
+                jobs.push_back(SimJob{opts.makeConfig(), s,
+                                      WorkloadKind::Generated, extras,
+                                      combos.back()});
+        }
+    }
+
+    std::cout << "generated-workload sweep: " << thetas.size()
+              << " thetas x " << txKeys.size() << " tx sizes x "
+              << schemes.size() << " schemes\n"
+              << "base spec: " << base.canonical() << "\n"
+              << "scale=" << opts.scale << " threads=" << opts.threads
+              << "\n\n";
+    const auto results = runBatch(opts, jobs);
+
+    std::vector<std::string> cols{"combo"};
+    for (LogScheme s : schemes)
+        cols.push_back(toString(s));
+    TablePrinter cycles(cols);
+    std::cout << "cycles per (combo, scheme)\n";
+    cycles.printHeader(std::cout);
+    for (std::size_t c = 0; c < combos.size(); ++c) {
+        std::vector<std::string> cells{combos[c]};
+        for (std::size_t s = 0; s < schemes.size(); ++s)
+            cells.push_back(std::to_string(
+                results[c * schemes.size() + s].result.cycles));
+        cycles.printRow(std::cout, cells);
+    }
+
+    TablePrinter speedup(cols);
+    std::cout << "\nspeedup over PMEM\n";
+    speedup.printHeader(std::cout);
+    for (std::size_t c = 0; c < combos.size(); ++c) {
+        const double pmem = static_cast<double>(
+            results[c * schemes.size()].result.cycles);
+        std::vector<std::string> cells{combos[c]};
+        for (std::size_t s = 0; s < schemes.size(); ++s)
+            cells.push_back(TablePrinter::fmt(
+                pmem / static_cast<double>(
+                           results[c * schemes.size() + s].result.cycles)));
+        speedup.printRow(std::cout, cells);
+    }
+    if (!opts.jsonPath.empty())
+        std::cout << "\nwrote " << opts.jsonPath << "\n";
+}
+
+/** One named fault intensity; spec "" is the fault-free baseline. */
+struct FaultTier
+{
+    const char *name;
+    const char *spec;
+};
+
+constexpr FaultTier faultTiers[] = {
+    {"off", ""},
+    {"low", "torn=0.001,readflip=0.001,detect=8,correct=1"},
+    {"mid", "torn=0.01,readflip=0.01,detect=8,correct=1"},
+    {"high",
+     "torn=0.05,readflip=0.05,endurance=400,stuck=2,detect=8,correct=1"},
+};
+
+/** Crash-campaign outcome of one (scheme, workload) cell. */
+struct CrashCell
+{
+    std::uint64_t crashPoints = 0;
+    std::uint64_t silentCorruption = 0;     ///< must stay 0
+    std::uint64_t detectedUnrecoverable = 0;
+};
+
+/**
+ * Fault-injection sweep: throughput degradation and corruption
+ * detection across a fault-rate x scheme x workload matrix, with a
+ * crash-testing campaign composed on top of every faulty cell.
+ *
+ * Three fault tiers (plus the fault-free baseline "off") run every
+ * logging scheme over two workloads; each timing row is named after its
+ * tier ("QE tier=low"). For each cell the sweep reports the slowdown
+ * versus the fault-free run (ECC retries occupy real queue cycles) and
+ * the media/ECC counters, then replays the same fault configuration
+ * under crash injection: detected-unrecoverable losses are acceptable,
+ * but the undetected-corruption count across the whole matrix must be
+ * zero. The ECC detect strength used here (detect=8) is chosen so no
+ * injected fault can escape detection. Writes @p outPath; exits 1 on
+ * any undetected corruption.
+ */
+int
+faultSweep(const BenchOptions &opts, const std::string &outPath)
+{
+    const std::vector<LogScheme> schemes = allSchemes();
+    const std::vector<WorkloadKind> workloads{WorkloadKind::Queue,
+                                              WorkloadKind::HashMap};
+
+    std::cout << "Fault-injection sweep: " << std::size(faultTiers)
+              << " tiers x " << schemes.size() << " schemes x "
+              << workloads.size() << " workloads\n"
+              << "scale=" << opts.scale << " threads=" << opts.threads
+              << " fault-seed=" << opts.faults.seed << "\n";
+
+    // Timing runs: one batch over the full matrix; each job carries its
+    // tier's fault config (the batch is bit-identical at any --jobs).
+    std::vector<SimJob> jobs;
+    for (const FaultTier &tier : faultTiers) {
+        for (LogScheme s : schemes) {
+            for (WorkloadKind w : workloads) {
+                SystemConfig cfg = opts.makeConfig();
+                if (*tier.spec)
+                    cfg.faults = faults::parseFaultSpec(tier.spec,
+                                                        opts.faults);
+                jobs.push_back(SimJob{cfg, s, w, {},
+                                      std::string(toString(w)) + " tier=" +
+                                          tier.name});
+            }
+        }
+    }
+    const auto outcomes = runBatch(opts, jobs);
+
+    // Crash campaigns: every faulty tier, all schemes x workloads,
+    // byte-exact oracle checking (threads=1 by requirement).
+    std::map<std::string,
+             std::map<std::pair<std::string, std::string>, CrashCell>>
+        crashCells;
+    std::uint64_t undetected = 0;
+    for (const FaultTier &tier : faultTiers) {
+        if (!*tier.spec)
+            continue;
+        CrashTestOptions ct(opts);
+        ct.schemes = schemes;
+        ct.workloads = workloads;
+        ct.autoPoints = 5;
+        ct.faults = faults::parseFaultSpec(tier.spec, opts.faults);
+        std::ostringstream progress;
+        const CrashTestSummary summary = runCrashTests(ct, progress);
+        for (const CrashPairResult &pair : summary.pairs) {
+            CrashCell cell;
+            cell.crashPoints = pair.points.size();
+            cell.silentCorruption = pair.violations;
+            cell.detectedUnrecoverable = pair.detectedUnrecoverable;
+            crashCells[tier.name][{toString(pair.scheme),
+                                   toString(pair.workload)}] = cell;
+        }
+        undetected += summary.violations;
+        std::cout << "crashtest tier " << tier.name << ": "
+                  << summary.crashPoints << " points, "
+                  << summary.violations << " silent, "
+                  << summary.detectedUnrecoverable
+                  << " detected-unrecoverable\n";
+        if (!summary.ok)
+            std::cout << progress.str();
+    }
+
+    // Sum silent (ECC-missed) faults from the timing runs too: the
+    // sweep's detect strength must make them impossible.
+    for (const auto &outcome : outcomes) {
+        if (outcome.result.faultStats.enabled)
+            undetected += outcome.result.faultStats.silentFaults;
+    }
+
+    // Baseline cycles per (scheme, workload) for the slowdown column:
+    // the first tier's rows.
+    std::map<std::pair<std::string, std::string>, double> baseCycles;
+    std::size_t job = 0;
+    for (LogScheme s : schemes) {
+        for (WorkloadKind w : workloads)
+            baseCycles[{toString(s), toString(w)}] =
+                static_cast<double>(outcomes[job++].result.cycles);
+    }
+
+    std::ofstream os(outPath);
+    if (!os)
+        fatal("cannot open --out file: ", outPath);
+    os << "{\"benchmark\": \"fault_sweep\", \"scale\": " << opts.scale
+       << ", \"threads\": " << opts.threads << ", \"seed\": " << opts.seed
+       << ", \"faultSeed\": " << opts.faults.seed
+       << ", \"undetectedCorruption\": " << undetected
+       << ", \"rows\": [\n";
+
+    TablePrinter table({"tier / scheme", "workload", "slowdown",
+                        "detected", "retries", "silent", "crash-ok"});
+    table.printHeader(std::cout);
+
+    job = 0;
+    for (const FaultTier &tier : faultTiers) {
+        for (LogScheme s : schemes) {
+            for (WorkloadKind w : workloads) {
+                const RunResult &r = outcomes[job].result;
+                const double base = baseCycles[{toString(s), toString(w)}];
+                const double slowdown =
+                    base > 0 ? static_cast<double>(r.cycles) / base : 0.0;
+                CrashCell cell;
+                if (*tier.spec)
+                    cell = crashCells[tier.name][{toString(s),
+                                                  toString(w)}];
+
+                if (job > 0)
+                    os << ",\n";
+                os << "  {\"tier\": " << json::quoted(tier.name)
+                   << ", \"scheme\": " << json::quoted(toString(s))
+                   << ", \"workload\": " << json::quoted(toString(w))
+                   << ", \"faults\": " << json::quoted(tier.spec)
+                   << ", \"cycles\": " << r.cycles
+                   << ", \"slowdown\": " << std::fixed
+                   << std::setprecision(4) << slowdown << std::defaultfloat
+                   << ", \"tornWrites\": " << r.faultStats.tornWrites
+                   << ", \"wornWrites\": " << r.faultStats.wornWrites
+                   << ", \"eccCorrected\": " << r.faultStats.eccCorrected
+                   << ", \"eccDetected\": " << r.faultStats.eccDetected
+                   << ", \"silentFaults\": " << r.faultStats.silentFaults
+                   << ", \"readRetries\": " << r.faultStats.readRetries
+                   << ", \"retriesExhausted\": "
+                   << r.faultStats.retriesExhausted
+                   << ", \"poisonedLines\": " << r.faultStats.poisonedLines
+                   << ", \"crashPoints\": " << cell.crashPoints
+                   << ", \"silentCorruption\": " << cell.silentCorruption
+                   << ", \"detectedUnrecoverable\": "
+                   << cell.detectedUnrecoverable << "}";
+
+                table.printRow(
+                    std::cout,
+                    {std::string(tier.name) + " / " + toString(s),
+                     toString(w), TablePrinter::fmt(slowdown, 3),
+                     std::to_string(r.faultStats.eccDetected),
+                     std::to_string(r.faultStats.readRetries),
+                     std::to_string(r.faultStats.silentFaults),
+                     *tier.spec
+                         ? std::to_string(cell.crashPoints -
+                                          cell.silentCorruption) +
+                               "/" + std::to_string(cell.crashPoints)
+                         : "-"});
+                ++job;
+            }
+        }
+    }
+    os << "\n]}\n";
+    if (!os.flush())
+        fatal("failed writing --out file: ", outPath);
+
+    std::cout << "\nundetected corruption: " << undetected
+              << " (must be 0) -> " << outPath << "\n";
+    return undetected == 0 ? 0 : 1;
+}
+
+/** A sweep axis: a non-empty comma list of values. */
+cli::Option
+axisOption(const std::string &flag, std::string help,
+           std::vector<std::string> &dst)
+{
+    std::string dflt;
+    for (const std::string &v : dst)
+        dflt += (dflt.empty() ? "" : ",") + v;
+    return {flag, "LIST", std::move(help), dflt,
+            [&dst, flag](const std::string &v) {
+                dst = splitList(v);
+                if (dst.empty())
+                    fatal(flag, ": needs a non-empty comma list");
+            }};
+}
+
 /** The flags that name or shape one command's output files. Under
  *  `all` eleven commands would write each file in turn, so `all`
  *  rejects them. */
@@ -644,6 +932,34 @@ main(int argc, char **argv)
                             for (const Experiment &e : experiments)
                                 e.run(opts);
                             return 0;
+                        }});
+
+    std::vector<std::string> thetas{"0", "0.5", "0.9", "0.99"};
+    std::vector<std::string> txKeys{"1", "4", "16"};
+    std::vector<std::vector<cli::Option>> genGroups = groups;
+    genGroups.push_back(cli::specOptions(opts.wlSpec, opts.wlSpecFile));
+    genGroups.push_back(
+        {axisOption("--thetas", "Zipfian thetas to sweep", thetas),
+         axisOption("--tx-keys", "keys per transaction to sweep", txKeys)});
+    commands.push_back({"gen-sweep", {},
+                        "generated workload: Zipfian theta x keys per "
+                        "transaction x every scheme",
+                        genGroups,
+                        [&](const std::vector<std::string> &) {
+                            genSweep(opts, thetas, txKeys);
+                            return 0;
+                        }});
+
+    std::string faultOut = "BENCH_faults.json";
+    std::vector<std::vector<cli::Option>> faultGroups = groups;
+    faultGroups.push_back(
+        {cli::text("--out", "FILE", "sweep results as JSON", faultOut)});
+    commands.push_back({"fault-sweep", {},
+                        "media-fault tiers x every scheme x QE, HM, with "
+                        "crash campaigns; exits 1 on undetected corruption",
+                        faultGroups,
+                        [&](const std::vector<std::string> &) {
+                            return faultSweep(opts, faultOut);
                         }});
     return cli::dispatch(argc, argv, commands);
 }

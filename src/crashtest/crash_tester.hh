@@ -65,9 +65,9 @@ struct CrashTestOptions : BenchOptions
     /** The campaign defaults: 1 thread (the byte-exact oracle needs
      *  it), scale 250, init-scale 100, seed 11 and 1 job. */
     CrashTestOptions();
-    /** A campaign on every setting of @p run (fault_sweep's), at 1
-     *  thread and without --json; the generated-workload spec is
-     *  @p run's genSpec(). */
+    /** A campaign on every setting of @p run (proteus-bench
+     *  fault-sweep's), at 1 thread and without --json; the
+     *  generated-workload spec is @p run's genSpec(). */
     explicit CrashTestOptions(const BenchOptions &run);
 
     std::vector<LogScheme> schemes;

@@ -239,7 +239,7 @@ specOptions(std::string &spec, std::string &specFile)
     return {
         text("--wl-spec", "k=v,...",
              "generated-workload spec for workload 'gen' (see "
-             "proteus-sim --list-workloads)",
+             "proteus-sim list)",
              spec),
         text("--wl-spec-file", "FILE",
              "base spec file; --wl-spec applies on top", specFile),

@@ -25,9 +25,9 @@ perJobPath(const std::string &path, std::size_t index)
 }
 
 std::string
-jobLabel(LogScheme s, WorkloadKind w)
+SimJob::workload() const
 {
-    return std::string(toString(s)) + " / " + toString(w);
+    return name.empty() ? toString(kind) : name;
 }
 
 ProgressReporter::ProgressReporter(std::ostream &os) : _os(os)
@@ -157,7 +157,10 @@ ParallelRunner::run(const std::vector<SimJob> &batch,
     std::vector<Task> tasks;
     tasks.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        tasks.push_back(Task{batch[i].label, [&, i]() {
+        const std::string label =
+            std::string(toString(batch[i].scheme)) + " / " +
+            batch[i].workload();
+        tasks.push_back(Task{label, [&, i]() {
             SimJob job = batch[i];
             if (batch.size() > 1) {
                 // Observability outputs must not collide across jobs:
@@ -199,7 +202,7 @@ runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
         rows.reserve(jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i)
             rows.push_back(JsonResultRow{toString(jobs[i].scheme),
-                                         toString(jobs[i].kind),
+                                         jobs[i].workload(),
                                          results[i].result,
                                          results[i].wallMs});
         writeJsonResults(opts.jsonPath, rows);
@@ -213,8 +216,14 @@ runBatch(const BenchOptions &opts, const std::vector<SimJob> &jobs)
             rows.push_back(makeTxStatsRow(
                 runKey(opts, job.cfg, job.kind, job.scheme, job.extras),
                 results[i].result));
+            rows.back().workload = job.workload();
         }
         obs::writeTxStatsFile(opts.obs.txStats, rows);
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!results[i].result.finished)
+            fatal(toString(jobs[i].scheme), " / ", jobs[i].workload(),
+                  ": did not finish (cycle limit)");
     }
     return results;
 }

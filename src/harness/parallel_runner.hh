@@ -39,11 +39,14 @@ struct SimJob
     LogScheme scheme;
     WorkloadKind kind;
     WorkloadExtras extras{};
-    std::string label;          ///< progress text, e.g. "Proteus / QE"
-};
+    /** The workload its result rows carry; a batch that repeats a
+     *  (scheme, kind) pair names what it varies, e.g. "QE LogQ=4".
+     *  Empty means toString(kind). */
+    std::string name{};
 
-/** The usual progress label: "<scheme> / <workload>". */
-std::string jobLabel(LogScheme s, WorkloadKind w);
+    /** The row's workload name: @ref name, or toString(kind). */
+    std::string workload() const;
+};
 
 /** Outcome of one job: simulated counters plus host wall-clock. */
 struct SimJobResult
@@ -129,11 +132,15 @@ class ParallelRunner
 };
 
 /**
- * Run @p jobs on opts.jobs worker threads with progress lines on
- * stderr; results come back in submission order. Honors the batch
+ * The one batch path of the proteus-bench commands: run @p jobs on
+ * opts.jobs worker threads with "<scheme> / <workload>" progress lines
+ * on stderr; results come back in submission order. Honors the batch
  * outputs: --json writes one result row per job and --tx-stats one
- * combined flight-recorder file, both in submission order, so their
- * bytes are identical at any --jobs level.
+ * combined flight-recorder file, both in submission order under each
+ * job's SimJob::workload(), so their bytes are identical at any --jobs
+ * level. Throws FatalError naming the first job that did not finish
+ * (cycle limit), after writing those files, so no table prints an
+ * unfinished run's counters as a result.
  */
 std::vector<SimJobResult> runBatch(const BenchOptions &opts,
                                    const std::vector<SimJob> &jobs);

@@ -23,7 +23,7 @@
  * Bundles come from three places:
  *  - TraceCache::get() records one per key from a PopulatedState it
  *    also caches, and shares both process-wide; every harness run
- *    (bench figures, proteus-sim matrix, proteus-check, crashtest)
+ *    (proteus-bench batches, proteus-check, crashtest)
  *    takes its bundle here,
  *  - build() records a private one, through the same PopulatedState
  *    and record() code: FullSystem's convenience constructor (tests,

@@ -22,13 +22,13 @@ using WorkloadBuilder = std::unique_ptr<Workload> (*)(
     PersistentHeap &, LogScheme, const WorkloadParams &,
     const WorkloadExtras &);
 
-/** One factory entry; see `proteus-sim --list-workloads`. */
+/** One factory entry; see `proteus-sim list`. */
 struct WorkloadRegistration
 {
     WorkloadKind kind;
     const char *abbrev;     ///< Table 2 abbreviation, e.g. "QE"
     const char *cliName;    ///< long CLI spelling, e.g. "queue"
-    const char *summary;    ///< one line for --list-workloads
+    const char *summary;    ///< one line for `proteus-sim list`
     const char *knobs;      ///< extra knobs beyond WorkloadParams
     bool paper;             ///< member of allPaperWorkloads()
     WorkloadBuilder build;

@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,8 @@
 #include "harness/check_runner.hh"
 #include "harness/experiments.hh"
 #include "harness/options.hh"
+#include "obs/json_reader.hh"
+#include "obs/tx_stats_io.hh"
 #include "sim/logging.hh"
 
 using namespace proteus;
@@ -116,6 +120,31 @@ numberAfter(const std::string &text, const std::string &label)
     if (at == std::string::npos)
         return 0;
     return std::stoull(text.substr(at + label.size()));
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+/** The "<scheme> / <workload>" of every row of a --json result array
+ *  or a tx-stats file ({"rows": [...]}), in file order. */
+std::vector<std::string>
+rowKeys(const std::string &path)
+{
+    const obs::JsonValue doc = obs::parseJsonFile(path);
+    const std::vector<obs::JsonValue> &rows =
+        doc.type == obs::JsonValue::Type::Array ? doc.array
+                                                : doc.at("rows").array;
+    std::vector<std::string> out;
+    for (const obs::JsonValue &row : rows)
+        out.push_back(row.at("scheme").asString() + " / " +
+                      row.at("workload").asString());
+    return out;
 }
 
 std::vector<std::string>
@@ -281,10 +310,14 @@ cat(std::initializer_list<std::vector<std::string>> groups)
     return out;
 }
 
-/** The proteus-bench commands that run one experiment each. */
+/** The proteus-bench commands that run one experiment each, in the
+ *  order `all` runs them. */
 const std::vector<std::string> benchCommands{
     "fig06", "fig07",  "fig08",  "fig09",        "fig10",       "fig11",
     "fig12", "table3", "table4", "ablation-lwr", "ablation-llt"};
+
+/** The proteus-bench sweeps, which `all` leaves out. */
+const std::vector<std::string> sweepCommands{"gen-sweep", "fault-sweep"};
 
 /** The flags that write or shape one command's files; `proteus-bench
  *  all` rejects them. */
@@ -308,33 +341,26 @@ frontEnds()
             suiteFlags.push_back(flag);
     }
     std::vector<Front> out;
-    out.push_back({benchDir, "proteus-bench", cat({benchCommands, {"all"}})});
+    out.push_back({benchDir, "proteus-bench",
+                   cat({benchCommands, {"all"}, sweepCommands})});
     for (const std::string &c : benchCommands)
         out.push_back({benchDir, "proteus-bench " + c, benchFlags});
     out.push_back({benchDir, "proteus-bench all", suiteFlags});
-    out.push_back({benchDir, "gen_sweep",
+    out.push_back({benchDir, "proteus-bench gen-sweep",
                    cat({benchFlags, specFlags, {"--thetas", "--tx-keys"}})});
-    out.push_back({benchDir, "fault_sweep", cat({benchFlags, {"--out"}})});
+    out.push_back({benchDir, "proteus-bench fault-sweep",
+                   cat({benchFlags, {"--out"}})});
     out.push_back({benchDir, "micro_kernel",
                    {"--cycles", "--devices", "--json"}});
     out.push_back({benchDir, "micro_components", {"--benchmark_filter"}});
 
-    out.push_back({toolsDir, "proteus-sim",
-                   {"run", "replay", "crash", "matrix", "list",
-                    "--list-workloads"}});
+    out.push_back({toolsDir, "proteus-sim", {"run", "replay", "list"}});
     out.push_back({toolsDir, "proteus-sim run",
-                   cat({{"--scheme", "--check", "--check-mutate", "--stats",
-                         "--json"},
+                   cat({{"--scheme", "--check", "--stats", "--json"},
                         sizeFlags, specFlags, machineFlags, traceFlags,
                         txFlags})});
     out.push_back({toolsDir, "proteus-sim replay",
                    cat({{"--check", "--stats", "--json"}, machineFlags,
-                        traceFlags, txFlags})});
-    out.push_back({toolsDir, "proteus-sim crash",
-                   cat({{"--scheme", "--at"}, sizeFlags, specFlags,
-                        machineFlags, traceFlags})});
-    out.push_back({toolsDir, "proteus-sim matrix",
-                   cat({sizeFlags, machineFlags, batchFlags, {"--check"},
                         traceFlags, txFlags})});
     out.push_back({toolsDir, "proteus-check", {"run", "replay", "rules"}});
     out.push_back({toolsDir, "proteus-check run",
@@ -378,11 +404,10 @@ TEST(CliContract, UnknownFlagExitsTwoWithFatal)
         SCOPED_TRACE(f.invocation);
         // Subcommands that take an operand get one that parses.
         std::string line = f.invocation;
-        if (line == "proteus-sim run" || line == "proteus-sim crash" ||
-            line == "proteus-check run" || line == "proteus-trace record")
+        if (line == "proteus-sim run" || line == "proteus-check run" ||
+            line == "proteus-trace record")
             line += " QE";
         else if (line.find(' ') != std::string::npos &&
-                 line != "proteus-sim matrix" &&
                  line != "proteus-check rules" &&
                  line.rfind("proteus-bench ", 0) != 0)
             line += " file";
@@ -403,8 +428,10 @@ TEST(CliContract, BadValuesExitTwoNotAbort)
     // the bench mains shared one catch.
     for (const char *args :
          {"proteus-bench fig06 --scale abc", "proteus-bench fig06 --bogus",
-          "proteus-bench fig11 --threads 0", "fault_sweep --jobs x",
-          "gen_sweep --thetas ,", "proteus-bench table3 --seed 5x",
+          "proteus-bench fig11 --threads 0",
+          "proteus-bench fault-sweep --jobs x",
+          "proteus-bench gen-sweep --thetas ,",
+          "proteus-bench table3 --seed 5x",
           "micro_kernel --cycles abc", "micro_kernel --devices -1",
           "proteus-bench", "proteus-bench bogus"}) {
         SCOPED_TRACE(args);
@@ -438,15 +465,9 @@ TEST(CliContract, FlagsOnceAcceptedAndIgnoredAreRejected)
           "proteus-check run QE --check",
           "proteus-check replay f.ptrace --scale 5",
           "proteus-check rules --jobs 2",
-          "proteus-sim matrix --check-mutate 1",
-          "proteus-sim matrix --wl-spec keys=4",
           "proteus-sim run QE --jobs 2",
-          "proteus-sim crash QE --at 250",
-          "proteus-sim crash QE --tx-stats tx.json",
-          "proteus-sim crash QE --check",
           "proteus-sim replay f.ptrace --seed 3",
           "proteus-sim list --scale 5",
-          "proteus-sim run QE --check-mutate 1 --tx-stats tx.json",
           "proteus-crashtest --verbose"}) {
         SCOPED_TRACE(args);
         const Outcome out = tool(args);
@@ -456,11 +477,36 @@ TEST(CliContract, FlagsOnceAcceptedAndIgnoredAreRejected)
     }
     for (const char *args :
          {"proteus-bench fig06 --check-mutate 1",
-          "proteus-bench fig06 --wl-spec keys=4"}) {
+          "proteus-bench fig06 --wl-spec keys=4",
+          "proteus-bench fault-sweep --wl-spec keys=4",
+          "proteus-bench fault-sweep --thetas 0"}) {
         SCOPED_TRACE(args);
         const Outcome out = bench(args);
         EXPECT_EQ(out.status, 2) << out.output;
     }
+}
+
+TEST(CliContract, CopiesOfOtherToolsCommandsAreGone)
+{
+    // proteus-sim kept copies of proteus-bench fig06 (matrix),
+    // proteus-crashtest (crash), proteus-check --check-mutate and its
+    // own list (--list-workloads).
+    for (const char *args :
+         {"proteus-sim matrix", "proteus-sim crash QE",
+          "proteus-sim --list-workloads",
+          "proteus-sim run QE --check-mutate 1"}) {
+        SCOPED_TRACE(args);
+        const Outcome out = tool(args);
+        EXPECT_EQ(out.status, 2) << out.output;
+        EXPECT_NE(out.output.find("fatal: "), std::string::npos)
+            << out.output;
+    }
+    // `list` now carries what --list-workloads printed.
+    const Outcome list = tool("proteus-sim list");
+    EXPECT_EQ(list.status, 0) << list.output;
+    for (const char *text : {"QE / queue", "GEN / gen", "knobs: ",
+                             "schemes (Figure 6):", "Proteus+NoLWR"})
+        EXPECT_NE(list.output.find(text), std::string::npos) << text;
 }
 
 TEST(CliContract, SuiteRejectsPerFileOutputs)
@@ -561,6 +607,116 @@ TEST(BenchSuite, AllPrintsTheCommandsInTableOrder)
                   std::string::npos)
             << all.output;
         EXPECT_EQ(all.output, each);
+    }
+}
+
+TEST(BenchSuite, EveryCommandNamesItsRowsUniquely)
+{
+    // fig11 wrote seven Proteus/QE rows, table3 four PMEM/LL rows and
+    // the fault sweep every pair four times, so proteus-txstats diff
+    // paired rows of different sweep points.
+    const std::string dir = ::testing::TempDir();
+    for (const std::string &c : cat({benchCommands, sweepCommands})) {
+        SCOPED_TRACE(c);
+        const std::string json = dir + "/rows_" + c + ".json";
+        const std::string tx = dir + "/tx_" + c + ".json";
+        std::string line = "proteus-bench " + c +
+                           " --scale 100000 --init-scale 1000 --threads 1"
+                           " --jobs 4 --json " + json + " --tx-stats " + tx;
+        if (c == "gen-sweep")
+            line += " --thetas 0,0.9 --tx-keys 1,4 --wl-spec ops=200";
+        if (c == "fault-sweep")
+            line += " --out " + dir + "/faults.json";
+        const Outcome out = runBinary(benchDir, line, "/dev/null");
+        ASSERT_EQ(out.status, 0) << out.output;
+        for (const std::string &path : {json, tx}) {
+            const std::vector<std::string> keys = rowKeys(path);
+            EXPECT_FALSE(keys.empty()) << path;
+            const std::set<std::string> unique(keys.begin(), keys.end());
+            EXPECT_EQ(unique.size(), keys.size()) << path;
+        }
+        // A file diffed with itself pairs every row with its own.
+        const Outcome diff = tool("proteus-txstats diff " + tx + " " + tx);
+        EXPECT_EQ(diff.status, 0) << diff.output;
+        EXPECT_NE(diff.output.find(
+                      std::to_string(rowKeys(tx).size()) +
+                      " row(s) matched by (scheme, workload); 0 only in"),
+                  std::string::npos)
+            << diff.output;
+    }
+}
+
+TEST(BenchSuite, SweepRowsNameWhatTheyVary)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string json = dir + "/gen_rows.json";
+    const std::string tx = dir + "/gen_tx.json";
+    const Outcome gen = runBinary(
+        benchDir,
+        "proteus-bench gen-sweep --thetas 0,0.9 --tx-keys 1,4 "
+        "--wl-spec ops=200 --scale 100000 --init-scale 1000 --threads 1 "
+        "--json " + json + " --tx-stats " + tx,
+        "/dev/null");
+    ASSERT_EQ(gen.status, 0) << gen.output;
+    EXPECT_NE(gen.output.find("\nwrote " + json + "\n"), std::string::npos)
+        << gen.output;
+    std::vector<std::string> want;
+    for (const char *combo :
+         {"gen(t0,k1)", "gen(t0,k4)", "gen(t0.9,k1)", "gen(t0.9,k4)"}) {
+        for (LogScheme s : allSchemes())
+            want.push_back(std::string(toString(s)) + " / " + combo);
+    }
+    EXPECT_EQ(rowKeys(json), want);
+    EXPECT_EQ(rowKeys(tx), want);
+
+    // Without --json, gen-sweep writes no rows, like every command.
+    const Outcome quiet = runBinary(
+        benchDir,
+        "proteus-bench gen-sweep --thetas 0 --tx-keys 1 --wl-spec ops=200 "
+        "--scale 100000 --init-scale 1000 --threads 1",
+        "/dev/null");
+    ASSERT_EQ(quiet.status, 0) << quiet.output;
+    EXPECT_EQ(quiet.output.find("wrote"), std::string::npos) << quiet.output;
+
+    // The knob sweeps name the knob after the workload.
+    const std::string fig11 = dir + "/fig11_rows.json";
+    const Outcome knob = runBinary(
+        benchDir,
+        "proteus-bench fig11 --scale 100000 --init-scale 1000 --threads 1 "
+        "--json " + fig11,
+        "/dev/null");
+    ASSERT_EQ(knob.status, 0) << knob.output;
+    const std::vector<std::string> rows = rowKeys(fig11);
+    ASSERT_EQ(rows.size(), 8u * allPaperWorkloads().size());
+    EXPECT_EQ(rows.front(),
+              std::string("PMEM / ") + toString(allPaperWorkloads()[0]));
+    EXPECT_EQ(rows.back(), std::string("Proteus / ") +
+                               toString(allPaperWorkloads().back()) +
+                               " LogQ=64");
+}
+
+TEST(TxStatsDiff, RejectsAFileWithTwoRowsUnderOneKey)
+{
+    const std::string dir = ::testing::TempDir();
+    obs::TxStatsRow row;
+    row.scheme = "PMEM";
+    row.workload = "QE";
+    const std::string one = dir + "/tx_one.json";
+    const std::string two = dir + "/tx_two.json";
+    obs::writeTxStatsFile(one, {row});
+    obs::writeTxStatsFile(two, {row, row});
+
+    EXPECT_EQ(tool("proteus-txstats diff " + one + " " + one).status, 0);
+    for (const std::string &args : {two + " " + one, one + " " + two}) {
+        SCOPED_TRACE(args);
+        const Outcome out = tool("proteus-txstats diff " + args);
+        EXPECT_EQ(out.status, 2) << out.output;
+        EXPECT_NE(out.output.find("fatal: " + two +
+                                  ": two rows for PMEM / QE"),
+                  std::string::npos)
+            << out.output;
+        EXPECT_EQ(out.output.find("matched"), std::string::npos)
+            << out.output;
     }
 }
 
@@ -672,9 +828,10 @@ TEST(CliContract, LogAreasMustFitTheLogRegion)
 
 TEST(CliContract, LogAreaOverrideReachesEveryRun)
 {
-    // proteus-sim run and crash built their keys with the default log
-    // area, so --set logging.logAreaBytes changed only the runs that
-    // went through runExperiment and runCheck.
+    // proteus-sim run and its crash command built their keys with the
+    // default log area, so --set logging.logAreaBytes changed only the
+    // runs that went through runExperiment and runCheck. Crash runs are
+    // proteus-crashtest's now; its pairs take the override too.
     BenchOptions opts;
     opts.scale = 2000;
     opts.initScale = 100;
@@ -696,11 +853,17 @@ TEST(CliContract, LogAreaOverrideReachesEveryRun)
     const Outcome run = tool("proteus-sim run" + args + set);
     EXPECT_EQ(run.status, 0) << run.output;
     EXPECT_EQ(numberAfter(run.output, "cycles:"), cycles) << run.output;
-    const Outcome crash = tool("proteus-sim crash" + args + set);
+    const std::string crashJson =
+        ::testing::TempDir() + "/log_area_crash.json";
+    const Outcome crash = tool(
+        "proteus-crashtest --schemes pmem --workloads QE --scale 2000 "
+        "--init-scale 100 --threads 2 --seed 1 --crash-at 1000 --json " +
+        crashJson + set);
     EXPECT_EQ(crash.status, 0) << crash.output;
-    EXPECT_NE(crash.output.find("% of " + std::to_string(cycles) + ")"),
+    EXPECT_NE(slurp(crashJson).find("\"totalCycles\": " +
+                                    std::to_string(cycles) + ","),
               std::string::npos)
-        << crash.output;
+        << slurp(crashJson);
     // The override is visible: the default log area runs differently.
     EXPECT_NE(numberAfter(tool("proteus-sim run" + args).output, "cycles:"),
               cycles);

@@ -55,8 +55,9 @@ slurp(const std::string &path)
 
 TEST(FaultSweepCampaign, CarriesEveryRunSettingAtOneThreadWithoutJson)
 {
-    // fault_sweep builds its campaigns this way. A field-by-field copy
-    // once dropped --init-scale, and later --set and --dram.
+    // proteus-bench fault-sweep builds its campaigns this way. A
+    // field-by-field copy once dropped --init-scale, and later --set and
+    // --dram.
     BenchOptions bench;
     bench.scale = 2000;
     bench.initScale = 50;
@@ -314,8 +315,9 @@ TEST(CrashCampaign, SmallSweepFindsNoViolations)
 
 TEST(CrashCampaign, ConfigOverridesReachEveryPair)
 {
-    // The campaign once ran every pair on the baseline config, so
-    // fault_sweep --set changed its timing runs but not its crash runs.
+    // The campaign once ran every pair on the baseline config, so the
+    // fault sweep's --set changed its timing runs but not its crash
+    // runs.
     CrashTestOptions opts = smallCampaign();
     opts.schemes = {LogScheme::ATOM};
     opts.autoPoints = 4;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,11 +41,16 @@ smallMatrix(const BenchOptions &opts)
     std::vector<SimJob> jobs;
     for (LogScheme s : schemes) {
         for (WorkloadKind w : workloads)
-            jobs.push_back(SimJob{opts.makeConfig(), s, w, {},
-                                  std::string(toString(s)) + " / " +
-                                      toString(w)});
+            jobs.push_back(SimJob{opts.makeConfig(), s, w});
     }
     return jobs;
+}
+
+/** A job's progress label, "<scheme> / <workload>". */
+std::string
+labelOf(const SimJob &job)
+{
+    return std::string(toString(job.scheme)) + " / " + job.workload();
 }
 
 void
@@ -87,8 +93,8 @@ TEST(ParallelRunner, FourWorkersMatchOneWorker)
     ASSERT_EQ(parallel.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         expectSameCounters(serial[i].result, parallel[i].result,
-                           jobs[i].label);
-        EXPECT_TRUE(parallel[i].result.finished) << jobs[i].label;
+                           labelOf(jobs[i]));
+        EXPECT_TRUE(parallel[i].result.finished) << labelOf(jobs[i]);
     }
 }
 
@@ -103,7 +109,7 @@ TEST(ParallelRunner, RepeatedParallelRunsAreIdentical)
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         expectSameCounters(first[i].result, second[i].result,
-                           jobs[i].label);
+                           labelOf(jobs[i]));
 }
 
 TEST(ParallelRunner, ProgressLinesAreWholeLines)
@@ -115,7 +121,8 @@ TEST(ParallelRunner, ProgressLinesAreWholeLines)
     ProgressReporter progress(os);
     ParallelRunner(4).run(jobs, opts, &progress);
 
-    // Two lines per job (start + done), each mentioning a known label.
+    // Two lines per job (start + done), each naming a known job as
+    // "<scheme> / <workload>".
     std::istringstream in(os.str());
     std::string line;
     std::size_t lines = 0;
@@ -124,8 +131,40 @@ TEST(ParallelRunner, ProgressLinesAreWholeLines)
         bool matched = false;
         for (const SimJob &job : jobs)
             matched = matched ||
-                      line.find(job.label) != std::string::npos;
+                      line.find(labelOf(job)) != std::string::npos;
         EXPECT_TRUE(matched) << "torn progress line: " << line;
     }
     EXPECT_EQ(lines, 2 * jobs.size());
+}
+
+TEST(ParallelRunner, BatchFailsOnAJobThatDidNotFinish)
+{
+    // runBatch is the one place a batch checks `finished`: a job that
+    // hits the cycle limit must not print its counters as a result.
+    // Here every NVM write activation outlasts the limit.
+    BenchOptions opts = tinyOptions();
+    opts.jobs = 2;
+    opts.jsonPath = testing::TempDir() + "/proteus_unfinished.json";
+    SystemConfig slow = opts.makeConfig();
+    slow.applyOverride("mem.nvmWriteTRCD=1000000000");
+    const std::vector<SimJob> jobs{
+        SimJob{opts.makeConfig(), LogScheme::PMEM, WorkloadKind::Queue},
+        SimJob{slow, LogScheme::PMEM, WorkloadKind::Queue, {}, "QE slow"}};
+    testing::internal::CaptureStderr();
+    try {
+        runBatch(opts, jobs);
+        ADD_FAILURE() << "an unfinished job passed";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "fatal: PMEM / QE slow: did not finish (cycle limit)");
+    }
+    testing::internal::GetCapturedStderr();
+    // The rows are written first, so the unfinished one can be read.
+    std::ifstream is(opts.jsonPath);
+    std::ostringstream rows;
+    rows << is.rdbuf();
+    EXPECT_NE(rows.str().find("\"workload\": \"QE slow\", \"finished\": "
+                              "false"),
+              std::string::npos)
+        << rows.str();
 }

@@ -190,8 +190,7 @@ TEST(TraceEvents, ParallelBatchProducesIdenticalFiles)
                         LogScheme::ATOM}) {
         SystemConfig cfg = opts.makeConfig();
         cfg.obs.traceEvents = base;
-        jobs.push_back(SimJob{cfg, s, WorkloadKind::Queue, {},
-                              toString(s)});
+        jobs.push_back(SimJob{cfg, s, WorkloadKind::Queue});
     }
 
     auto run_and_read = [&](unsigned workers) {
@@ -207,7 +206,7 @@ TEST(TraceEvents, ParallelBatchProducesIdenticalFiles)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_NO_THROW(obs::parseJson(serial[i]));
-        EXPECT_EQ(serial[i], parallel[i]) << jobs[i].label;
+        EXPECT_EQ(serial[i], parallel[i]) << toString(jobs[i].scheme);
     }
 }
 

@@ -443,9 +443,7 @@ genJobs(const BenchOptions &opts)
             extras.gen =
                 GenSpec::parse(delta, opts.genSpec());
             jobs.push_back(SimJob{opts.makeConfig(), s,
-                                  WorkloadKind::Generated, extras,
-                                  std::string(toString(s)) + " " +
-                                      delta});
+                                  WorkloadKind::Generated, extras, delta});
         }
     }
     return jobs;
@@ -464,16 +462,16 @@ TEST(WlgenDeterminism, JobsLevelsProduceIdenticalResults)
     ASSERT_EQ(parallel.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(serial[i].result.cycles, parallel[i].result.cycles)
-            << jobs[i].label;
+            << toString(jobs[i].scheme) << " / " << jobs[i].workload();
         EXPECT_EQ(serial[i].result.retiredOps,
                   parallel[i].result.retiredOps)
-            << jobs[i].label;
+            << toString(jobs[i].scheme) << " / " << jobs[i].workload();
         EXPECT_EQ(serial[i].result.nvmWrites,
                   parallel[i].result.nvmWrites)
-            << jobs[i].label;
+            << toString(jobs[i].scheme) << " / " << jobs[i].workload();
         EXPECT_EQ(serial[i].result.committedTxs,
                   parallel[i].result.committedTxs)
-            << jobs[i].label;
+            << toString(jobs[i].scheme) << " / " << jobs[i].workload();
     }
 }
 
@@ -511,7 +509,7 @@ TEST(WlgenDeterminism, JsonBytesIdenticalAcrossJobsLevels)
             // Omit wall-clock: it is host timing, not simulation
             // output, and the JSON writer includes it.
             rows.push_back(JsonResultRow{toString(jobs[i].scheme),
-                                         jobs[i].label,
+                                         jobs[i].workload(),
                                          results[i].result, 0.0});
         }
         writeJsonResults(path, rows);

@@ -4,21 +4,19 @@
  *
  *   proteus-sim run    <workload> [options]
  *   proteus-sim replay <file.ptrace> [options]
- *   proteus-sim crash  <workload> [options]
- *   proteus-sim matrix [options]
  *   proteus-sim list
  *
  * Each command accepts exactly the flags its code reads; `proteus-sim
- * <command> --help` lists them (harness/options.hh).
+ * <command> --help` lists them (harness/options.hh). Batches are
+ * proteus-bench's (fig06 is every scheme x workload), crash campaigns
+ * proteus-crashtest's and mutation campaigns proteus-check's.
  */
 
 #include <iostream>
 #include <vector>
 
-#include "crashtest/crash_tester.hh"
 #include "harness/check_runner.hh"
 #include "harness/experiments.hh"
-#include "harness/parallel_runner.hh"
 #include "harness/system.hh"
 #include "harness/trace_io.hh"
 #include "sim/logging.hh"
@@ -32,7 +30,6 @@ namespace {
 struct CliExtras
 {
     LogScheme scheme = LogScheme::Proteus;
-    unsigned crashPercent = 50;
     bool stats = false;
     bool json = false;
 };
@@ -104,8 +101,12 @@ int
 cmdList()
 {
     std::cout << "workloads:\n";
-    for (const WorkloadRegistration &reg : workloadRegistry())
-        std::cout << "  " << reg.abbrev << " (" << reg.summary << ")\n";
+    for (const WorkloadRegistration &reg : workloadRegistry()) {
+        std::cout << "  " << reg.abbrev << " / " << reg.cliName << "\n"
+                  << "      " << reg.summary << "\n";
+        if (*reg.knobs)
+            std::cout << "      knobs: " << reg.knobs << "\n";
+    }
     std::cout << "\nschemes (Figure 6):\n";
     for (LogScheme s : allSchemes())
         std::cout << "  " << toString(s) << "\n";
@@ -113,36 +114,9 @@ cmdList()
 }
 
 int
-cmdListWorkloads()
-{
-    for (const WorkloadRegistration &reg : workloadRegistry()) {
-        std::cout << reg.abbrev << " / " << reg.cliName << "\n"
-                  << "    " << reg.summary << "\n"
-                  << "    knobs: " << reg.knobs << "\n";
-    }
-    return 0;
-}
-
-int
 cmdRun(WorkloadKind kind, const CliExtras &extras,
        const BenchOptions &opts)
 {
-    if (opts.checkMutate >= 0) {
-        // Seeded mutation campaign: every armed rule must catch its
-        // own injected violation (see tools/proteus-check). It runs one
-        // simulation per rule, in parallel, so no per-run output applies.
-        if (extras.stats || extras.json || !opts.obs.statsOut.empty() ||
-            !opts.obs.traceEvents.empty() || !opts.obs.txStats.empty())
-            fatal("--check-mutate: the campaign takes no --stats, --json, "
-                  "--stats-out, --trace-events or --tx-stats");
-        ProgressReporter progress(std::cerr);
-        const auto rows = runMutationCampaign(
-            extras.scheme, kind, opts,
-            static_cast<std::uint64_t>(opts.checkMutate), &progress);
-        std::cout << formatMutationReport(extras.scheme, kind, rows);
-        return allFired(rows) ? 0 : 1;
-    }
-
     SystemConfig cfg = opts.makeConfig();
     const TraceBundleKey key = runKey(opts, cfg, kind, extras.scheme,
                                       {LinkedListOptions{}, opts.genSpec()});
@@ -184,91 +158,6 @@ cmdReplay(const std::string &path, const CliExtras &extras,
     return reportRun(system, r, opts, extras, nullptr);
 }
 
-int
-cmdMatrix(const BenchOptions &opts)
-{
-    const std::vector<LogScheme> schemes = allSchemes();
-    const auto workloads = allPaperWorkloads();
-
-    std::vector<SimJob> jobs;
-    for (LogScheme s : schemes) {
-        for (WorkloadKind w : workloads)
-            jobs.push_back(SimJob{opts.makeConfig(), s, w, {},
-                                  jobLabel(s, w)});
-    }
-
-    std::cout << "running " << jobs.size() << " simulations on "
-              << ParallelRunner(opts.jobs).workers()
-              << " host thread(s)...\n";
-    const auto results = runBatch(opts, jobs);
-
-    std::vector<std::string> cols{"scheme"};
-    for (WorkloadKind w : workloads)
-        cols.push_back(toString(w));
-    TablePrinter table(cols);
-    std::cout << "\ncycles per (scheme, workload)\n";
-    table.printHeader(std::cout);
-
-    std::size_t i = 0;
-    bool all_finished = true;
-    for (LogScheme s : schemes) {
-        std::vector<std::string> cells{toString(s)};
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            const RunResult &r = results[i++].result;
-            cells.push_back(std::to_string(r.cycles));
-            all_finished = all_finished && r.finished;
-        }
-        table.printRow(std::cout, cells);
-    }
-    return all_finished ? 0 : 1;
-}
-
-int
-cmdCrash(WorkloadKind kind, const CliExtras &extras,
-         const BenchOptions &opts)
-{
-    if (extras.scheme == LogScheme::PMEMNoLog)
-        fatal("pmem+nolog is not failure-safe; nothing to recover");
-    const SystemConfig cfg = opts.makeConfig();
-    // One functional execution wires both the measuring run and the
-    // crashed run.
-    const std::shared_ptr<const TraceBundle> bundle = TraceBundle::build(
-        runKey(opts, cfg, kind, extras.scheme,
-               {LinkedListOptions{}, opts.genSpec()}));
-
-    std::cout << "measuring the full run...\n";
-    FullSystem full(cfg, bundle);
-    const RunResult complete = full.run();
-    const Tick crash_at =
-        complete.cycles * extras.crashPercent / 100;
-
-    std::cout << "crashing at cycle " << crash_at << " ("
-              << extras.crashPercent << "% of " << complete.cycles
-              << ")...\n";
-    FullSystem sys(cfg, bundle);
-    sys.runFor(crash_at);
-    MemoryImage image = sys.crashImage();
-
-    std::uint64_t committed = 0;
-    for (unsigned t = 0; t < sys.coreCount(); ++t)
-        committed += sys.core(t).committedTxs().size();
-    std::cout << "committed transactions at crash: " << committed
-              << "\n";
-
-    const std::vector<RecoveryResult> recs = recoverAllThreads(sys, image);
-    for (std::size_t t = 0; t < recs.size(); ++t) {
-        std::cout << "  thread " << t << ": "
-                  << (recs[t].didUndo ? "rolled back one transaction"
-                                      : "nothing in flight")
-                  << " (" << recs[t].entriesApplied << " entries)\n";
-    }
-
-    const std::string err = sys.workload().checkInvariants(image);
-    std::cout << "invariants after recovery: "
-              << (err.empty() ? "OK" : err) << "\n";
-    return err.empty() ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -295,8 +184,7 @@ main(int argc, char **argv)
 
     return dispatch(argc, argv, {
         {"run", {"<workload>"}, "simulate one workload to completion",
-         {{schemeOption(extras.scheme), check,
-           checkMutateOption(opts.checkMutate)},
+         {{schemeOption(extras.scheme), check},
           dumps, size, spec, config, machine, trace, txStats},
          [&](const std::vector<std::string> &args) {
              return cmdRun(parseWorkload(args[0]), extras, opts);
@@ -307,25 +195,8 @@ main(int argc, char **argv)
          [&](const std::vector<std::string> &args) {
              return cmdReplay(args[0], extras, opts);
          }},
-        {"crash", {"<workload>"}, "crash partway, recover, validate",
-         {{schemeOption(extras.scheme),
-           number("--at", "PERCENT",
-                  "crash point as a percentage of the full run",
-                  extras.crashPercent, 0u, 100u)},
-          size, spec, config, machine, trace},
-         [&](const std::vector<std::string> &args) {
-             return cmdCrash(parseWorkload(args[0]), extras, opts);
-         }},
-        {"matrix", {}, "every scheme x workload, in parallel",
-         {size, config, machine,
-          batchOptions(opts.jobs, opts.jsonPath), {check},
-          trace, txStats},
-         [&](const std::vector<std::string> &) { return cmdMatrix(opts); }},
-        {"list", {}, "show workloads and schemes", {},
+        {"list", {}, "show every workload with its knobs, and the schemes",
+         {},
          [](const std::vector<std::string> &) { return cmdList(); }},
-        {"--list-workloads", {}, "show every workload with its knobs", {},
-         [](const std::vector<std::string> &) {
-             return cmdListWorkloads();
-         }},
     });
 }

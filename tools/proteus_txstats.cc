@@ -18,7 +18,8 @@
  *
  * diff matches rows of two files by (scheme, workload) and prints
  * per-stage percentile deltas, for before/after comparisons across a
- * config or code change.
+ * config or code change. A file with two rows under one key cannot be
+ * paired and is rejected.
  */
 
 #include <algorithm>
@@ -275,14 +276,27 @@ cmdReport(const std::string &path, bool per_workload)
     return cpi_ok ? 0 : 1;
 }
 
+/** @p rows of @p path by (scheme, workload); a repeated key is
+ *  fatal. */
+std::map<std::pair<std::string, std::string>, const Row *>
+indexRows(const std::string &path, const std::vector<Row> &rows)
+{
+    std::map<std::pair<std::string, std::string>, const Row *> index;
+    for (const Row &row : rows) {
+        if (!index.emplace(std::pair{row.scheme, row.workload}, &row).second)
+            fatal(path, ": two rows for ", row.scheme, " / ", row.workload,
+                  "; diff pairs rows by (scheme, workload)");
+    }
+    return index;
+}
+
 int
 cmdDiff(const std::string &path_a, const std::string &path_b)
 {
     const std::vector<Row> a = readRows(path_a);
     const std::vector<Row> b = readRows(path_b);
-    std::map<std::pair<std::string, std::string>, const Row *> index;
-    for (const Row &row : b)
-        index[{row.scheme, row.workload}] = &row;
+    indexRows(path_a, a);
+    const auto index = indexRows(path_b, b);
 
     auto delta = [](double from, double to) {
         std::ostringstream os;
