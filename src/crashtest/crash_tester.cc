@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <ostream>
 #include <sstream>
 
@@ -497,7 +498,9 @@ runCrashTests(const CrashTestOptions &opts, std::ostream &os)
     CrashTestSummary summary;
     summary.pairs.resize(opts.schemes.size() * opts.workloads.size());
 
-    ProgressReporter progress(os);
+    // Progress goes to stderr, as in every front end: its line order
+    // depends on the workers, so it must not mix into the report.
+    ProgressReporter progress(std::cerr);
     std::vector<ParallelRunner::Task> tasks;
     for (const LogScheme scheme : opts.schemes) {
         for (const WorkloadKind kind : opts.workloads) {

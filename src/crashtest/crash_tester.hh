@@ -154,9 +154,10 @@ std::vector<RecoveryResult> recoverAllThreads(FullSystem &system,
                                               MemoryImage &image);
 
 /**
- * Run the campaign described by @p opts; progress and failure reports
- * go to @p os. Writes JSON to opts.jsonPath if set. The returned
- * summary (and the JSON) is bit-identical for any opts.jobs value.
+ * Run the campaign described by @p opts; failure reports go to @p os,
+ * per-pair progress lines to stderr. Writes JSON to opts.jsonPath if
+ * set. The returned summary (and the JSON) is bit-identical for any
+ * opts.jobs value.
  */
 CrashTestSummary runCrashTests(const CrashTestOptions &opts,
                                std::ostream &os);

@@ -63,7 +63,7 @@ MemoryImage::farLeaf(Addr slot) const
 }
 
 void
-MemoryImage::read(Addr addr, void *out, std::size_t n) const
+MemoryImage::readSpan(Addr addr, void *out, std::size_t n) const
 {
     auto *dst = static_cast<std::uint8_t *>(out);
     while (n > 0) {
@@ -81,7 +81,7 @@ MemoryImage::read(Addr addr, void *out, std::size_t n) const
 }
 
 void
-MemoryImage::write(Addr addr, const void *src, std::size_t n)
+MemoryImage::writeSpan(Addr addr, const void *src, std::size_t n)
 {
     // A write covering a whole poisoned line re-establishes valid ECC.
     if (!_poison.empty()) {
@@ -212,20 +212,6 @@ MemoryImage::formatDiff(const std::vector<DiffEntry> &entries,
                " more differing words\n";
     }
     return out;
-}
-
-std::uint64_t
-MemoryImage::read64(Addr addr) const
-{
-    std::uint64_t v = 0;
-    read(addr, &v, sizeof(v));
-    return v;
-}
-
-void
-MemoryImage::write64(Addr addr, std::uint64_t value)
-{
-    write(addr, &value, sizeof(value));
 }
 
 } // namespace proteus

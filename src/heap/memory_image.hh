@@ -51,15 +51,49 @@ class MemoryImage
      *  indices >= nearSlots << leafBits) go to the side map. */
     static constexpr Addr nearSlots = Addr{1} << 16;
 
-    /** Copy @p n bytes at @p addr into @p out (zero for untouched). */
-    void read(Addr addr, void *out, std::size_t n) const;
+    /**
+     * Copy @p n bytes at @p addr into @p out (zero for untouched). An
+     * access inside one page is one lookup and one memcpy, inline;
+     * a span crossing pages takes readSpan's per-page loop.
+     */
+    void
+    read(Addr addr, void *out, std::size_t n) const
+    {
+        const std::size_t off = pageOffset(addr);
+        if (n == 0 || n > pageBytes - off)
+            return readSpan(addr, out, n);
+        if (const Page *page = peek(pageBase(addr)))
+            std::memcpy(out, page->data() + off, n);
+        else
+            std::memset(out, 0, n);
+    }
 
-    /** Write @p n bytes from @p src at @p addr. */
-    void write(Addr addr, const void *src, std::size_t n);
+    /** Write @p n bytes from @p src at @p addr. Inline inside one page
+     *  unless a line is poisoned (writeSpan heals fully rewritten
+     *  lines). */
+    void
+    write(Addr addr, const void *src, std::size_t n)
+    {
+        const std::size_t off = pageOffset(addr);
+        if (n == 0 || n > pageBytes - off || !_poison.empty())
+            return writeSpan(addr, src, n);
+        std::memcpy(touch(pageBase(addr)).data() + off, src, n);
+    }
 
     /** Little-endian fixed-width helpers. */
-    std::uint64_t read64(Addr addr) const;
-    void write64(Addr addr, std::uint64_t value);
+    std::uint64_t
+    read64(Addr addr) const
+    {
+        std::uint64_t v;
+        read(addr, &v, sizeof(v));
+        return v;
+    }
+
+    void
+    write64(Addr addr, std::uint64_t value)
+    {
+        write(addr, &value, sizeof(value));
+    }
 
     /** One differing 8-byte word between two images. */
     struct DiffEntry
@@ -162,6 +196,10 @@ class MemoryImage
     {
         return static_cast<std::size_t>(a & (pageBytes - 1));
     }
+
+    /** read() and write() for any span, page by page. */
+    void readSpan(Addr addr, void *out, std::size_t n) const;
+    void writeSpan(Addr addr, const void *src, std::size_t n);
 
     /** The page for writing: materialized, and unshared (as is the
      *  leaf holding it). */

@@ -426,7 +426,16 @@ MemCtrl::atomLog(CoreId core, TxId tx, const LogRecord &record)
         panic("MemCtrl::atomLog without a bound log area");
     }
 
+    // Block 0 holds the commit record. A transaction whose entries
+    // wrapped round the area would overwrite its own undo data.
     AtomLogArea &area = _atomLogArea[core];
+    std::vector<Addr> &entries = _atomTx[CoreTx{core, tx}].entries;
+    const std::uint64_t capacity =
+        (area.end - area.start) / logEntrySize - 1;
+    if (entries.size() >= capacity)
+        fatal("a transaction overflowed its ", capacity,
+              "-entry log area (logging.logAreaBytes); the processor "
+              "raises an exception");
     const Addr slot = area.next;
     area.next += logEntrySize;
     if (area.next >= area.end)
@@ -440,7 +449,7 @@ MemCtrl::atomLog(CoreId core, TxId tx, const LogRecord &record)
     req.data = record.toBytes();
     write(req);
 
-    _atomTx[CoreTx{core, tx}].entries.push_back(slot);
+    entries.push_back(slot);
     return true;
 }
 

@@ -90,12 +90,16 @@ TxTracker::TxTracker(stats::StatRegistry &registry, unsigned numCores,
     _dists.resize(_numCores);
     for (unsigned c = 0; c < _numCores; ++c) {
         _dists[c].reserve(numTxStages);
+        // Appended, not "c" + ...: g++ 12 at -O3 flags the inlined
+        // prepend with a false -Wrestrict.
+        std::string prefix = "c";
+        prefix += std::to_string(c);
+        prefix += '.';
         for (unsigned s = 0; s < numTxStages; ++s) {
             const auto stage = static_cast<TxStage>(s);
             const StageShape shape = shapeOf(stage);
             _dists[c].push_back(std::make_unique<stats::Distribution>(
-                _coreReg,
-                "c" + std::to_string(c) + "." + toString(stage),
+                _coreReg, prefix + toString(stage),
                 "per-core tx stage", 0.0, shape.hi, shape.buckets));
         }
     }

@@ -19,6 +19,26 @@ isAllZero(const std::uint8_t *bytes, std::size_t n)
     return true;
 }
 
+/**
+ * The bytes of the log slot at @p slot, read in place from its page,
+ * or null when that page was never written: the slot then reads as
+ * zero, which is neither a record nor torn. A slot straddling two
+ * pages (an area not aligned to logEntrySize) is copied into @p buf.
+ */
+const std::uint8_t *
+slotBytes(const MemoryImage &image, Addr slot,
+          std::uint8_t (&buf)[logEntrySize])
+{
+    const std::size_t off = slot & (MemoryImage::pageBytes - 1);
+    if (off + logEntrySize > MemoryImage::pageBytes) {
+        image.read(slot, buf, logEntrySize);
+        return buf;
+    }
+    const std::uint8_t *page =
+        image.pageData(slot >> MemoryImage::pageBits);
+    return page ? page + off : nullptr;
+}
+
 } // namespace
 
 Recovery::LogScan
@@ -39,14 +59,16 @@ Recovery::scanLogContiguous(const MemoryImage &image, Addr log_start,
             scan.firstPoisonedSlot = slot;
             break;
         }
-        std::uint8_t bytes[logEntrySize];
-        image.read(slot, bytes, sizeof(bytes));
+        std::uint8_t buf[logEntrySize];
+        const std::uint8_t *bytes = slotBytes(image, slot, buf);
+        if (bytes == nullptr)
+            break;              // a virgin page: the clean end
         const LogRecord rec = LogRecord::fromBytes(bytes);
         if (!rec.valid()) {
             // First invalid slot: the writer fills this area from the
             // base, so nothing live can follow. A nonzero slot is a
             // torn record — report, never parse past it.
-            if (!isAllZero(bytes, sizeof(bytes))) {
+            if (!isAllZero(bytes, logEntrySize)) {
                 scan.truncated = true;
                 scan.tornSlot = slot;
                 scan.tornSlots = 1;
@@ -75,12 +97,14 @@ Recovery::scanLogSparse(const MemoryImage &image, Addr log_start,
                 scan.firstPoisonedSlot = slot;
             continue;
         }
-        std::uint8_t bytes[logEntrySize];
-        image.read(slot, bytes, sizeof(bytes));
+        std::uint8_t buf[logEntrySize];
+        const std::uint8_t *bytes = slotBytes(image, slot, buf);
+        if (bytes == nullptr)
+            continue;           // on a page nobody wrote: a hole
         const LogRecord rec = LogRecord::fromBytes(bytes);
         if (rec.valid()) {
             scan.records.push_back(rec);
-        } else if (!isAllZero(bytes, sizeof(bytes))) {
+        } else if (!isAllZero(bytes, logEntrySize)) {
             ++scan.tornSlots;
             if (scan.tornSlot == invalidAddr)
                 scan.tornSlot = slot;

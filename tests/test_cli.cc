@@ -869,6 +869,55 @@ TEST(CliContract, LogAreaOverrideReachesEveryRun)
               cycles);
 }
 
+TEST(CliContract, AtomTransactionCannotWrapOntoItself)
+{
+    // ATOM's memory controller wrapped a transaction's log entries
+    // round its core's area onto the transaction's own undo data, so a
+    // too-small area lost crash consistency silently (2 violations in
+    // 50 ATOM/QE points at 128 bytes). It now stops with the overflow
+    // fatal TxContext raises for Proteus.
+    const std::string campaign =
+        "proteus-crashtest --schemes atom --workloads QE --scale 2000 "
+        "--init-scale 100 --sweep-points 50 --set logging.logAreaBytes=";
+    const Outcome small = tool(campaign + "128");
+    EXPECT_EQ(small.status, 2) << small.output;
+    EXPECT_NE(small.output.find("fatal: a transaction overflowed its "
+                                "1-entry log area (logging.logAreaBytes)"),
+              std::string::npos)
+        << small.output;
+    EXPECT_EQ(small.output.find("violation"), std::string::npos)
+        << small.output;
+    for (const char *bytes : {"1024", "4096"}) {
+        const Outcome out = tool(campaign + bytes);
+        EXPECT_EQ(out.status, 0) << bytes << "\n" << out.output;
+        EXPECT_NE(out.output.find("50 crash points, 0 violations\n"
+                                  "CONSISTENT\n"),
+                  std::string::npos)
+            << bytes << "\n" << out.output;
+    }
+}
+
+TEST(CliContract, CrashProgressGoesToStderr)
+{
+    // Progress lines come in worker order; on stdout they made two
+    // --jobs runs' reports differ.
+    const std::string args =
+        "proteus-crashtest --schemes pmem,atom --workloads QE,HM "
+        "--scale 2000 --init-scale 100 --sweep-points 4 --jobs 2";
+    const Outcome quiet = runBinary(PROTEUS_TOOLS_DIR, args, "/dev/null");
+    EXPECT_EQ(quiet.status, 0) << quiet.output;
+    EXPECT_EQ(quiet.output.find("running"), std::string::npos)
+        << quiet.output;
+    EXPECT_EQ(quiet.output.find("done"), std::string::npos) << quiet.output;
+    EXPECT_NE(quiet.output.find("16 crash points, 0 violations\n"
+                                "CONSISTENT\n"),
+              std::string::npos)
+        << quiet.output;
+    const Outcome all = tool(args);
+    EXPECT_NE(all.output.find("  done    ATOM / HM"), std::string::npos)
+        << all.output;
+}
+
 TEST(CliContract, EightThreadsRunEverywhere)
 {
     // --threads takes 1 to 32, but above the baseline's four cores

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <tuple>
 
@@ -459,4 +461,193 @@ TEST(CrashAtCommitPoint, DurableCommitCycleKeepsTheTransaction)
     replay->replayOps(committed);
     EXPECT_EQ(crashed.workload().serialize(image),
               replay->serialize(replay_heap.volatileImage()));
+}
+
+namespace {
+
+/** A slot-by-slot copy-out scan, as the scans read before they looked
+ *  at pages in place: the reference for every LogScan field. */
+Recovery::LogScan
+copyingScan(const MemoryImage &image, Addr log_start, Addr log_end,
+            bool contiguous)
+{
+    Recovery::LogScan scan;
+    for (Addr slot = log_start; slot + logEntrySize <= log_end;
+         slot += logEntrySize) {
+        ++scan.slotsScanned;
+        if (image.isPoisoned(slot)) {
+            ++scan.poisonedSlots;
+            if (scan.firstPoisonedSlot == invalidAddr)
+                scan.firstPoisonedSlot = slot;
+            if (contiguous) {
+                scan.truncated = true;
+                break;
+            }
+            continue;
+        }
+        std::uint8_t bytes[logEntrySize];
+        image.read(slot, bytes, sizeof(bytes));
+        const LogRecord rec = LogRecord::fromBytes(bytes);
+        if (rec.valid()) {
+            scan.records.push_back(rec);
+            continue;
+        }
+        const bool torn = std::any_of(std::begin(bytes), std::end(bytes),
+                                      [](std::uint8_t b) { return b; });
+        if (torn) {
+            ++scan.tornSlots;
+            if (scan.tornSlot == invalidAddr)
+                scan.tornSlot = slot;
+        }
+        if (contiguous) {
+            scan.truncated = torn;
+            break;
+        }
+    }
+    return scan;
+}
+
+void
+expectSameScan(const Recovery::LogScan &got, const Recovery::LogScan &want)
+{
+    ASSERT_EQ(got.records.size(), want.records.size());
+    for (std::size_t i = 0; i < got.records.size(); ++i)
+        EXPECT_EQ(got.records[i].toBytes(), want.records[i].toBytes()) << i;
+    EXPECT_EQ(got.truncated, want.truncated);
+    EXPECT_EQ(got.tornSlot, want.tornSlot);
+    EXPECT_EQ(got.tornSlots, want.tornSlots);
+    EXPECT_EQ(got.slotsScanned, want.slotsScanned);
+    EXPECT_EQ(got.poisonedSlots, want.poisonedSlots);
+    EXPECT_EQ(got.firstPoisonedSlot, want.firstPoisonedSlot);
+}
+
+/** Both scans over [@p start, @p end) agree with copyingScan. */
+void
+expectScansMatchCopying(const MemoryImage &image, Addr start, Addr end)
+{
+    {
+        SCOPED_TRACE("sparse");
+        expectSameScan(Recovery::scanLogSparse(image, start, end),
+                       copyingScan(image, start, end, false));
+    }
+    {
+        SCOPED_TRACE("contiguous");
+        expectSameScan(Recovery::scanLogContiguous(image, start, end),
+                       copyingScan(image, start, end, true));
+    }
+}
+
+constexpr Addr scanPage = MemoryImage::pageBytes;
+/** A four-page log area at a page boundary. */
+constexpr Addr scanArea = 0x40000;
+constexpr Addr scanEnd = scanArea + 4 * scanPage;
+
+} // namespace
+
+TEST(RecoveryScan, UntouchedPagesBetweenValidRecords)
+{
+    // Pages 1 and 3 were never written: every slot on them reads as
+    // zero, a hole the sparse scan steps over.
+    MemoryImage image;
+    putRecord(image, scanArea, 3, 0x5000, 0xAA, 0);
+    putRecord(image, scanArea + 2 * scanPage + 5 * logEntrySize, 4,
+              0x6000, 0xBB, 1);
+    const Recovery::LogScan sparse =
+        Recovery::scanLogSparse(image, scanArea, scanEnd);
+    ASSERT_EQ(sparse.records.size(), 2u);
+    EXPECT_EQ(sparse.records[1].txId, 4u);
+    EXPECT_EQ(sparse.slotsScanned, 4 * scanPage / logEntrySize);
+    EXPECT_EQ(sparse.tornSlots, 0u);
+    const Recovery::LogScan contiguous =
+        Recovery::scanLogContiguous(image, scanArea, scanEnd);
+    EXPECT_EQ(contiguous.records.size(), 1u);
+    EXPECT_EQ(contiguous.slotsScanned, 2u);
+    EXPECT_FALSE(contiguous.truncated);
+    expectScansMatchCopying(image, scanArea, scanEnd);
+
+    // The same when the first page of the area is the untouched one:
+    // the contiguous scan ends cleanly on its first slot.
+    MemoryImage late;
+    putRecord(late, scanArea + scanPage, 5, 0x7000, 0xCC, 0);
+    const Recovery::LogScan empty =
+        Recovery::scanLogContiguous(late, scanArea, scanEnd);
+    EXPECT_TRUE(empty.records.empty());
+    EXPECT_EQ(empty.slotsScanned, 1u);
+    expectScansMatchCopying(late, scanArea, scanEnd);
+}
+
+TEST(RecoveryScan, TornSlotAfterAHole)
+{
+    // A record, an untouched page, then a torn slot on a written page
+    // (after zero slots there), then another record.
+    MemoryImage image;
+    putRecord(image, scanArea, 3, 0x5000, 0xAA, 0);
+    const Addr torn = scanArea + 2 * scanPage + 3 * logEntrySize;
+    image.write64(torn + 8, 0xDEAD);
+    putRecord(image, torn + logEntrySize, 4, 0x6000, 0xBB, 0);
+    const Recovery::LogScan sparse =
+        Recovery::scanLogSparse(image, scanArea, scanEnd);
+    EXPECT_EQ(sparse.records.size(), 2u);
+    EXPECT_EQ(sparse.tornSlot, torn);
+    EXPECT_EQ(sparse.tornSlots, 1u);
+    expectScansMatchCopying(image, scanArea, scanEnd);
+
+    // Contiguously from the hole's page on, the torn slot is the tail.
+    const Recovery::LogScan tail = Recovery::scanLogContiguous(
+        image, scanArea + 2 * scanPage, scanEnd);
+    EXPECT_TRUE(tail.records.empty());
+    EXPECT_FALSE(tail.truncated);   // a zero slot comes first
+    expectScansMatchCopying(image, scanArea + 2 * scanPage, scanEnd);
+    expectScansMatchCopying(image, torn, scanEnd);
+    EXPECT_TRUE(Recovery::scanLogContiguous(image, torn, scanEnd).truncated);
+}
+
+TEST(RecoveryScan, PoisonedSlotOnAnUntouchedPage)
+{
+    // Poison is media metadata: it can mark a slot whose page holds no
+    // bytes. The ECC verdict is still checked before the page.
+    MemoryImage image;
+    putRecord(image, scanArea, 3, 0x5000, 0xAA, 0);
+    const Addr poisoned = scanArea + scanPage + 2 * logEntrySize;
+    image.markPoisoned(poisoned);
+    image.markPoisoned(scanArea + 3 * scanPage);
+    putRecord(image, scanArea + 2 * scanPage, 4, 0x6000, 0xBB, 0);
+    ASSERT_EQ(image.pageData(poisoned >> MemoryImage::pageBits), nullptr);
+
+    const Recovery::LogScan sparse =
+        Recovery::scanLogSparse(image, scanArea, scanEnd);
+    EXPECT_EQ(sparse.records.size(), 2u);
+    EXPECT_EQ(sparse.poisonedSlots, 2u);
+    EXPECT_EQ(sparse.firstPoisonedSlot, poisoned);
+    expectScansMatchCopying(image, scanArea, scanEnd);
+
+    // Contiguously from the poisoned slot, its ECC verdict stops the
+    // scan, though its page alone would end it cleanly.
+    const Recovery::LogScan contiguous =
+        Recovery::scanLogContiguous(image, poisoned, scanEnd);
+    EXPECT_TRUE(contiguous.truncated);
+    EXPECT_EQ(contiguous.poisonedSlots, 1u);
+    EXPECT_EQ(contiguous.firstPoisonedSlot, poisoned);
+    expectScansMatchCopying(image, poisoned, scanEnd);
+    expectScansMatchCopying(image, scanArea + scanPage, scanEnd);
+}
+
+TEST(RecoveryScan, UnalignedAreaSlotsStraddlePages)
+{
+    // An area not aligned to logEntrySize puts one slot per page
+    // boundary across two pages, written or not.
+    MemoryImage image;
+    const Addr start = scanArea + 24;
+    const Addr end = start + 3 * scanPage;
+    const Addr straddle = start + (scanPage / logEntrySize - 1) * logEntrySize;
+    ASSERT_GT(straddle + logEntrySize, scanArea + scanPage);
+    putRecord(image, start, 3, 0x5000, 0xAA, 0);
+    putRecord(image, straddle, 4, 0x6000, 0xBB, 0);
+    const Addr half_torn = straddle + scanPage;     // second half unwritten
+    image.write64(half_torn, 0x77);
+    const Recovery::LogScan sparse = Recovery::scanLogSparse(image, start, end);
+    EXPECT_EQ(sparse.records.size(), 2u);
+    EXPECT_EQ(sparse.tornSlot, half_torn);
+    expectScansMatchCopying(image, start, end);
+    expectScansMatchCopying(image, straddle, end);
 }
